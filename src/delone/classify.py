@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .geometry import (Isometry, Tolerance, apply, compose, dist_sq, identity,
-                       mat_mul, mat_solve, orthogonal_complement, p_dot,
-                       p_sub, rank)
+from .geometry import (ORTHO_EPS, Isometry, Tolerance, apply, compose,
+                       dist_sq, fdiv, identity, mat_identity, mat_mul,
+                       mat_solve, orthogonal_complement, p_dot, p_sub, rank)
 from .scalars import Radical, field_sqrt, quadext, sfloat
 from .sets import Cluster, as_radius, cluster, distance_spectrum
 
@@ -128,12 +128,8 @@ def _point_entries(c):
 
 
 @lru_cache(maxsize=512)
-def _fingerprint_cached(c):
+def fingerprint(c):
     return Fingerprint(data=tuple(sorted(_point_entries(c))))
-
-
-def fingerprint(c, tol):
-    return _fingerprint_cached(c)
 
 
 def _entries_match(e1, e2, tol):
@@ -173,13 +169,13 @@ def _greedy_frame(offsets, tol):
     return frame
 
 
-def _sorted_offsets(c, tol):
+def _sorted_offsets(c):
     offs = list(c.offsets())
     offs.sort(key=lambda v: (sfloat(p_dot(v, v)), tuple(map(sfloat, v))))
     return offs
 
 
-def _profiles(c, tol):
+def _profiles(c):
     """Per-offset invariants within the cluster: (|v|^2, sorted row)."""
     entries = _point_entries(c)
     prof = {}
@@ -213,45 +209,17 @@ def _solve_map(frame_rows, image_rows, tol):
     if cols is None:
         return None
     o = tuple(cols)  # column k of O^T is row k of O
-    iso = Isometry(o, tuple((0 if tol.exact else 0.0) for _ in range(len(o))))
-    if not iso.is_orthogonal(tol):
+    if not Isometry(o, (0,) * len(o)).is_orthogonal(tol):
         return None
     return o
 
 
-def _map_bijects(o, offs1, offs2_set, tol, grid=None):
+def _map_bijects(o, offs1, offs2_set):
     for v in offs1:
         image = tuple(sum(o[i][j] * v[j] for j in range(len(v))) for i in range(len(o)))
-        if tol.exact:
-            if image not in offs2_set:
-                return False
-        else:
-            if grid is None or not grid.has(image):
-                return False
+        if image not in offs2_set:
+            return False
     return True
-
-
-class _FloatGrid:
-    """Hash grid for approximate point membership in floating mode."""
-
-    def __init__(self, points, eps):
-        self.eps = eps
-        self.cell = max(4 * eps, 1e-12)
-        self.map = {}
-        for p in points:
-            self.map.setdefault(self._key(p), []).append(p)
-
-    def _key(self, p):
-        return tuple(int(math.floor(c / self.cell)) for c in p)
-
-    def has(self, p):
-        base = self._key(p)
-        from itertools import product
-        for off in product((-1, 0, 1), repeat=len(p)):
-            for q in self.map.get(tuple(a + b for a, b in zip(base, off)), ()):
-                if all(abs(a - b) <= self.eps for a, b in zip(p, q)):
-                    return True
-        return False
 
 
 def _scale_root(ratio):
@@ -275,7 +243,6 @@ def _complement_images(comp1, offs2, d, tol):
     Scales the target complement basis so lengths match; exact mode lifts
     into a quadratic extension when the scale is irrational.
     """
-    from .geometry import _fdiv
     comp2 = orthogonal_complement(offs2, d)
     if len(comp2) != len(comp1):
         return None
@@ -283,7 +250,7 @@ def _complement_images(comp1, offs2, d, tol):
     for u, w in zip(comp1, comp2):
         n1, n2 = p_dot(u, u), p_dot(w, w)
         if tol.exact:
-            mu = _scale_root(_fdiv(n1, n2))
+            mu = _scale_root(fdiv(n1, n2))
         else:
             mu = math.sqrt(n1 / n2)
         images.append(tuple(mu * c for c in w))
@@ -295,13 +262,12 @@ def _witness_linear_parts(c1, c2, tol, want_all):
 
     Yields row-major matrices; enumeration order is deterministic.
     """
-    offs1 = _sorted_offsets(c1, tol)
-    offs2 = _sorted_offsets(c2, tol)
+    offs1 = _sorted_offsets(c1)
+    offs2 = _sorted_offsets(c2)
     if len(offs1) != len(offs2):
         return
     d = c1.dim
     if not offs1:
-        from .geometry import mat_identity
         if not want_all:
             yield mat_identity(d)  # canonical witness: plain translation
         elif d == 1:
@@ -311,14 +277,13 @@ def _witness_linear_parts(c1, c2, tol, want_all):
             raise InfiniteGroupError(
                 f"a single-point cluster in {d}-d has stabilizer O({d})")
         return
-    prof1 = _profiles(c1, tol)
-    prof2 = _profiles(c2, tol)
+    prof1 = _profiles(c1)
+    prof2 = _profiles(c2)
     frame = _greedy_frame(offs1, tol)
     s = len(frame)
     comp1 = orthogonal_complement(frame, d) if s < d else []
     spans_parallel = s == d or rank(frame + offs2, exact=tol.exact) == s
-    offs2_set = frozenset(offs2) if tol.exact else None
-    grid = None if tol.exact else _FloatGrid(offs2, tol.eps_abs)
+    offs2_set = tol.point_set(offs2)
 
     def candidates(v):
         pv = prof1[v]
@@ -359,7 +324,7 @@ def _witness_linear_parts(c1, c2, tol, want_all):
             o = _solve_map(frame + comp1, images + list(comp_imgs), tol)
             if o is None:
                 continue
-            if not _map_bijects(o, offs1, offs2_set, tol, grid):
+            if not _map_bijects(o, offs1, offs2_set):
                 continue
             key = o if tol.exact else tuple(tuple(round(x, 9) for x in row) for row in o)
             if key in seen:
@@ -378,15 +343,11 @@ def clusters_equivalent(c1, c2, tol=None):
     continuum of valid witnesses.
     """
     tol = tol or Tolerance.exact_mode()
-    if tol.exact:
-        r1 = c1.radius if isinstance(c1.radius, Radical) else Radical.of(c1.radius)
-        if r1.cmp(c2.radius if isinstance(c2.radius, Radical) else Radical.of(c2.radius)) != 0:
-            raise ValueError("clusters have different radii")
-    elif abs(c1.radius - c2.radius) > tol.eps_abs:
+    if not tol.is_zero(c1.radius - c2.radius):
         raise ValueError("clusters have different radii")
     if c1.size != c2.size:
         return None
-    if not fingerprints_match(fingerprint(c1, tol), fingerprint(c2, tol), tol):
+    if not fingerprints_match(fingerprint(c1), fingerprint(c2), tol):
         return None
     for o in _witness_linear_parts(c1, c2, tol, want_all=False):
         shift = p_sub(c2.center, tuple(sum(o[i][j] * c1.center[j] for j in range(c1.dim))
@@ -427,15 +388,9 @@ class ClusterGroup:
     def order(self):
         return len(self.elements)
 
-    def linear_set(self):
-        if self.tol.exact:
-            return frozenset(g.linear for g in self.elements)
-        return tuple(g.linear for g in self.elements)
-
     def contains_linear(self, lin):
         if self.tol.exact:
-            return lin in self.linear_set()
-        from .geometry import ORTHO_EPS
+            return any(lin == g.linear for g in self.elements)
         for other in self.elements:
             if all(abs(a - b) <= ORTHO_EPS
                    for ra, rb in zip(lin, other.linear) for a, b in zip(ra, rb)):
@@ -490,43 +445,32 @@ class ClusterPartition:
         raise KeyError(f"{point} was not classified")
 
 
-def classify(handle, rho):
+def classify(handle, rho, points=None):
     """Partition the population into classes of equivalent rho-clusters.
 
     Population: motif points of a periodic set, or interior points of a
-    window.  Representatives are the lexicographically smallest members and
-    every member carries a witness isometry from the representative.
+    window, unless ``points`` names the centers to classify.
+    Representatives are the lexicographically smallest members and every
+    member carries a witness isometry from the representative.
     """
     radius = as_radius(rho, handle.tol)
-    population = sorted(handle.population(radius))
+    population = sorted(handle.population(radius)) if points is None else points
     tol = handle.tol
     reps = []      # (cluster, fingerprint, members, witnesses)
-    exact_index = {}
     for x in population:
         cx = cluster(handle, x, radius)
-        fx = fingerprint(cx, tol)
+        fx = fingerprint(cx)
         witness = None
         hit = None
-        if tol.exact:
-            for idx in exact_index.get(fx.digest, ()):
-                if reps[idx][1].data != fx.data:
-                    continue
-                witness = clusters_equivalent(reps[idx][0], cx, tol)
-                if witness is not None:
-                    hit = idx
-                    break
-        else:
-            for idx, (rc, rf, _, _) in enumerate(reps):
-                if not fingerprints_match(rf, fx, tol):
-                    continue
-                witness = clusters_equivalent(rc, cx, tol)
-                if witness is not None:
-                    hit = idx
-                    break
+        for idx, (rc, rf, _, _) in enumerate(reps):
+            if not fingerprints_match(rf, fx, tol):
+                continue
+            witness = clusters_equivalent(rc, cx, tol)
+            if witness is not None:
+                hit = idx
+                break
         if hit is None:
             reps.append((cx, fx, [x], [identity(handle.dim)]))
-            if tol.exact:
-                exact_index.setdefault(fx.digest, []).append(len(reps) - 1)
         else:
             reps[hit][2].append(x)
             reps[hit][3].append(witness)
@@ -560,42 +504,17 @@ def n_profile(handle, rho_max):
     radius = as_radius(rho_max, handle.tol)
     population = sorted(handle.population(radius))
     tol = handle.tol
-    if tol.exact:
-        d2s = set()
-        for x in population:
-            d2s.update(distance_spectrum(handle, x, radius).dist_sqs)
-        breakpoints = [Radical.sqrt(d2) for d2 in sorted(d2s, key=sfloat)]
-    else:
-        vals = []
-        for x in population:
-            vals.extend(distance_spectrum(handle, x, radius).distances)
-        vals.sort()
-        breakpoints = []
-        for v in vals:
-            if not breakpoints or v - breakpoints[-1] > tol.eps_abs:
-                breakpoints.append(v)
+    d2s = []
+    for x in population:
+        d2s.extend(distance_spectrum(handle, x, radius).dist_sqs)
+    breakpoints = [tol.sqrt(d2) for d2 in tol.distinct_sq(d2s)]
     part_max = classify(handle, radius)
     rep_points = [cl.representative.center for cl in part_max.classes]
-    values = []
-    for b in breakpoints:
-        values.append(_count_classes_among(handle, rep_points, b))
+    values = [classify(handle, b, rep_points).n for b in breakpoints]
     for a, b in zip(values, values[1:]):
         if a > b:
             raise AssertionError("N(rho) profile must be non-decreasing")
     return NRhoProfile(breakpoints=tuple(breakpoints), values=tuple(values))
-
-
-def _count_classes_among(handle, points, rho):
-    tol = handle.tol
-    reps = []
-    for x in points:
-        cx = cluster(handle, x, rho)
-        fx = fingerprint(cx, tol)
-        if not any(fingerprints_match(rf, fx, tol)
-                   and clusters_equivalent(rc, cx, tol) is not None
-                   for rc, rf in reps):
-            reps.append((cx, fx))
-    return len(reps)
 
 
 def group_orders_by_class(partition):
@@ -612,16 +531,13 @@ def group_orders_by_class(partition):
         group = cluster_group_of(cl.representative, tol)
         if len(cl.members) > 1:
             w = cl.witnesses[1]
-            member_pts = frozenset(apply(w, p) for p in cl.representative.points) \
-                if tol.exact else [apply(w, p) for p in cl.representative.points]
-            grid = None if tol.exact else _FloatGrid(member_pts, tol.eps_abs)
+            member_pts = [apply(w, p) for p in cl.representative.points]
+            members = tol.point_set(member_pts)
             w_inv = w.inverse()
             for g in group.elements:
                 conj = compose(w, compose(g, w_inv))
-                for p in (member_pts if tol.exact else list(member_pts)):
-                    q = apply(conj, p)
-                    ok = (q in member_pts) if tol.exact else grid.has(q)
-                    if not ok:
+                for p in member_pts:
+                    if apply(conj, p) not in members:
                         raise AssertionError(
                             "conjugated group element does not preserve the member cluster")
         out.append((idx, group.order))

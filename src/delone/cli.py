@@ -7,17 +7,17 @@ antipodality is required).
 """
 
 import argparse
+import math
 import sys
-import time
 from fractions import Fraction
 
 from .classify import classify, group_orders_by_class, n_profile
 from .criteria import (NotAntipodalError, antipodal_lattice_decomposition,
                        certify_auto, check_crystal_criterion,
                        check_regular_criterion, reconstruct_from_2R_cluster)
-from .fileio import (PointSetFormatError, Report, file_sha256, format_radius,
-                     parse_radius, parse_scalar, read_point_set,
-                     write_point_set)
+from .fileio import (PointSetFormatError, Report, atomic_write, file_sha256,
+                     format_radius, parse_radius, parse_scalar,
+                     read_point_set, write_point_set)
 from .generators import (CrystalSpec, ShiftSequence, ShiftedRowSpec,
                          gen_coset_union, gen_crystal, gen_lattice,
                          gen_shifted_rows)
@@ -43,7 +43,6 @@ def _parse_rows(text, exact):
 
 def _rotation_generator(n, exact):
     if not exact:
-        import math
         a = 2 * math.pi / n
         return Isometry(((math.cos(a), -math.sin(a)), (math.sin(a), math.cos(a))),
                         (0.0, 0.0))
@@ -76,22 +75,16 @@ def _tol_from_args(args):
 
 def _load(args):
     eps = args.tolerance if args.numeric_mode == "float" else None
-    handle = read_point_set(args.input, eps_abs=eps)
-    return handle
+    return read_point_set(args.input, eps_abs=eps)
 
 
-def _start_report(cmd, args, input_path=None):
+def _start_report(cmd, handle, input_path):
+    # the file's numeric header, not --numeric-mode, decides the arithmetic
     rep = Report(cmd)
-    if input_path:
-        rep.kv("input", input_path)
-        rep.kv("input_sha256", file_sha256(input_path))
-    rep.kv("numeric_mode", args.numeric_mode)
+    rep.kv("input", input_path)
+    rep.kv("input_sha256", file_sha256(input_path))
+    rep.kv("numeric_mode", handle.tol.mode)
     return rep
-
-
-def _finish(rep, args, t0):
-    if args.timings:
-        rep.kv("walltime_ms", int((time.time() - t0) * 1000))
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +128,13 @@ def cmd_generate(args):
 
 
 def cmd_analyze(args):
-    t0 = time.time()
     handle = _load(args)
-    rep = _start_report("analyze", args, args.input)
+    rep = _start_report("analyze", handle, args.input)
     exact = handle.tol.exact
     try:
         params = delone_params(handle)
     except WindowTooSmallError as exc:
         rep.kv("warning", f"window too small, partial report: {exc}")
-        _finish(rep, args, t0)
         _emit(rep, args.out)
         return EXIT_OK
     rep.scalar("r", params.r, exact)
@@ -167,7 +158,7 @@ def cmd_analyze(args):
             capacity = handle.capacity()
             if capacity is not None:
                 cap_r = Radical.of(capacity) if exact else float(capacity)
-                if (rho_max.cmp(cap_r) > 0) if exact else rho_max > cap_r:
+                if rho_max > cap_r:
                     rho_max = cap_r
                     warning = "window limits the profile to rho <= capacity"
             prof = n_profile(handle, rho_max)
@@ -185,15 +176,13 @@ def cmd_analyze(args):
         warning = f"window too small, partial report: {exc}"
     if warning:
         rep.kv("warning", warning)
-    _finish(rep, args, t0)
     _emit(rep, args.out)
     return EXIT_OK
 
 
 def cmd_certify(args):
-    t0 = time.time()
     handle = _load(args)
-    rep = _start_report("certify", args, args.input)
+    rep = _start_report("certify", handle, args.input)
     exact = handle.tol.exact
     rep.kv("criterion", args.criterion)
     if args.rho0:
@@ -230,15 +219,13 @@ def cmd_certify(args):
                       for c in w))
     for note in result.notes:
         rep.kv("note", note)
-    _finish(rep, args, t0)
     _emit(rep, args.out)
     return EXIT_INCONCLUSIVE if verdict == "inconclusive-window" else EXIT_OK
 
 
 def cmd_decompose(args):
-    t0 = time.time()
     handle = _load(args)
-    rep = _start_report("decompose", args, args.input)
+    rep = _start_report("decompose", handle, args.input)
     exact = handle.tol.exact
     dec = antipodal_lattice_decomposition(handle)
     rep.kv("n", dec.n)
@@ -249,15 +236,13 @@ def cmd_decompose(args):
     rep.section("half_vectors")
     for v in dec.half_vectors:
         rep.row(*(format_radius(Radical.of(c), True) if exact else repr(c) for c in v))
-    _finish(rep, args, t0)
     _emit(rep, args.out)
     return EXIT_OK
 
 
 def cmd_reconstruct(args):
-    t0 = time.time()
     handle = _load(args)
-    rep = _start_report("reconstruct", args, args.input)
+    rep = _start_report("reconstruct", handle, args.input)
     exact = handle.tol.exact
     center = _parse_vector(args.center, exact)
     params = delone_params(handle)
@@ -278,27 +263,20 @@ def cmd_reconstruct(args):
         rep.kv("points_out", args.points_out)
     if args.compare:
         other = read_point_set(args.compare)
-        truth = {p for _, p in other.points_in_ball(center, rho_max)}
-        match = truth == set(pts) if exact else _sets_close(truth, pts, handle.tol)
+        truth = [p for _, p in other.points_in_ball(center, rho_max)]
+        found = handle.tol.point_set(truth)
+        match = len(truth) == len(pts) and all(p in found for p in pts)
         rep.kv("compare", args.compare)
         rep.kv("match", "true" if match else "false")
-    _finish(rep, args, t0)
     _emit(rep, args.out)
     return EXIT_OK
 
 
 def _ball_bbox(center, rho, exact):
     if exact:
-        import math as _m
-        r_up = Fraction(_m.ceil(sfloat(rho) * 10**6), 10**6)  # rational cover of rho
+        r_up = Fraction(math.ceil(sfloat(rho) * 10**6), 10**6)  # rational cover of rho
         return (tuple(c - r_up for c in center), tuple(c + r_up for c in center))
     return (tuple(c - rho for c in center), tuple(c + rho for c in center))
-
-
-def _sets_close(a, b, tol):
-    from .classify import _FloatGrid
-    grid = _FloatGrid(list(a), tol.eps_abs)
-    return len(a) == len(b) and all(grid.has(p) for p in b)
 
 
 def cmd_plot(args):
@@ -317,8 +295,7 @@ def cmd_plot(args):
     extent = parse_scalar(args.extent, exact) if args.extent else None
     svg = render_svg(handle, highlight=args.highlight, rho=rho,
                      chain_ends=chain_ends, center=center, extent=extent)
-    from .fileio import _atomic_write
-    _atomic_write(args.out, svg)
+    atomic_write(args.out, svg)
     sys.stdout.write(f"wrote {args.out}\n")
     return EXIT_OK
 
@@ -333,14 +310,10 @@ def build_parser():
     p.add_argument("--numeric-mode", choices=("exact", "float"), default="exact")
     p.add_argument("--tolerance", type=float, default=None,
                    help="absolute tolerance for float mode (default 1e-9)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; analysis currently runs single-threaded")
     p.add_argument("--seed-cap", type=int, default=None,
                    help="max points a reconstruction may generate")
     p.add_argument("--rho-cap", type=int, default=6,
                    help="auto certify scans rho0 up to rho-cap * R")
-    p.add_argument("--timings", action="store_true",
-                   help="append wall time to reports (breaks byte determinism)")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     g = sub.add_parser("generate", help="write a fixture point-set file")

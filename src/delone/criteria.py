@@ -20,8 +20,8 @@ import math
 
 from .classify import InfiniteGroupError, classify, cluster_group_of
 from .geometry import (Lattice, Tolerance, dist_sq, lattice_from_generators,
-                       p_add, p_neg, p_scale, p_sub)
-from .scalars import Radical, sfloat, ssign
+                       p_add, p_neg, p_scale, p_sub, point_is_exact, rank)
+from .scalars import Radical, sfloat
 from .sets import (WindowTooSmallError, as_radius, cluster, delone_params,
                    distance_spectrum, radius_covers)
 
@@ -73,10 +73,7 @@ class CriterionReport:
 
 
 def _two_r(handle):
-    params = delone_params(handle)
-    if handle.tol.exact:
-        return params.R * 2
-    return 2.0 * params.R
+    return delone_params(handle).R * 2
 
 
 def _order_or_none(c, tol):
@@ -178,33 +175,21 @@ def _scan_candidates(handle, reps, limit_radius, cap):
     """Candidate rho0 breakpoints: spectrum values and values shifted by -2R."""
     tol = handle.tol
     two_r = _two_r(handle)
-    if tol.exact:
-        d2s = set()
-        for x in reps:
-            d2s.update(distance_spectrum(handle, x, limit_radius).dist_sqs)
-        vals = [Radical.sqrt(d2) for d2 in sorted(d2s, key=sfloat)]
-        out = []
-        for v in vals:
-            if v.cmp(cap) <= 0:
-                out.append(v)
-            shifted = v - two_r
-            if shifted.sign() > 0 and shifted.cmp(cap) <= 0:
-                out.append(shifted)
-        out.sort(key=sfloat)
-        dedup = []
-        for v in out:
-            if not dedup or dedup[-1].cmp(v) != 0:
-                dedup.append(v)
-        return dedup
-    vals = set()
+    d2s = set()
     for x in reps:
-        vals.update(distance_spectrum(handle, x, limit_radius).distances)
-    out = sorted(v for v in vals if v <= cap + tol.eps_abs)
-    out.extend(sorted(v - two_r for v in vals if v - two_r > tol.eps_abs))
-    out.sort()
+        d2s.update(distance_spectrum(handle, x, limit_radius).dist_sqs)
+    out = []
+    for d2 in sorted(d2s, key=sfloat):
+        v = tol.sqrt(d2)
+        if tol.le(v, cap):
+            out.append(v)
+        # v <= limit_radius <= cap + 2R, so no shifted value exceeds cap
+        shifted = v - two_r
+        if not tol.le(shifted, 0):
+            out.append(shifted)
     dedup = []
-    for v in out:
-        if not dedup or v - dedup[-1] > tol.eps_abs:
+    for v in sorted(out, key=sfloat):
+        if not dedup or not tol.is_zero(v - dedup[-1]):
             dedup.append(v)
     return dedup
 
@@ -228,7 +213,7 @@ def certify_auto(handle, criterion, cap_mult=6, group_mode="representative"):
     capacity = handle.capacity()
     if capacity is not None:
         cap_radius = Radical.of(capacity) if tol.exact else float(capacity)
-        if (limit.cmp(cap_radius) > 0) if tol.exact else limit > cap_radius:
+        if limit > cap_radius:
             limit = cap_radius
     try:
         part_limit = classify(handle, limit)
@@ -237,15 +222,14 @@ def certify_auto(handle, criterion, cap_mult=6, group_mode="representative"):
                                rho0=limit, window_limited=True, notes=(str(exc),))
     reps = [cl.representative.center for cl in part_limit.classes]
     candidates = [c for c in _scan_candidates(handle, reps, limit, cap)
-                  if _fits(c + two_r, limit, tol)]
+                  if tol.le(c + two_r, limit)]
 
     if criterion == "regular":
         if part_limit.n > 1:
             # N >= 2 somewhere disproves regularity; anchor rho0 so that
             # rho0 + 2R is exactly the radius where the split was seen
             rho0 = limit - two_r
-            nonneg = (rho0.sign() >= 0) if tol.exact else rho0 >= 0
-            if not nonneg:
+            if rho0 < 0:
                 return CriterionReport(
                     criterion="regular", verdict="violated", rho0=limit,
                     n_at_rho0_plus_2r=part_limit.n, witnesses=tuple(reps),
@@ -271,8 +255,8 @@ def certify_auto(handle, criterion, cap_mult=6, group_mode="representative"):
             notes=("no stabilizing rho0 below the scan cap",))
 
     for rho0 in candidates:
-        n_lo = _count_among(handle, reps, rho0)
-        n_hi = _count_among(handle, reps, rho0 + two_r)
+        n_lo = classify(handle, rho0, reps).n
+        n_hi = classify(handle, rho0 + two_r, reps).n
         if n_lo != n_hi:
             continue
         report = check_crystal_criterion(handle, rho0, group_mode=group_mode)
@@ -282,15 +266,6 @@ def certify_auto(handle, criterion, cap_mult=6, group_mode="representative"):
         criterion="crystal", verdict="inconclusive-window", rho0=cap,
         n_at_rho0=part_limit.n, window_limited=handle.mode == "window",
         notes=("no stabilizing rho0 below the scan cap",))
-
-
-def _fits(radius, limit, tol):
-    return (radius.cmp(limit) <= 0) if tol.exact else radius <= limit + tol.eps_abs
-
-
-def _count_among(handle, points, rho):
-    from .classify import _count_classes_among
-    return _count_classes_among(handle, points, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +302,9 @@ def is_locally_antipodal(handle):
 
 
 def _antipode_violation(offsets, tol):
-    if tol.exact:
-        s = frozenset(offsets)
-        for v in offsets:
-            if p_neg(v) not in s:
-                return v
-        return None
-    from .classify import _FloatGrid
-    grid = _FloatGrid(offsets, tol.eps_abs)
+    members = tol.point_set(offsets)
     for v in offsets:
-        if not grid.has(p_neg(v)):
+        if p_neg(v) not in members:
             return v
     return None
 
@@ -357,12 +325,9 @@ def check_global_antipodality(handle, x):
         return True
     lo, hi = handle.bounds
     margin = handle.margin
-    half = None
-    for a, l, h in zip(x, lo, hi):
-        for v in (a - (l + margin), (h - margin) - a):
-            if half is None or _lt_scalar(v, half):
-                half = v
-    if (ssign(half) < 0) if handle.tol.exact else half < -handle.tol.eps_abs:
+    half = min(v for a, l, h in zip(x, lo, hi)
+               for v in (a - (l + margin), (h - margin) - a))
+    if not handle.tol.ge(half, 0):
         return True  # empty symmetric window: vacuous
     w_lo = tuple(a - half for a in x)
     w_hi = tuple(a + half for a in x)
@@ -370,13 +335,6 @@ def check_global_antipodality(handle, x):
         if not handle.contains(p_sub(p_scale(x, 2), p)):
             return False
     return True
-
-
-def _lt_scalar(a, b):
-    from .scalars import is_exact_scalar
-    if is_exact_scalar(a) and is_exact_scalar(b):
-        return ssign(a - b) < 0
-    return sfloat(a) < sfloat(b)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +349,6 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
     induction along the distance spectrum that makes the closure complete.
     Returns the reconstructed points as a sorted tuple.
     """
-    from .geometry import point_is_exact
     tol = tol or (Tolerance.exact_mode() if point_is_exact(seed.center)
                   else Tolerance.floating())
     offs = seed.offsets()
@@ -401,7 +358,7 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
             f"seed cluster is not antipodal: offset {bad} has no antipode")
     center = seed.center
     radius_max = as_radius(rho_max, tol)
-    pair_radius = seed.radius if tol.exact else float(seed.radius)
+    pair_radius = as_radius(seed.radius, tol)
     if max_points is None:
         max_points = _packing_cap(seed, radius_max)
     known = {}
@@ -582,21 +539,19 @@ def _max_lattice_window(handle):
     center = tuple((sfloat(l) + sfloat(h)) / 2 for l, h in zip(lo, hi))
     x0 = min(handle.points, key=lambda p: sum((sfloat(c) - m) ** 2
                                               for c, m in zip(p, center)))
-    from .sets import _float_radius_cover
     cands = []
-    for d2, p in handle.points_in_ball(x0, _float_radius_cover(cap_f, tol)):
+    for d2, p in handle.points_in_ball(x0, tol.radius_at_least(cap_f)):
         if p != x0:
             cands.append(p_sub(p, x0))
     passing = [t for t in cands if _translation_fits_window(handle, t)]
     if not passing:
         raise WindowTooSmallError("window too small to confirm lattice invariance")
-    from .geometry import rank
     if rank(passing, exact=tol.exact) < handle.dim:
         raise WindowTooSmallError("invariant translations do not span the space")
     if not tol.exact:
         raise NotImplementedError("window decomposition requires exact coordinates")
     lam = lattice_from_generators(passing)
-    interior = handle.interior_points(as_radius(0, tol) if tol.exact else 0.0)
+    interior = handle.interior_points(as_radius(0, tol))
     reps = _coset_reps(interior, lam, tol)
     return lam, reps
 
@@ -607,9 +562,7 @@ def _translation_fits_window(handle, t):
     checked = 0
     for p in handle.points:
         for q in (p_add(p, t), p_sub(p, t)):
-            bd = handle.boundary_distance(q)
-            inside = (ssign(bd) >= 0) if tol.exact else bd >= -tol.eps_abs
-            if inside:
+            if tol.ge(handle.boundary_distance(q), 0):
                 checked += 1
                 if not handle.contains(q):
                     return False

@@ -37,6 +37,7 @@ __all__ = [
     "parse_scalar",
     "format_radius",
     "Report",
+    "atomic_write",
     "file_sha256",
 ]
 
@@ -177,7 +178,7 @@ def write_point_set(handle, path):
         lines.append("[points]")
         for p in handle.points:
             lines.append(_format_point(p, exact))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def read_point_set(path, eps_abs=None):
@@ -246,7 +247,8 @@ def read_point_set(path, eps_abs=None):
         raise PointSetFormatError(str(exc)) from exc
 
 
-def _atomic_write(path, text):
+def atomic_write(path, text):
+    """Write text to path through a temporary file and a rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".delone-tmp-")
     try:
@@ -298,4 +300,4 @@ class Report:
         return "\n".join(self.lines) + "\n"
 
     def write(self, path):
-        _atomic_write(path, self.render())
+        atomic_write(path, self.render())

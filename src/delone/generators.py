@@ -6,8 +6,8 @@ have identical b-clusters everywhere yet are not regular systems.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import (Lattice, Tolerance, _fdiv, apply, mat_vec,
-                       p_scale, p_sub)
+from .geometry import (Lattice, Tolerance, apply, fdiv, mat_vec, p_scale,
+                       p_sub)
 from .scalars import is_exact_scalar, quadext, ssign
 from .sets import build_periodic, build_window, crop_to_window
 
@@ -185,8 +185,8 @@ def gen_shifted_rows(spec):
         rows.extend([(2 * k, s), (2 * k + 1, s)])
     for i, s in rows:
         y = i * spec.b
-        j_hi = _ifloor(_fdiv(w - s, spec.a))
-        j_lo = -_ifloor(_fdiv(w + s, spec.a))
+        j_hi = _ifloor(fdiv(w - s, spec.a))
+        j_lo = -_ifloor(fdiv(w + s, spec.a))
         for j in range(j_lo, j_hi + 1):
             pts.append((j * spec.a + s, y))
     y_hi = (2 * n + 1) * spec.b

@@ -12,8 +12,9 @@ An isometry is stored as an orthogonal linear part plus a shift,
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
-from .scalars import is_exact_scalar, sfloat, ssign
+from .scalars import Radical, is_exact_scalar, sfloat, ssign
 
 __all__ = [
     "Tolerance",
@@ -37,7 +38,12 @@ ORTHO_EPS = 1e-9
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numeric regime: exact field arithmetic or floats with eps_abs."""
+    """Numeric regime: exact field arithmetic or floats with eps_abs.
+
+    Every predicate whose exact and float forms differ is a method here, so
+    callers state what they decide once.  Exact mode compares exactly;
+    float mode allows ``eps_abs`` on the side each method names.
+    """
 
     mode: str = "exact"          # "exact" | "float"
     eps_abs: float = 1e-9
@@ -59,6 +65,74 @@ class Tolerance:
     @staticmethod
     def floating(eps_abs=1e-9):
         return Tolerance("float", eps_abs)
+
+    def le(self, a, b):
+        """a <= b; float mode tests a <= b + eps_abs."""
+        return a <= b if self.exact else a <= b + self.eps_abs
+
+    def ge(self, a, b):
+        """a >= b; float mode tests a >= b - eps_abs."""
+        return a >= b if self.exact else a >= b - self.eps_abs
+
+    def is_zero(self, x):
+        """x == 0; float mode tests |x| <= eps_abs."""
+        return x == 0 if self.exact else abs(x) <= self.eps_abs
+
+    def same_point(self, p, q):
+        """Equal points (exact) or max-norm closeness (floating)."""
+        if self.exact:
+            return p == q
+        return all(abs(a - b) <= self.eps_abs for a, b in zip(p, q))
+
+    def sqrt(self, x):
+        """sqrt of a nonnegative scalar: a Radical (exact) or a float."""
+        return Radical.sqrt(x) if self.exact else math.sqrt(x)
+
+    def point_set(self, points):
+        """Container whose ``in`` is :meth:`same_point` membership."""
+        return frozenset(points) if self.exact else _FloatGrid(points, self.eps_abs)
+
+    def radius_at_least(self, rho_f):
+        """A radius guaranteed to be >= the float rho_f."""
+        if self.exact:
+            return Radical.of(Fraction(rho_f) + Fraction(1, 1024))
+        return rho_f
+
+    def distinct_sq(self, d2s):
+        """Squared distances with distinct roots, ascending.
+
+        Float mode drops a value whose root lies within eps_abs of the root
+        of the last value kept.
+        """
+        if self.exact:
+            return sorted(set(d2s), key=float)
+        out = []
+        for d2 in sorted(d2s):
+            if not out or math.sqrt(d2) - math.sqrt(out[-1]) > self.eps_abs:
+                out.append(d2)
+        return out
+
+
+class _FloatGrid:
+    """Hash grid for approximate point membership in floating mode."""
+
+    def __init__(self, points, eps):
+        self.eps = eps
+        self.cell = max(4 * eps, 1e-12)
+        self.map = {}
+        for p in points:
+            self.map.setdefault(self._key(p), []).append(p)
+
+    def _key(self, p):
+        return tuple(int(math.floor(c / self.cell)) for c in p)
+
+    def __contains__(self, p):
+        base = self._key(p)
+        for off in product((-1, 0, 1), repeat=len(p)):
+            for q in self.map.get(tuple(a + b for a, b in zip(base, off)), ()):
+                if all(abs(a - b) <= self.eps for a, b in zip(p, q)):
+                    return True
+        return False
 
 
 def _check_dims(p, q):
@@ -98,9 +172,7 @@ def dist_sq(p, q):
 def points_equal(p, q, tol):
     """Componentwise equality (exact) or max-norm closeness (floating)."""
     _check_dims(p, q)
-    if tol.exact:
-        return all(a == b for a, b in zip(p, q))
-    return all(abs(a - b) <= tol.eps_abs for a, b in zip(p, q))
+    return tol.same_point(p, q)
 
 
 def point_is_exact(p):
@@ -132,7 +204,7 @@ def _pivot_size(x):
     return abs(sfloat(x))
 
 
-def _fdiv(a, b):
+def fdiv(a, b):
     """Field-safe division (ints promote to Fractions)."""
     if isinstance(a, int) and isinstance(b, int):
         return Fraction(a, b)
@@ -167,13 +239,13 @@ def mat_solve(a, rhs_cols, exact=True):
             f = aug[r][col]
             if (ssign(f) == 0) if exact else f == 0:
                 continue
-            fi = _fdiv(f, prow[col])
+            fi = fdiv(f, prow[col])
             row = aug[r]
             for j in range(col, len(row)):
                 row[j] = row[j] - fi * prow[j]
     xs = []
     for k in range(len(rhs_cols)):
-        xs.append(tuple(_fdiv(aug[i][n + k], aug[i][i]) for i in range(n)))
+        xs.append(tuple(fdiv(aug[i][n + k], aug[i][i]) for i in range(n)))
     return tuple(xs)
 
 
@@ -204,7 +276,7 @@ def mat_det(m, exact=True):
             det = -det
         det = det * a[col][col]
         for r in range(col + 1, n):
-            f = _fdiv(a[r][col], a[col][col])
+            f = fdiv(a[r][col], a[col][col])
             if (ssign(f) == 0) if exact else f == 0:
                 continue
             for j in range(col, n):
@@ -232,7 +304,7 @@ def rank(vectors, exact=True):
         for i in range(len(rows)):
             if i == r:
                 continue
-            f = _fdiv(rows[i][col], rows[r][col])
+            f = fdiv(rows[i][col], rows[r][col])
             if (ssign(f) == 0) if exact else f == 0:
                 continue
             for j in range(d):
@@ -254,7 +326,7 @@ def orthogonal_complement(vectors, d):
 
     def project_out(v, onto):
         for u in onto:
-            v = p_sub(v, p_scale(u, _fdiv(p_dot(v, u), p_dot(u, u))))
+            v = p_sub(v, p_scale(u, fdiv(p_dot(v, u), p_dot(u, u))))
         return v
 
     span = []
@@ -347,17 +419,6 @@ def point_inversion(x):
     return Isometry(lin, tuple(2 * c for c in x))
 
 
-def isometries_equal(g, h, tol):
-    if g.dim != h.dim:
-        return False
-    if tol.exact:
-        return g.linear == h.linear and g.shift == h.shift
-    return (all(abs(sfloat(a) - sfloat(b)) <= ORTHO_EPS
-                for ra, rb in zip(g.linear, h.linear) for a, b in zip(ra, rb))
-            and all(abs(sfloat(a) - sfloat(b)) <= tol.eps_abs
-                    for a, b in zip(g.shift, h.shift)))
-
-
 # ---------------------------------------------------------------------------
 # lattices
 
@@ -381,7 +442,7 @@ def lll_reduce(basis, exact=True, delta=Fraction(3, 4)):
             for j in range(i):
                 num = sum(b[i][t] * star[j][t] for t in range(len(v)))
                 den = sum(star[j][t] * star[j][t] for t in range(len(v)))
-                mu[i][j] = _fdiv(num, den)
+                mu[i][j] = fdiv(num, den)
                 for t in range(len(v)):
                     v[t] = v[t] - mu[i][j] * star[j][t]
             star.append(v)
@@ -474,7 +535,7 @@ class Lattice:
         hw = [rho_float * math.sqrt(sum(c * c for c in col)) + 0.01 for col in cols]
         ranges = [range(math.floor(k0[j] - hw[j] - 0.5), math.ceil(k0[j] + hw[j] + 0.5) + 1)
                   for j in range(d)]
-        return _product(ranges)
+        return product(*ranges)
 
     def scaled(self, k):
         """The lattice k * Lambda."""
@@ -482,15 +543,6 @@ class Lattice:
 
     def __repr__(self):
         return f"Lattice({self.basis!r})"
-
-
-def _product(ranges):
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for rest in _product(ranges[1:]):
-            yield (head,) + rest
 
 
 def lattice_from_generators(vectors, exact=True):

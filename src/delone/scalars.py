@@ -27,7 +27,6 @@ __all__ = [
     "sfloat",
     "sfloor",
     "field_sqrt",
-    "scalar_cmp",
     "is_exact_scalar",
 ]
 
@@ -235,10 +234,6 @@ def sfloor(x):
     if isinstance(x, Fraction):
         return x.numerator // x.denominator
     return x // 1
-
-
-def scalar_cmp(x, y):
-    return ssign(x - y)
 
 
 def _frac_sqrt(q):

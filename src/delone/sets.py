@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import (Lattice, Tolerance, dist_sq, p_add, p_dot, p_sub,
-                       point_is_exact)
+from .geometry import (Lattice, Tolerance, dist_sq, fdiv, mat_solve, p_add,
+                       p_dot, p_sub, point_is_exact)
 from .scalars import Radical, is_exact_scalar, sfloat, ssign
 
 __all__ = [
@@ -120,7 +120,7 @@ class DistanceSpectrum:
     center: tuple
     cutoff: object
     distances: tuple          # increasing Radicals (exact) or floats
-    dist_sqs: tuple = ()      # squared distances, field scalars (exact mode)
+    dist_sqs: tuple = ()      # the squared distances the roots come from
 
 
 @dataclass(frozen=True)
@@ -153,25 +153,20 @@ class PointSetHandle:
     def contains(self, p):
         if len(p) != self.dim:
             raise ValueError("dimension mismatch")
-        if self.mode == "periodic":
-            if self.tol.exact:
-                return self.lattice.reduce_point(p) in self._motif_set()
-            # lattice-coordinate test avoids cell-boundary flapping
-            return any(self.lattice.contains(p_sub(p, m), self.tol)
-                       for m in self.motif)
+        if self.mode == "window":
+            return p in self._member_set()
         if self.tol.exact:
-            return p in self._window_set()
-        return any(_close(p, q, self.tol) for q in self.points)
+            return self.lattice.reduce_point(p) in self._member_set()
+        # lattice-coordinate test avoids cell-boundary flapping
+        return any(self.lattice.contains(p_sub(p, m), self.tol)
+                   for m in self.motif)
 
-    def _motif_set(self):
-        if "motif_set" not in self._cache:
-            self._cache["motif_set"] = frozenset(self.motif)
-        return self._cache["motif_set"]
-
-    def _window_set(self):
-        if "window_set" not in self._cache:
-            self._cache["window_set"] = frozenset(self.points)
-        return self._cache["window_set"]
+    def _member_set(self):
+        """The motif (periodic) or the points (window), for membership."""
+        if "member_set" not in self._cache:
+            pts = self.motif if self.mode == "periodic" else self.points
+            self._cache["member_set"] = self.tol.point_set(pts)
+        return self._cache["member_set"]
 
     # -- range queries ----------------------------------------------------
 
@@ -202,8 +197,8 @@ class PointSetHandle:
         hit = self._cache.get(key)
         if hit is None or hit[0] < rho_f:
             grow = max(rho_f * 1.25, rho_f + 0.01)
-            pairs = self.points_in_ball(center, _float_radius_cover(grow, self.tol))
-            pairs.sort(key=lambda t: (sfloat(t[0]), t[1]) if self.tol.exact else t)
+            pairs = self.points_in_ball(center, self.tol.radius_at_least(grow))
+            pairs.sort(key=lambda t: (sfloat(t[0]), t[1]))
             hit = (grow, pairs)
             self._cache[key] = hit
         return [t for t in hit[1] if radius_covers(radius, t[0], self.tol)]
@@ -231,27 +226,15 @@ class PointSetHandle:
         if self.mode != "window":
             raise ValueError("boundary distance is a window-mode notion")
         lo, hi = self.bounds
-        raw = None
-        for a, l, h in zip(p, lo, hi):
-            for v in (a - l, h - a):
-                if raw is None or _lt(v, raw):
-                    raw = v
+        raw = min(v for a, l, h in zip(p, lo, hi) for v in (a - l, h - a))
         return raw - self.margin
 
     def interior_points(self, radius):
         """Points able to host a closed radius-ball inside the trusted region."""
         if self.mode == "periodic":
             return list(self.motif)
-        out = []
-        for p in self.points:
-            bd = self.boundary_distance(p)
-            if self.tol.exact:
-                if Radical.of(bd).cmp(radius) >= 0:
-                    out.append(p)
-            else:
-                if bd >= radius - self.tol.eps_abs:
-                    out.append(p)
-        return out
+        return [p for p in self.points
+                if self.tol.ge(self.boundary_distance(p), radius)]
 
     def population(self, radius):
         """Classification population: motif points or interior points."""
@@ -265,12 +248,7 @@ class PointSetHandle:
         """Largest radius for which some interior point exists."""
         if self.mode == "periodic":
             return None
-        best = None
-        for p in self.points:
-            bd = self.boundary_distance(p)
-            if best is None or _lt(best, bd):
-                best = bd
-        return best
+        return max(self.boundary_distance(p) for p in self.points)
 
     def __repr__(self):
         if self.mode == "periodic":
@@ -282,29 +260,8 @@ def _half(x):
     return x / 2 if not isinstance(x, int) else Fraction(x, 2)
 
 
-def _lt(a, b):
-    if is_exact_scalar(a) and is_exact_scalar(b):
-        return ssign(a - b) < 0
-    return sfloat(a) < sfloat(b)
-
-
-def _close(p, q, tol):
-    return all(abs(a - b) <= tol.eps_abs for a, b in zip(p, q))
-
-
 def _in_box(p, lo, hi, tol):
-    if tol.exact:
-        return all(ssign(a - l) >= 0 and ssign(h - a) >= 0
-                   for a, l, h in zip(p, lo, hi))
-    e = tol.eps_abs
-    return all(l - e <= a <= h + e for a, l, h in zip(p, lo, hi))
-
-
-def _float_radius_cover(rho_f, tol):
-    """An exact radius guaranteed to be >= the float rho_f."""
-    if tol.exact:
-        return Radical.of(Fraction(rho_f) + Fraction(1, 1024))
-    return rho_f
+    return all(tol.ge(a, l) and tol.le(a, h) for a, l, h in zip(p, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +298,7 @@ def build_periodic(basis, motif, tol=None):
         raise ValueError("motif must be nonempty")
     if any(len(m) != lattice.dim for m in motif):
         raise ValueError("motif dimension mismatch")
-    reduced = [lattice.reduce_point(tuple(m)) for m in motif]
-    reduced.sort(key=_lex_key(tol))
+    reduced = sorted(lattice.reduce_point(tuple(m)) for m in motif)
     for i in range(len(reduced)):
         for j in range(i + 1, len(reduced)):
             if points_equal_mod(reduced[i], reduced[j], lattice, tol):
@@ -355,11 +311,6 @@ def build_periodic(basis, motif, tol=None):
 
 def points_equal_mod(p, q, lattice, tol):
     return lattice.contains(p_sub(p, q), tol)
-
-
-def _lex_key(tol):
-    # exact scalars are totally ordered, so plain tuple comparison is lex
-    return None
 
 
 def build_window(points, bounds, margin=0, tol=None):
@@ -382,26 +333,18 @@ def build_window(points, bounds, margin=0, tol=None):
         exact_pts = all(point_is_exact(p) for p in points)
         tol = Tolerance.exact_mode() if exact_pts else Tolerance.floating()
         autoscale = not exact_pts
-    if any(_lt(h, l) for l, h in zip(lo, hi)):
+    if any(h < l for l, h in zip(lo, hi)):
         raise ValueError("bounds are inverted")
-    if is_exact_scalar(margin):
-        if ssign(margin) < 0:
-            raise ValueError("margin must be nonnegative")
-    elif margin < 0:
+    if margin < 0:
         raise ValueError("margin must be nonnegative")
     for p in points:
         if len(p) != dim:
             raise ValueError("point dimension mismatch")
         if not _in_box(p, lo, hi, tol):
             raise ValueError(f"point {p} lies outside the window bounds")
-    points.sort(key=_lex_key(tol))
-    if tol.exact:
-        if len(set(points)) != len(points):
-            raise ValueError("window points are not pairwise distinct")
-    else:
-        for a, b in zip(points, points[1:]):
-            if _close(a, b, tol):
-                raise ValueError("window points are not pairwise distinct")
+    points.sort()
+    if any(tol.same_point(a, b) for a, b in zip(points, points[1:])):
+        raise ValueError("window points are not pairwise distinct")
     handle = PointSetHandle("window", dim, tol, points=tuple(points),
                             bounds=(lo, hi), margin=margin)
     return _autoscale_eps(handle) if autoscale else handle
@@ -446,23 +389,16 @@ def _min_dist_sq(handle):
     tol = handle.tol
     if handle.mode == "periodic":
         lat = handle.lattice
-        best = None
-        for b in lat.reduced:
-            n2 = p_dot(b, b)
-            if best is None or _lt(n2, best):
-                best = n2
+        best = min(p_dot(b, b) for b in lat.reduced)
         for i in range(len(handle.motif)):
             for j in range(i, len(handle.motif)):
                 v = p_sub(handle.motif[j], handle.motif[i])
                 rad = math.sqrt(sfloat(best)) + 1e-9
                 for k in lat.offsets_in_ball(tuple(-c for c in v), rad):
                     w = p_add(v, lat.from_coords(k))
-                    if all((ssign(c) == 0) if tol.exact else abs(c) <= tol.eps_abs
-                           for c in w):
+                    if all(tol.is_zero(c) for c in w):
                         continue
-                    d2 = p_dot(w, w)
-                    if _lt(d2, best):
-                        best = d2
+                    best = min(best, p_dot(w, w))
         return best
     pts = handle.points
     if len(pts) < 2:
@@ -471,21 +407,16 @@ def _min_dist_sq(handle):
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
             dx = q[0] - p[0]
-            if best is not None and not _lt(dx * dx, best):
+            if best is not None and dx * dx >= best:
                 break  # points are sorted by first coordinate
             d2 = dist_sq(p, q)
-            if best is None or _lt(d2, best):
+            if best is None or d2 < best:
                 best = d2
     return best
 
 
 def _compute_params(handle):
-    tol = handle.tol
-    d2 = min_dist_sq(handle)
-    if tol.exact:
-        r = Radical.sqrt(d2 / 4 if not isinstance(d2, int) else Fraction(d2, 4))
-    else:
-        r = math.sqrt(d2) / 2
+    r = handle.tol.sqrt(fdiv(min_dist_sq(handle), 4))
     big_r, flag = _covering(handle)
     r_flag = "exact" if handle.mode == "periodic" else "window-estimate"
     return DeloneParams(r=r, R=big_r, r_exactness=r_flag, R_exactness=flag)
@@ -493,7 +424,6 @@ def _compute_params(handle):
 
 def _circumcenter(simplex_points, exact):
     """Exact circumcenter of an affinely independent simplex, or None."""
-    from .geometry import mat_solve
     p0 = simplex_points[0]
     rows = []
     rhs = []
@@ -527,8 +457,7 @@ def _covering(handle):
         center = tuple(_half(sum(col)) for col in zip(*lat.reduced))
         patch_r = 2.5 * span + math.sqrt(sum(sfloat(c) ** 2 for c in center)) + 1.0
         pts = [p for _, p in handle.points_in_ball(
-            tuple(Fraction(0) for _ in range(d)) if tol.exact else tuple(0.0 for _ in range(d)),
-            _float_radius_cover(patch_r, tol))]
+            p_sub(center, center), tol.radius_at_least(patch_r))]
     else:
         pts = list(handle.points)
     coords = [[sfloat(c) for c in p] for p in pts]
@@ -550,10 +479,7 @@ def _covering(handle):
             if not all(-0.35 <= sfloat(k) <= 1.35 for k in ks):
                 continue
         else:
-            bd = handle.boundary_distance(cc)
-            ok = (Radical.of(bd).cmp_sqrt(r2) >= 0) if tol.exact \
-                else bd >= math.sqrt(r2) - tol.eps_abs
-            if not ok:
+            if not tol.ge(handle.boundary_distance(cc), tol.sqrt(r2)):
                 continue
         candidates.append((sfloat(r2), r2, cc))
     if not candidates:
@@ -566,7 +492,7 @@ def _covering(handle):
             break
     if best is None:  # float Delaunay produced only sliver artifacts
         raise RuntimeError("covering-radius triangulation could not be verified")
-    radius = Radical.sqrt(best) if tol.exact else math.sqrt(best)
+    radius = tol.sqrt(best)
     flag = "exact" if handle.mode == "periodic" else "lower-bound-estimate"
     return radius, flag
 
@@ -574,7 +500,7 @@ def _covering(handle):
 def _circumball_empty(handle, center, r2):
     """No set point strictly inside the open circumball (float slivers fail)."""
     tol = handle.tol
-    rad = _float_radius_cover(math.sqrt(sfloat(r2)) * (1 + 1e-12), tol)
+    rad = tol.radius_at_least(math.sqrt(sfloat(r2)) * (1 + 1e-12))
     for d2, _ in handle.points_in_ball(center, rad):
         inside = (ssign(r2 - d2) > 0) if tol.exact \
             else d2 < r2 - 2 * tol.eps_abs * math.sqrt(sfloat(r2))
@@ -584,30 +510,17 @@ def _circumball_empty(handle, center, r2):
 
 
 def _covering_1d(handle):
-    tol = handle.tol
     if handle.mode == "periodic":
-        period = handle.lattice.reduced[0][0]
-        if _lt(period, 0):
-            period = -period
-        xs = sorted([m[0] for m in handle.motif], key=sfloat)
-        xs.append(xs[0] + period)
-        gap = None
-        for a, b in zip(xs, xs[1:]):
-            g = b - a
-            if gap is None or _lt(gap, g):
-                gap = g
-        half = _half(gap)
-        return (Radical.of(half) if tol.exact else float(half)), "exact"
-    xs = [p[0] for p in handle.points]
-    gap = None
-    for a, b in zip(xs, xs[1:]):
-        g = b - a
-        if gap is None or _lt(gap, g):
-            gap = g
-    if gap is None:
+        xs = sorted(m[0] for m in handle.motif)
+        xs.append(xs[0] + abs(handle.lattice.reduced[0][0]))
+        flag = "exact"
+    else:
+        xs = [p[0] for p in handle.points]
+        flag = "lower-bound-estimate"
+    if len(xs) < 2:
         raise WindowTooSmallError("need two points for a 1-d covering estimate")
-    half = _half(gap)
-    return (Radical.of(half) if tol.exact else float(half)), "lower-bound-estimate"
+    gap = max(b - a for a, b in zip(xs, xs[1:]))
+    return as_radius(_half(gap), handle.tol), flag
 
 
 def _covering_grid(handle):
@@ -649,12 +562,7 @@ def _require_member(handle, x):
 def _require_interior(handle, x, radius):
     if handle.mode != "window":
         return
-    bd = handle.boundary_distance(x)
-    if handle.tol.exact:
-        ok = Radical.of(bd).cmp(radius) >= 0
-    else:
-        ok = bd >= radius - handle.tol.eps_abs
-    if not ok:
+    if not handle.tol.ge(handle.boundary_distance(x), radius):
         raise TruncationError(
             f"point {tuple(map(sfloat, x))} is within {sfloat(radius):g} of the window boundary")
 
@@ -666,30 +574,21 @@ def cluster(handle, x, rho):
     _require_member(handle, x)
     _require_interior(handle, x, radius)
     pairs = handle.neighborhood(x, radius)
-    pts = sorted((p for _, p in pairs), key=_lex_key(handle.tol))
+    pts = sorted(p for _, p in pairs)
     return Cluster(center=x, radius=radius, points=tuple(pts))
 
 
 def distance_spectrum(handle, x, cutoff):
     """Sorted distinct distances from x to other set points, <= cutoff."""
     x = tuple(x)
-    radius = as_radius(cutoff, handle.tol)
+    tol = handle.tol
+    radius = as_radius(cutoff, tol)
     _require_member(handle, x)
     _require_interior(handle, x, radius)
     pairs = handle.neighborhood(x, radius)
-    if handle.tol.exact:
-        d2s = sorted({d2 for d2, p in pairs if p != x}, key=sfloat)
-        dists = tuple(Radical.sqrt(d2) for d2 in d2s)
-        return DistanceSpectrum(center=x, cutoff=radius, distances=dists,
-                                dist_sqs=tuple(d2s))
-    eps = handle.tol.eps_abs
-    ds = sorted(math.sqrt(d2) for d2, p in pairs if not _close(p, x, handle.tol))
-    out = []
-    for v in ds:
-        if not out or v - out[-1] > eps:
-            out.append(v)
-    return DistanceSpectrum(center=x, cutoff=radius, distances=tuple(out),
-                            dist_sqs=tuple(v * v for v in out))
+    d2s = tol.distinct_sq(d2 for d2, p in pairs if not tol.same_point(p, x))
+    return DistanceSpectrum(center=x, cutoff=radius,
+                            distances=tuple(map(tol.sqrt, d2s)), dist_sqs=tuple(d2s))
 
 
 def two_r_chain(handle, x, y):
@@ -704,7 +603,7 @@ def two_r_chain(handle, x, y):
     x, y = tuple(x), tuple(y)
     _require_member(handle, x)
     _require_member(handle, y)
-    if x == y or (not handle.tol.exact and _close(x, y, handle.tol)):
+    if handle.tol.same_point(x, y):
         return Chain(vertices=(x,))
     params = delone_params(handle)
     bound2 = two_r_bound_sq(handle)
@@ -740,8 +639,7 @@ def _seg_dist_sq_leq(p, a, b, w2_float, tol):
 
 def _bfs_chain(handle, x, y, bound2, corridor):
     from collections import deque
-    lex = _lex_key(handle.tol)
-    radius_2r = (Radical.sqrt(bound2) if handle.tol.exact else math.sqrt(bound2))
+    radius_2r = handle.tol.sqrt(bound2)
     start = x
     parent = {start: None}
     queue = deque([start])
@@ -759,7 +657,7 @@ def _bfs_chain(handle, x, y, bound2, corridor):
             if corridor and not _seg_dist_sq_leq(p, corridor[0], corridor[1], w2, handle.tol):
                 continue
             nbrs.append(p)
-        for p in sorted(nbrs, key=lex):
+        for p in sorted(nbrs):
             parent[p] = v
             queue.append(p)
     if y not in parent:

@@ -118,5 +118,4 @@ def render_svg(handle, highlight="classes", rho=None, chain_ends=None,
 
 
 def _default_rho(handle):
-    params = delone_params(handle)
-    return params.R * 2 if handle.tol.exact else 2.0 * params.R
+    return delone_params(handle).R * 2

@@ -165,7 +165,7 @@ def test_periodic_classify_translation_invariant(fix3):
 def test_fingerprint_isometry_invariant(z2):
     c1 = cluster(z2, (F(0), F(0)), 2)
     c2 = cluster(z2, (F(7), F(-3)), 2)
-    assert fingerprints_match(fingerprint(c1, TOL), fingerprint(c2, TOL), TOL)
+    assert fingerprints_match(fingerprint(c1), fingerprint(c2), TOL)
 
 
 def test_randomized_equivalence_roundtrip():

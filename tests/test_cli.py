@@ -187,3 +187,12 @@ def test_float_mode_cli(tmp_path, capsys):
                "--rho", "1.0") == 0
     out = capsys.readouterr().out
     assert "r_exactness = window-estimate" in out
+
+
+def test_numeric_mode_follows_the_file(tmp_path, z2_file, capsys):
+    # an exact file stays exact under --numeric-mode float, and says so
+    assert run(tmp_path, "--numeric-mode", "float", "analyze", z2_file,
+               "--rho", "1") == 0
+    out = capsys.readouterr().out
+    assert "numeric_mode = exact" in out
+    assert "r = 1/2" in out

@@ -1,0 +1,79 @@
+"""Golden CLI reports: every byte of stdout and the exit code must match.
+
+Each job runs ``delone.cli.main`` in-process inside a temporary directory,
+with relative file names, on inputs the CLI itself generates.  Only jobs
+whose reports are known to be correct are recorded: Z^2, the triangular
+lattice and the three-coset fixture (periodic), and the Z^2 window of
+extent 3 in exact and float form.  The golden files live in
+``tests/golden/<job>.txt``; the first line of each is the exit code.
+"""
+
+import io
+import os
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from delone.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# generators for the inputs; each must exit 0
+SETUP = (
+    ("generate", "lattice", "--basis", "1,0;0,1", "--out", "z2.ps"),
+    ("generate", "lattice", "--basis", "1,0;1/2,1/2*sqrt(3)", "--out", "tri.ps"),
+    ("generate", "coset-union", "--basis", "1,0;0,1",
+     "--half-vectors", "0,0;1,0;0,1", "--out", "fix.ps"),
+    ("generate", "lattice", "--basis", "1,0;0,1", "--extent", "3", "--out", "w3.ps"),
+    ("--numeric-mode", "float", "generate", "lattice", "--basis", "1,0;0,1",
+     "--extent", "3", "--out", "fw3.ps"),
+)
+
+# (golden name, argv)
+JOBS = (
+    ("z2_analyze", ("analyze", "z2.ps")),
+    ("z2_certify_regular", ("certify", "z2.ps", "--criterion", "regular")),
+    ("tri_certify_crystal", ("certify", "tri.ps", "--criterion", "crystal")),
+    ("fix_certify_crystal_all", ("certify", "fix.ps", "--criterion", "crystal",
+                                 "--group-mode", "all")),
+    ("fix_certify_regular", ("certify", "fix.ps", "--criterion", "regular")),
+    ("fix_decompose", ("decompose", "fix.ps")),
+    ("fix_reconstruct_compare", ("reconstruct", "fix.ps", "--center", "0,0",
+                                 "--rho-max", "3", "--compare", "fix.ps")),
+    ("w3_certify_regular", ("certify", "w3.ps", "--criterion", "regular")),
+    ("w3_analyze", ("analyze", "w3.ps")),
+    ("w3_analyze_rho", ("analyze", "w3.ps", "--rho", "1,sqrt(2)")),
+    ("fw3_certify_regular", ("--numeric-mode", "float", "certify", "fw3.ps",
+                             "--criterion", "regular")),
+    ("fw3_analyze", ("--numeric-mode", "float", "analyze", "fw3.ps")),
+)
+
+
+def render_all(workdir):
+    """Run every job in ``workdir``; return {name: exit code + stdout}."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    out = {}
+    try:
+        for argv in SETUP:
+            with redirect_stdout(io.StringIO()):
+                if main(list(argv)) != 0:
+                    raise RuntimeError(f"setup failed: {argv}")
+        for name, argv in JOBS:
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                code = main(list(argv))
+            text = buf.getvalue().replace(str(workdir), "<tmp>")
+            out[name] = f"exit = {code}\n{text}"
+    finally:
+        os.chdir(cwd)
+    return out
+
+
+def test_reports_match_golden(tmp_path):
+    mismatched = []
+    for name, text in render_all(tmp_path).items():
+        want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+        if text != want:
+            mismatched.append(name)
+    assert not mismatched, f"reports differ from tests/golden: {mismatched}"
+
