@@ -438,12 +438,6 @@ class ClusterPartition:
     def n(self):
         return len(self.classes)
 
-    def class_of(self, point):
-        for i, cl in enumerate(self.classes):
-            if point in cl.members:
-                return i
-        raise KeyError(f"{point} was not classified")
-
 
 def classify(handle, rho, points=None):
     """Partition the population into classes of equivalent rho-clusters.

@@ -3,7 +3,7 @@ reconstruct | plot.
 
 Exit codes: 0 success, 2 usage or parse errors, 3 inconclusive (window or
 scan cap), 4 precondition violated (e.g. a non-antipodal input where
-antipodality is required).
+antipodality is required, or an input a command does not support).
 """
 
 import argparse
@@ -388,7 +388,7 @@ def main(argv=None):
     except (WindowTooSmallError,) as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")
         return EXIT_INCONCLUSIVE
-    except (NotAntipodalError, TruncationError) as exc:
+    except (NotAntipodalError, TruncationError, NotImplementedError) as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return EXIT_PRECONDITION
 

@@ -1,8 +1,9 @@
 """Certifiers for global structure from local cluster statistics.
 
-* regular-system check: N(rho0 + 2R) = 1 and M(rho0) = M(rho0 + 2R);
-* crystal check: N(rho0) = N(rho0 + 2R) = m and the cluster groups
-  stabilize element-wise across the 2R extension, per class;
+* one criterion engine for crystals: N(rho0) = N(rho0 + 2R) = m and the
+  cluster groups stabilize element-wise across the 2R extension, per class;
+  the regular-system check is its m = 1 case, N(rho0 + 2R) = 1, and both
+  share one rho0 scan;
 * local antipodality of every 2R-cluster, and the global central symmetry
   it implies;
 * reconstruction of a locally antipodal set from a single seed cluster by
@@ -76,99 +77,84 @@ def _two_r(handle):
     return delone_params(handle).R * 2
 
 
-def _order_or_none(c, tol):
+def _group_or_none(c, tol):
     try:
         return cluster_group_of(c, tol)
     except InfiniteGroupError:
         return None
 
 
-def check_regular_criterion(handle, rho0):
-    """Evaluate the regular-system conditions at one radius rho0.
+def _group_rows(handle, hi_clusters, rho0):
+    """``group_check`` rows (i, M(rho0), M(rho0 + 2R), equal), one per
+    (rho0 + 2R)-cluster, comparing the groups at its centre element-wise.
 
-    Satisfied means: every (rho0+2R)-cluster falls in one class, and the
-    cluster-group order does not drop across the 2R extension.  A window
-    too small for radius rho0+2R yields an inconclusive-window verdict.
+    S_x(rho0 + 2R) is a subgroup of S_x(rho0), so equal groups are
+    equivalent to equal orders.  Rows are yielded lazily so a pre-check can
+    stop at the first unequal one.
     """
     tol = handle.tol
-    radius0 = as_radius(rho0, tol)
-    rho_hi = radius0 + _two_r(handle)
-    window_limited = handle.mode == "window"
-    try:
-        part_hi = classify(handle, rho_hi)
-        part_lo = classify(handle, radius0)
-    except WindowTooSmallError as exc:
-        return CriterionReport(criterion="regular", verdict="inconclusive-window",
-                               rho0=radius0, window_limited=window_limited,
-                               notes=(str(exc),))
-    n_hi = part_hi.n
-    n_lo = part_lo.n
-    rep = part_hi.classes[0].representative.center
-    g_lo = _order_or_none(cluster(handle, rep, radius0), tol)
-    g_hi = _order_or_none(part_hi.classes[0].representative, tol)
-    m_lo = g_lo.order if g_lo else None
-    m_hi = g_hi.order if g_hi else None
-    orders_equal = m_lo is not None and m_hi is not None and m_lo == m_hi
-    ok = n_hi == 1 and orders_equal
-    witnesses = ()
-    if n_hi > 1:
-        witnesses = tuple(cl.representative.center for cl in part_hi.classes)
-    return CriterionReport(
-        criterion="regular",
-        verdict="satisfied" if ok else "violated",
-        rho0=radius0, n_at_rho0=n_lo, n_at_rho0_plus_2r=n_hi,
-        m=1 if ok else None,
-        group_check=((0, m_lo, m_hi, orders_equal),),
-        witnesses=witnesses, window_limited=window_limited)
+    for i, c_hi in enumerate(hi_clusters):
+        g_lo = _group_or_none(cluster(handle, c_hi.center, rho0), tol)
+        g_hi = _group_or_none(c_hi, tol)
+        yield (i, g_lo.order if g_lo else None, g_hi.order if g_hi else None,
+               g_lo is not None and g_hi is not None and g_lo.equals(g_hi))
 
 
-def check_crystal_criterion(handle, rho0, group_mode="representative"):
-    """Evaluate the crystal conditions at one radius rho0.
+def _check(handle, rho0, criterion, group_mode="representative"):
+    """One criterion at one radius rho0; the regular system is the m = 1 case.
 
-    Condition 1: N(rho0) = N(rho0+2R) = m.  Condition 2: for each class,
-    the cluster group matches element-wise across the 2R extension --
-    checked at the class representative (``group_mode="representative"``,
-    sound because class groups are conjugate) or at every population point
-    (``group_mode="all"``).
+    Counts: N(rho0) = N(rho0 + 2R) for a crystal, N(rho0 + 2R) = 1 for a
+    regular system.  Groups: stable across the 2R extension at every class
+    representative (only the first for a regular system, which needs a
+    single class anyway), or at every population point with
+    ``group_mode="all"``.
     """
     if group_mode not in ("representative", "all"):
         raise ValueError("group_mode must be 'representative' or 'all'")
-    tol = handle.tol
-    radius0 = as_radius(rho0, tol)
+    radius0 = as_radius(rho0, handle.tol)
     rho_hi = radius0 + _two_r(handle)
     window_limited = handle.mode == "window"
     try:
         part_hi = classify(handle, rho_hi)
         part_lo = classify(handle, radius0)
     except WindowTooSmallError as exc:
-        return CriterionReport(criterion="crystal", verdict="inconclusive-window",
+        return CriterionReport(criterion=criterion, verdict="inconclusive-window",
                                rho0=radius0, window_limited=window_limited,
                                notes=(str(exc),))
-    counts_ok = part_lo.n == part_hi.n
-    if group_mode == "representative":
-        sample_points = [cl.representative.center for cl in part_hi.classes]
+    regular = criterion == "regular"
+    counts_ok = part_hi.n == (1 if regular else part_lo.n)
+    if group_mode == "all":
+        hi_clusters = [cluster(handle, x, rho_hi)
+                       for x in sorted(handle.population(rho_hi))]
     else:
-        sample_points = sorted(handle.population(rho_hi))
-    rows = []
-    groups_ok = True
-    for i, x in enumerate(sample_points):
-        g_lo = _order_or_none(cluster(handle, x, radius0), tol)
-        g_hi = _order_or_none(cluster(handle, x, rho_hi), tol)
-        equal = (g_lo is not None and g_hi is not None and g_lo.equals(g_hi))
-        groups_ok = groups_ok and equal
-        rows.append((i, g_lo.order if g_lo else None,
-                     g_hi.order if g_hi else None, equal))
-    ok = counts_ok and groups_ok
+        hi_clusters = [cl.representative
+                       for cl in part_hi.classes[:1 if regular else None]]
+    rows = tuple(_group_rows(handle, hi_clusters, radius0))
+    ok = counts_ok and all(row[3] for row in rows)
     witnesses = ()
     if not counts_ok:
         witnesses = tuple(cl.representative.center for cl in part_hi.classes)
     return CriterionReport(
-        criterion="crystal",
+        criterion=criterion,
         verdict="satisfied" if ok else "violated",
         rho0=radius0, n_at_rho0=part_lo.n, n_at_rho0_plus_2r=part_hi.n,
         m=part_hi.n if ok else None,
-        group_check=tuple(rows), witnesses=witnesses,
-        window_limited=window_limited)
+        group_check=rows, witnesses=witnesses, window_limited=window_limited)
+
+
+def check_regular_criterion(handle, rho0):
+    """Regular-system check at rho0: N(rho0 + 2R) = 1 and the cluster group
+    does not change across the 2R extension (the crystal check with m = 1).
+    A window too small for radius rho0 + 2R yields inconclusive-window."""
+    return _check(handle, rho0, "regular")
+
+
+def check_crystal_criterion(handle, rho0, group_mode="representative"):
+    """Crystal check at rho0: N(rho0) = N(rho0 + 2R) = m and, per class, the
+    cluster group matches element-wise across the 2R extension -- at the
+    class representative (``group_mode="representative"``, sound because
+    class groups are conjugate) or at every population point (``"all"``)."""
+    return _check(handle, rho0, "crystal", group_mode)
 
 
 def _scan_candidates(handle, reps, limit_radius, cap):
@@ -205,6 +191,8 @@ def certify_auto(handle, criterion, cap_mult=6, group_mode="representative"):
     """
     if criterion not in ("regular", "crystal"):
         raise ValueError("criterion must be 'regular' or 'crystal'")
+    if group_mode not in ("representative", "all"):
+        raise ValueError("group_mode must be 'representative' or 'all'")
     tol = handle.tol
     params = delone_params(handle)
     two_r = _two_r(handle)
@@ -223,47 +211,43 @@ def certify_auto(handle, criterion, cap_mult=6, group_mode="representative"):
     reps = [cl.representative.center for cl in part_limit.classes]
     candidates = [c for c in _scan_candidates(handle, reps, limit, cap)
                   if tol.le(c + two_r, limit)]
-
-    if criterion == "regular":
-        if part_limit.n > 1:
-            # N >= 2 somewhere disproves regularity; anchor rho0 so that
-            # rho0 + 2R is exactly the radius where the split was seen
-            rho0 = limit - two_r
-            if rho0 < 0:
-                return CriterionReport(
-                    criterion="regular", verdict="violated", rho0=limit,
-                    n_at_rho0_plus_2r=part_limit.n, witnesses=tuple(reps),
-                    window_limited=handle.mode == "window",
-                    notes=("several cluster classes below 2R",))
-            report = check_regular_criterion(handle, rho0)
-            if report.verdict != "violated":  # pragma: no cover
-                raise AssertionError("classify disagreement during auto scan")
-            return report
-        # N = 1 up to the limit, so condition (I) holds for every candidate;
-        # scan the group orders for stabilization
-        for rho0 in candidates:
-            rep = reps[0]
-            g_lo = _order_or_none(cluster(handle, rep, rho0), tol)
-            if g_lo is None:
-                continue
-            g_hi = _order_or_none(cluster(handle, rep, rho0 + two_r), tol)
-            if g_hi is not None and g_lo.order == g_hi.order:
-                return check_regular_criterion(handle, rho0)
-        return CriterionReport(
-            criterion="regular", verdict="inconclusive-window", rho0=cap,
-            n_at_rho0=part_limit.n, window_limited=handle.mode == "window",
-            notes=("no stabilizing rho0 below the scan cap",))
+    regular = criterion == "regular"
+    if regular and part_limit.n > 1:
+        # N >= 2 somewhere disproves regularity; anchor rho0 so that
+        # rho0 + 2R is exactly the radius where the split was seen
+        rho0 = limit - two_r
+        if rho0 < 0:
+            return CriterionReport(
+                criterion="regular", verdict="violated", rho0=limit,
+                n_at_rho0_plus_2r=part_limit.n, witnesses=tuple(reps),
+                window_limited=handle.mode == "window",
+                notes=("several cluster classes below 2R",))
+        report = check_regular_criterion(handle, rho0)
+        if report.verdict != "violated":  # pragma: no cover
+            raise AssertionError("classify disagreement during auto scan")
+        return report
 
     for rho0 in candidates:
-        n_lo = classify(handle, rho0, reps).n
-        n_hi = classify(handle, rho0 + two_r, reps).n
-        if n_lo != n_hi:
+        # Cheap necessary conditions before the full check.  Each limit
+        # representative is interior at rho0 + 2R and equivalent there to a
+        # class representative, whose groups are conjugate to its own, so
+        # its groups must be stable; and their class count must not change
+        # (necessary where both radii classify one population, as on a
+        # periodic set, where the two tests are also sufficient).
+        rho_hi = rho0 + two_r
+        if len(reps) > 1 and (classify(handle, rho0, reps).n
+                              != classify(handle, rho_hi, reps).n):
             continue
+        hi_clusters = (cluster(handle, x, rho_hi) for x in reps)
+        if not all(row[3] for row in _group_rows(handle, hi_clusters, rho0)):
+            continue
+        if regular:
+            return check_regular_criterion(handle, rho0)
         report = check_crystal_criterion(handle, rho0, group_mode=group_mode)
         if report.verdict == "satisfied":
             return report
     return CriterionReport(
-        criterion="crystal", verdict="inconclusive-window", rho0=cap,
+        criterion=criterion, verdict="inconclusive-window", rho0=cap,
         n_at_rho0=part_limit.n, window_limited=handle.mode == "window",
         notes=("no stabilizing rho0 below the scan cap",))
 

@@ -354,11 +354,6 @@ class Radical:
         """Sign of self - sqrt(d2) for a nonnegative field scalar d2."""
         return self.cmp(Radical.sqrt(d2))
 
-    def square(self):
-        """self**2 as a Radical (used by nesting-free callers)."""
-        rat, terms = _square(self.rat, self.terms)
-        return Radical(rat, terms)
-
     def square_scalar(self):
         """self**2 as a field scalar, if self has at most one sqrt term."""
         if not self.terms:
@@ -367,9 +362,6 @@ class Radical:
             c, m = self.terms[0]
             return c * c * m
         return None
-
-    def is_zero(self):
-        return self.rat == 0 and not self.terms  # canonical form
 
     def __eq__(self, other):
         if isinstance(other, Radical) or is_exact_scalar(other):

@@ -301,16 +301,12 @@ def build_periodic(basis, motif, tol=None):
     reduced = sorted(lattice.reduce_point(tuple(m)) for m in motif)
     for i in range(len(reduced)):
         for j in range(i + 1, len(reduced)):
-            if points_equal_mod(reduced[i], reduced[j], lattice, tol):
+            if lattice.contains(p_sub(reduced[i], reduced[j]), tol):
                 raise ValueError(
                     f"motif points {motif[i]} and {motif[j]} coincide mod the lattice")
     handle = PointSetHandle("periodic", lattice.dim, tol,
                             lattice=lattice, motif=tuple(reduced))
     return _autoscale_eps(handle) if autoscale else handle
-
-
-def points_equal_mod(p, q, lattice, tol):
-    return lattice.contains(p_sub(p, q), tol)
 
 
 def build_window(points, bounds, margin=0, tol=None):

@@ -95,6 +95,19 @@ def test_decompose_and_exit4(tmp_path, capsys):
     assert run(tmp_path, "decompose", str(hc)) == 4
 
 
+def test_decompose_float_window_exit4(tmp_path, capsys):
+    # a float window cannot be decomposed (it needs exact coordinates):
+    # a documented exit code and a one-line message, not a traceback
+    assert run(tmp_path, "--numeric-mode", "float", "generate", "lattice",
+               "--basis", "1,0;0,1", "--extent", "3", "--out", "fw.ps") == 0
+    capsys.readouterr()
+    assert run(tmp_path, "--numeric-mode", "float", "decompose",
+               str(tmp_path / "fw.ps")) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("precondition violated: ")
+    assert "Traceback" not in err
+
+
 def test_reconstruct_roundtrip(tmp_path, capsys):
     assert run(tmp_path, "generate", "coset-union", "--basis", "1,0;0,1",
                "--half-vectors", "0,0;1,0;0,1", "--out", "fix.ps") == 0
