@@ -3,7 +3,8 @@ reconstruct | plot.
 
 Exit codes: 0 success, 2 usage or parse errors, 3 inconclusive (window or
 scan cap), 4 precondition violated (e.g. a non-antipodal input where
-antipodality is required, or an input a command does not support).
+antipodality is required, an input a command does not support, or a
+radius whose clusters have an infinite symmetry group).
 """
 
 import argparse
@@ -11,7 +12,8 @@ import math
 import sys
 from fractions import Fraction
 
-from .classify import classify, group_orders_by_class, n_profile
+from .classify import (InfiniteGroupError, classify, group_orders_by_class,
+                       n_profile)
 from .criteria import (NotAntipodalError, antipodal_lattice_decomposition,
                        certify_auto, check_crystal_criterion,
                        check_regular_criterion, reconstruct_from_2R_cluster)
@@ -388,7 +390,8 @@ def main(argv=None):
     except (WindowTooSmallError,) as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")
         return EXIT_INCONCLUSIVE
-    except (NotAntipodalError, TruncationError, NotImplementedError) as exc:
+    except (NotAntipodalError, TruncationError, NotImplementedError,
+            InfiniteGroupError) as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return EXIT_PRECONDITION
 

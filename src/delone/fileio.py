@@ -50,6 +50,14 @@ _SQRT_RE = re.compile(r"^(?:(?P<coef>-?\d+(?:/\d+)?)\*)?sqrt\((?P<rad>\d+)\)$")
 _RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
 
+def _rational(text, token):
+    """Fraction(text); a zero denominator is a format error in ``token``."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise PointSetFormatError(f"zero denominator in {token!r}") from exc
+
+
 def format_scalar(x, exact):
     if not exact:
         return repr(float(x))
@@ -78,12 +86,12 @@ def parse_scalar(token, exact):
     quad = None
     for t in _split_terms(token):
         if _RAT_RE.match(t):
-            rat += Fraction(t)
+            rat += _rational(t, token)
             continue
         m = _SQRT_RE.match(t)
         if not m:
             raise PointSetFormatError(f"bad exact scalar token {token!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        coef = _rational(m.group("coef"), token) if m.group("coef") else Fraction(1)
         d = int(m.group("rad"))
         if quad is not None and quad[1] != d:
             raise PointSetFormatError(f"mixed radicands in token {token!r}")
@@ -131,23 +139,29 @@ _RAD_TERM_RE = re.compile(
 
 
 def parse_radius(token, exact):
-    """Radii accept the rational grammar plus sqrt(p/q) terms."""
+    """Radii accept the rational grammar plus sqrt(p/q) terms; they must
+    be nonnegative."""
     token = token.strip()
     if not exact:
         try:
-            return float(token)
+            out = float(token)
         except ValueError as exc:
             raise PointSetFormatError(f"bad radius token {token!r}") from exc
+        if not out >= 0:
+            raise PointSetFormatError(f"radius {token!r} must be nonnegative")
+        return out
     out = Radical.of(0)
     for term in _split_terms(token):
         m = _RAD_TERM_RE.match(term)
         if m:
-            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-            out = out + Radical(0, ((coef, Fraction(m.group("rad"))),))
+            coef = _rational(m.group("coef"), token) if m.group("coef") else Fraction(1)
+            out = out + Radical(0, ((coef, _rational(m.group("rad"), token)),))
         elif _RAT_RE.match(term):
-            out = out + Radical.of(Fraction(term))
+            out = out + Radical.of(_rational(term, token))
         else:
             raise PointSetFormatError(f"bad radius token {token!r}")
+    if out.sign() < 0:
+        raise PointSetFormatError(f"radius {token!r} must be nonnegative")
     return out
 
 

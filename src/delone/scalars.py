@@ -16,6 +16,7 @@ absolute tolerance instead (see ``geometry.Tolerance``).
 """
 
 import math
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -287,7 +288,7 @@ class Radical:
     scalars.  Signs are decided exactly by repeated squaring.
     """
 
-    __slots__ = ("rat", "terms")
+    __slots__ = ("rat", "terms", "_hash", "_band")
 
     def __init__(self, rat=0, terms=()):
         canon_rat, canon_terms = _canonicalize(rat, terms)
@@ -363,6 +364,22 @@ class Radical:
             return c * c * m
         return None
 
+    def square_band(self):
+        """Floats (lo2, hi2) with lo2 < self**2 < hi2, or None.
+
+        A rational d2 with ``float(d2) < lo2`` is certainly below self**2
+        and one with ``float(d2) > hi2`` certainly above, so closed-ball
+        tests need the exact kernel only inside the band.  None unless
+        self is positive with rational parts in the normal float range.
+        Computed once per instance.
+        """
+        try:
+            return self._band
+        except AttributeError:
+            band = _square_band(self.rat, self.terms)
+            object.__setattr__(self, "_band", band)
+            return band
+
     def __eq__(self, other):
         if isinstance(other, Radical) or is_exact_scalar(other):
             return self.cmp(other) == 0
@@ -381,9 +398,12 @@ class Radical:
         return self.cmp(other) >= 0
 
     def __hash__(self):
-        # canonical form makes equal values structurally identical for
-        # same-field radicals, which is all the library ever hashes
-        return hash((self.rat, self.terms))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(_hash_key(self.rat, self.terms))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __float__(self):
         return float(self.rat) + sum(float(c) * math.sqrt(float(m)) for c, m in self.terms)
@@ -500,3 +520,106 @@ def _sign_sum(u, terms):
                           list(a2_terms) + [(-c, m) for c, m in b2_terms])
     # both A and -B share sign sa: A > -B iff |A| > |B| (sa=1) or |A| < |B| (sa=-1)
     return diff_sign if sa > 0 else -diff_sign
+
+
+# Float filter for radical comparisons (Shewchuk-style: decide in floats
+# under a rigorous error bound, fall back to the exact kernel otherwise).
+# A part converted from a rational in the normal range errs by at most
+# 2**-53 relative; products, roots and sums of a few such parts err by
+# under 2**-48 of the sum of their absolute values, far below _SLACK.
+_SLACK = 1e-12
+_MAG_RANGE = (1e-140, 1e140)   # keeps every square normal and finite
+
+
+def _normal_float(q):
+    """float(q) for a rational q whose conversion is relatively exact, or None."""
+    if not isinstance(q, (int, Fraction)):
+        return None
+    try:
+        f = float(q)
+    except OverflowError:
+        return None
+    if f == 0.0:
+        return f if q == 0 else None
+    return f if abs(f) >= sys.float_info.min else None
+
+
+def _square_band(rat, terms):
+    value = magnitude = 0.0
+    for c, m in ((rat, 1),) + terms:
+        fc, fm = _normal_float(c), _normal_float(m)
+        if fc is None or fm is None:
+            return None
+        t = fc * math.sqrt(fm)
+        value += t
+        magnitude += abs(t)
+    if not _MAG_RANGE[0] <= magnitude <= _MAG_RANGE[1]:
+        return None
+    lo, hi = value - _SLACK * magnitude, value + _SLACK * magnitude
+    if lo <= 0:
+        return None
+    lo2, hi2 = lo * lo * (1 - _SLACK), hi * hi * (1 + _SLACK)
+    return (lo2, hi2) if lo2 >= _MAG_RANGE[0] ** 2 else None
+
+
+# -- hashing -----------------------------------------------------------------
+# Equal radicals must hash equally, but one value has many term lists:
+# sqrt(2) = (1/2)*sqrt(8) = 2*sqrt(1/2).  The hash key rewrites the value as
+# q + sum c_f*sqrt(f) over square-free integers f > 1, which is unique.
+
+def _square_free(n):
+    """(s, f) with n = s*s*f and f square-free, for an integer n >= 1."""
+    s, f, p = 1, 1, 2
+    while p * p * p <= n:
+        while n % (p * p) == 0:
+            n //= p * p
+            s *= p
+        if n % p == 0:
+            n //= p
+            f *= p
+        p += 1
+    # what is left has at most two prime factors, each above the cube root
+    r = math.isqrt(n)
+    if r * r == n:
+        return s * r, f
+    return s, f * n
+
+
+def _add_root(acc, coef, m):
+    """acc += coef*sqrt(m) for rational coef and m >= 0, keyed by square-free f."""
+    m = _as_fraction(m)
+    if coef == 0 or m == 0:
+        return
+    s, f = _square_free(m.numerator * m.denominator)
+    acc[f] = acc.get(f, 0) + _as_fraction(coef) * s / m.denominator
+
+
+def _add_term(acc, c, m):
+    """acc += c*sqrt(m) for field scalars c, m; False if m does not denest."""
+    if isinstance(c, QuadExt):
+        return _add_term(acc, c.a, m) and _add_term(acc, c.b, m * c.d)
+    if not isinstance(m, QuadExt):
+        _add_root(acc, c, m)
+        return True
+    # sqrt(a + b*sqrt(d)) = sqrt(x) +- sqrt(y) iff a^2 - b^2 d is a square
+    n = _frac_sqrt(m.a * m.a - m.b * m.b * m.d)
+    if n is None:
+        return False
+    sgn = 1 if m.b > 0 else -1
+    _add_root(acc, c, (m.a + n) / 2)
+    _add_root(acc, sgn * c, (m.a - n) / 2)
+    return True
+
+
+def _hash_key(rat, terms):
+    acc = {}
+    nested = not _add_term(acc, rat, 1)
+    for c, m in terms:
+        nested = not _add_term(acc, c, m) or nested
+    q = acc.pop(1, Fraction(0))
+    roots = tuple(sorted((f, c) for f, c in acc.items() if c != 0))
+    if not roots and not nested:
+        return q  # hashes like the equal Fraction
+    # a nested root that does not denest is no sum of rational roots; it
+    # only marks the key
+    return (q, roots, nested)

@@ -7,13 +7,14 @@ whose rho-ball stays inside the trusted region (bounds inset by the
 validity margin), because a truncated set is not Delone near its edge.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import (Lattice, Tolerance, dist_sq, fdiv, mat_solve, p_add,
                        p_dot, p_sub, point_is_exact)
-from .scalars import Radical, is_exact_scalar, sfloat, ssign
+from .scalars import QuadExt, Radical, is_exact_scalar, sfloat, ssign
 
 __all__ = [
     "PointSetHandle",
@@ -61,21 +62,75 @@ def as_radius(rho, tol):
 def radius_covers(radius, d2, tol):
     """Whether sqrt(d2) <= radius (closed-ball membership)."""
     if tol.exact:
-        sq = radius.square_scalar()
-        if sq is not None:
-            return ssign(sq - d2) >= 0
-        return radius.cmp_sqrt(d2) >= 0
+        return _radius_sign(radius, d2) >= 0
     return math.sqrt(d2) <= radius + tol.eps_abs
 
 
 def radius_lt(radius, d2, tol):
     """Whether sqrt(d2) < radius strictly (used by 2R-chains)."""
     if tol.exact:
-        sq = radius.square_scalar()
-        if sq is not None:
-            return ssign(sq - d2) > 0
-        return radius.cmp_sqrt(d2) > 0
+        return _radius_sign(radius, d2) > 0
     return math.sqrt(d2) < radius - tol.eps_abs
+
+
+def _radius_sign(radius, d2):
+    """Exact sign of radius - sqrt(d2).
+
+    Floats decide a rational d2 outside the radius's square band; ties,
+    irrational d2 and values too large for a float go to the exact kernel.
+    """
+    band = radius.square_band()
+    if band is not None and isinstance(d2, (int, Fraction)):
+        try:
+            f = float(d2)
+        except OverflowError:
+            f = math.nan  # compares false both ways
+        if f < band[0]:
+            return 1
+        if f > band[1]:
+            return -1
+    sq = radius.square_scalar()
+    if sq is not None:
+        return ssign(sq - d2)
+    return radius.cmp_sqrt(d2)
+
+
+def _reach(radius, tol):
+    """A float at least the distance of every point radius_covers accepts,
+    or None when floats cannot bound it."""
+    if not tol.exact:
+        return float(radius) + tol.eps_abs
+    band = radius.square_band()
+    return None if band is None else math.sqrt(band[1])
+
+
+def _float_index(points):
+    """Float copies of sorted window points plus a bound on every
+    coordinate's magnitude, or None if a conversion overflows or the
+    float first coordinates are out of order."""
+    try:
+        fpts, mag = zip(*(_float_point(p) for p in points))
+    except OverflowError:
+        return None
+    xs = [q[0] for q in fpts]
+    if not all(map(math.isfinite, mag)) or any(a > b for a, b in zip(xs, xs[1:])):
+        return None
+    return xs, fpts, max(mag)
+
+
+def _float_point(p):
+    """(float copy of p, bound on its parts' magnitudes); a + b*sqrt(d)
+    converts with error relative to |a| + |b|*sqrt(d), not to its value."""
+    out, mag = [], 0.0
+    for c in p:
+        if isinstance(c, QuadExt):
+            a, b = float(c.a), float(c.b) * math.sqrt(c.d)
+            out.append(a + b)
+            mag = max(mag, abs(a) + abs(b))
+        else:
+            out.append(float(c))
+            mag = max(mag, abs(out[-1]))
+    return tuple(out), mag
 
 
 @dataclass(frozen=True)
@@ -184,24 +239,69 @@ class PointSetHandle:
                     if radius_covers(radius, d2, self.tol):
                         out.append((d2, p))
         else:
-            for p in self.points:
+            for p in self._window_candidates(center, radius):
                 d2 = dist_sq(p, center)
                 if radius_covers(radius, d2, self.tol):
                     out.append((d2, p))
         return out
 
+    def _window_candidates(self, center, radius):
+        """Window points that may lie within radius of center, in order.
+
+        Bisects the sorted float first coordinates to a strip and drops
+        points whose float distance exceeds the reach; the pad bounds the
+        conversion and rounding error, so no covered point is dropped.
+        """
+        if "index" not in self._cache:
+            self._cache["index"] = _float_index(self.points)
+        index = self._cache["index"]
+        reach = _reach(radius, self.tol)
+        if index is None or reach is None:
+            return self.points
+        xs, fpts, mag = index
+        try:
+            fc, cmag = _float_point(center)
+        except OverflowError:
+            return self.points
+        reach += 1e-9 * (reach + mag + cmag) + 1e-300
+        if not math.isfinite(reach):
+            return self.points
+        lo = bisect.bisect_left(xs, fc[0] - reach)
+        hi = bisect.bisect_right(xs, fc[0] + reach)
+        reach2 = reach * reach
+        return [self.points[i] for i in range(lo, hi)
+                if sum((a - b) * (a - b) for a, b in zip(fpts[i], fc)) <= reach2]
+
     def neighborhood(self, center, radius):
-        """Cached variant of points_in_ball keyed by the center point."""
+        """Cached variant of points_in_ball keyed by the center point.
+
+        The cache holds the pairs sorted by float d2, so the answer is a
+        prefix: pairs below the radius's float band are in, the first pair
+        above it ends the scan, and only pairs inside the band are tested
+        exactly.  Irrational d2 have no certified float order and are all
+        tested exactly.
+        """
         key = ("nbhd", center)
         rho_f = sfloat(radius)
         hit = self._cache.get(key)
         if hit is None or hit[0] < rho_f:
             grow = max(rho_f * 1.25, rho_f + 0.01)
             pairs = self.points_in_ball(center, self.tol.radius_at_least(grow))
-            pairs.sort(key=lambda t: (sfloat(t[0]), t[1]))
-            hit = (grow, pairs)
+            keyed = sorted((sfloat(d2), p, d2) for d2, p in pairs)
+            hit = (grow, [(d2, p) for _, p, d2 in keyed], [f for f, _, _ in keyed],
+                   all(isinstance(d2, (int, Fraction)) for d2, _ in pairs))
             self._cache[key] = hit
-        return [t for t in hit[1] if radius_covers(radius, t[0], self.tol)]
+        _, pairs, fl, rational = hit
+        tol = self.tol
+        band = radius.square_band() if tol.exact and rational else None
+        lo2, hi2 = band or (-math.inf, math.inf)
+        out = []
+        for t, f in zip(pairs, fl):
+            if f < lo2 or (f <= hi2 and radius_covers(radius, t[0], tol)):
+                out.append(t)
+            elif f > hi2 or not tol.exact:
+                break  # float covers is monotone in d2, so no later pair is in
+        return out
 
     def points_in_box(self, lo, hi):
         """All set points inside the closed axis-aligned box [lo, hi]."""

@@ -172,6 +172,26 @@ def test_parse_error_exit2(tmp_path):
     assert run(tmp_path, "analyze", str(f)) == 2
 
 
+def test_zero_denominators_and_negative_radii_exit2(tmp_path, z2_file, capsys):
+    text = open(z2_file, encoding="utf-8").read()
+    bad = tmp_path / "bad.ps"
+    bad.write_text(text.replace("[basis]\n1 0", "[basis]\n1/0 0"))
+    assert run(tmp_path, "analyze", str(bad)) == 2
+    for rho in ("1/0", "sqrt(1/0)", "-1", "sqrt(2)-2"):
+        assert run(tmp_path, "analyze", z2_file, "--rho", rho) == 2
+    assert run(tmp_path, "certify", z2_file, "--criterion", "regular",
+               "--rho0", "-1") == 2
+    assert run(tmp_path, "reconstruct", z2_file, "--center", "0,0",
+               "--rho-max", "-1") == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_infinite_group_exit4(tmp_path, z2_file, capsys):
+    # a single-point cluster in 2-d is fixed by all of O(2)
+    assert run(tmp_path, "analyze", z2_file, "--rho", "2*sqrt(0)") == 4
+    assert "precondition violated" in capsys.readouterr().err
+
+
 def test_report_files_deterministic(tmp_path, z2_file):
     r1, r2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
     for r in (r1, r2):

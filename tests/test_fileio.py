@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delone.fileio import (PointSetFormatError, Report, format_radius,
                            format_scalar, parse_radius, parse_scalar,
@@ -32,6 +34,26 @@ def test_parse_errors():
         parse_scalar("abc", True)
     with pytest.raises(PointSetFormatError):
         parse_radius("sqrt(-1)", True)
+    for token in ("1/0", "1/0*sqrt(2)", "1+1/0"):
+        with pytest.raises(PointSetFormatError):
+            parse_scalar(token, True)
+    for token in ("1/0", "sqrt(1/0)", "-1", "1-sqrt(2)"):
+        with pytest.raises(PointSetFormatError):
+            parse_radius(token, True)
+    with pytest.raises(PointSetFormatError):
+        parse_radius("-0.5", False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789/+-*() sqrt.", max_size=16))
+def test_parsers_fail_only_with_usage_errors(token):
+    # the CLI maps both exceptions to exit 2; anything else is a traceback
+    for parse in (parse_scalar, parse_radius):
+        for exact in (True, False):
+            try:
+                parse(token, exact)
+            except (PointSetFormatError, ValueError):
+                pass
 
 
 def test_radius_round_trip():

@@ -1,0 +1,234 @@
+"""Filtered range queries against exact oracles.
+
+Window queries bisect a float strip and drop points by float distance, and
+closed-ball tests decide in floats outside a per-radius band.  Every answer
+must equal a brute-force scan that decides each point with the exact
+radical kernel (``Radical.cmp``), which the float filter never enters.
+"""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from delone.geometry import Tolerance, dist_sq
+from delone.scalars import Radical, quadext
+from delone.sets import build_periodic, build_window, radius_covers
+
+coords = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+small = st.fractions(min_value=0, max_value=3, max_denominator=9)
+
+
+def exactly_covers(radius, d2):
+    """sqrt(d2) <= radius by the exact kernel alone (a point a whole unit
+    off the sphere is settled in floats: no rounding error comes near)."""
+    gap = math.sqrt(float(d2)) - float(radius)
+    if abs(gap) > 1:
+        return gap < 0
+    return radius.cmp(Radical.sqrt(d2)) >= 0
+
+
+def brute_window(points, center, radius):
+    return [(dist_sq(p, center), p) for p in points
+            if exactly_covers(radius, dist_sq(p, center))]
+
+
+@st.composite
+def radii(draw, d2s):
+    """Radii of the forms q, sqrt(q) and q + c*sqrt(m), often exactly on a
+    point's sphere or within a hair of it."""
+    kind = draw(st.sampled_from(("tie", "tie", "near", "q", "sqrt", "two")))
+    if kind in ("tie", "near"):
+        d2 = draw(st.sampled_from(d2s))
+        # a hair below float resolution, or one well above it
+        hair = 0 if kind == "tie" else draw(st.sampled_from(
+            (F(1, 10**20), -F(1, 10**20), F(1, 10**12), -F(1, 10**12))))
+        return Radical.sqrt(d2) + hair
+    if kind == "q":
+        return Radical.of(draw(small) + F(1, 10))
+    if kind == "sqrt":
+        return Radical.sqrt(draw(small) * 3 + F(1, 10))
+    q = draw(small)
+    c = draw(st.fractions(min_value=F(1, 10), max_value=2, max_denominator=10))
+    m = draw(st.sampled_from((2, 3, 5, F(13, 50), F(7, 3))))
+    return Radical(q, ((c, m),))
+
+
+@st.composite
+def rational_windows(draw):
+    pts = draw(st.lists(st.tuples(coords, coords), min_size=2, max_size=40,
+                        unique=True))
+    # far from the origin, float coordinates lose what float distances keep
+    t = draw(st.sampled_from((0, 10**9 + F(1, 3))))
+    pts = [(x + t, y - t) for x, y in pts]
+    center = draw(st.sampled_from(pts))
+    lo = tuple(min(p[i] for p in pts) for i in range(2))
+    hi = tuple(max(p[i] for p in pts) for i in range(2))
+    radius = draw(radii([dist_sq(p, center) for p in pts if p != center]))
+    return pts, (lo, hi), center, radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_windows())
+def test_window_queries_equal_exact_scan(case):
+    pts, bounds, center, radius = case
+    win = build_window(pts, bounds)
+    want = brute_window(win.points, center, radius)
+    assert win.points_in_ball(center, radius) == want
+    # the cached neighbourhood answers a prefix of a larger query
+    big = Radical.of(13)
+    assert win.neighborhood(center, big) == sorted(
+        brute_window(win.points, center, big), key=lambda t: (float(t[0]), t[1]))
+    got = win.neighborhood(center, radius)
+    assert sorted(got, key=lambda t: t[1]) == sorted(want, key=lambda t: t[1])
+
+
+def test_quadratic_window_ties():
+    # points of the triangular lattice at exact distances from the origin,
+    # and a point exactly on the sphere of the two-term radius 1 + sqrt(3)
+    s3 = quadext(0, 1, 3)
+    half = F(1, 2)
+    pts = [(F(i) + j * half, j * half * s3) for i in range(-4, 5) for j in range(-4, 5)]
+    pts.append((1 + s3, F(0)))
+    center = (F(0), F(0))
+    lo, hi = (F(-7), F(-4)), (F(7), F(4))
+    win = build_window(pts, (lo, hi))
+    for radius in (Radical.of(2), Radical.sqrt(3), Radical(1, ((1, 3),)),
+                   Radical.sqrt(7), Radical(F(1, 2), ((1, 3),))):
+        assert win.points_in_ball(center, radius) == brute_window(win.points, center, radius)
+        got = win.neighborhood(center, radius)
+        assert sorted(got, key=lambda t: t[1]) == sorted(
+            brute_window(win.points, center, radius), key=lambda t: t[1])
+
+
+def test_prefix_scan_reads_past_a_miss_inside_the_band():
+    # A lies 2e-20 outside the unit circle, B on it; their float d2 agree,
+    # so A sorts first and the scan must test B exactly after missing A
+    a, b = (F(0), -1 - F(1, 10**20)), (F(1), F(0))
+    win = build_window([a, b, (F(0), F(0)), (F(-2), F(2))], ((F(-2), F(-2)), (F(2), F(2))))
+    center = (F(0), F(0))
+    assert win.neighborhood(center, Radical.of(3))[1:3] == [(dist_sq(a, center), a),
+                                                            (F(1), b)]
+    got = [p for _, p in win.neighborhood(center, Radical.of(1))]
+    assert got == [center, b]
+
+
+@st.composite
+def periodic_sets(draw):
+    a = draw(st.fractions(min_value=F(1, 2), max_value=2, max_denominator=4))
+    b = draw(st.fractions(min_value=-1, max_value=1, max_denominator=4))
+    c = draw(st.fractions(min_value=F(1, 2), max_value=2, max_denominator=4))
+    unit = st.fractions(min_value=0, max_value=F(4, 5), max_denominator=5)
+    motif = draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=3, unique=True))
+    return ((a, F(0)), (b, c)), motif
+
+
+def brute_periodic(handle, center, radius):
+    """Every motif point plus lattice vector in an explicit box, exactly."""
+    (a, _), (b, c) = handle.lattice.basis
+    reach = math.ceil(float(radius)) + 2
+    out = []
+    for m in handle.motif:
+        k2_max = math.ceil((reach + 2) / c)
+        for k2 in range(-k2_max, k2_max + 1):
+            k1_max = math.ceil((reach + 2 + abs(b) * abs(k2)) / a)
+            for k1 in range(-k1_max, k1_max + 1):
+                p = (m[0] + k1 * a + k2 * b, m[1] + k2 * c)
+                if exactly_covers(radius, dist_sq(p, center)):
+                    out.append(p)
+    return sorted(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(periodic_sets(), st.data())
+def test_periodic_queries_equal_exact_scan(spec, data):
+    basis, motif = spec
+    try:
+        handle = build_periodic(basis, motif)
+    except ValueError:
+        assume(False)
+    center = handle.motif[0]
+    near = handle.points_in_ball(center, Radical.of(2))
+    radius = data.draw(radii([d2 for d2, p in near if p != center] or [F(1)]))
+    want = brute_periodic(handle, center, radius)
+    assert sorted(p for _, p in handle.points_in_ball(center, radius)) == want
+    assert sorted(p for _, p in handle.neighborhood(center, radius)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)), min_size=2,
+                max_size=40, unique=True),
+       st.floats(0, 4))
+def test_float_window_queries_equal_scan(pts, rho):
+    tol = Tolerance.floating(1e-9)
+    assume(all(max(abs(p[0] - q[0]), abs(p[1] - q[1])) > 1e-6
+               for i, p in enumerate(pts) for q in pts[i + 1:]))
+    lo = (min(p[0] for p in pts), min(p[1] for p in pts))
+    hi = (max(p[0] for p in pts), max(p[1] for p in pts))
+    win = build_window(pts, (lo, hi), tol=tol)
+    center = win.points[len(win.points) // 2]
+    want = [(dist_sq(p, center), p) for p in win.points
+            if math.sqrt(dist_sq(p, center)) <= rho + tol.eps_abs]
+    assert win.points_in_ball(center, rho) == want
+    got = win.neighborhood(center, rho)
+    assert sorted(got, key=lambda t: t[1]) == sorted(want, key=lambda t: t[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.fractions(min_value=-9, max_value=9, max_denominator=50),
+       st.lists(st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=9),
+                          st.sampled_from((2, 3, 5, 6, F(1, 2), F(13, 50), F(8, 3)))),
+                max_size=2),
+       st.one_of(st.fractions(min_value=0, max_value=200, max_denominator=10**6),
+                 st.just(None)))
+def test_square_band_agrees_with_exact_sign(rat, terms, d2):
+    radius = Radical(rat, tuple(terms))
+    band = radius.square_band()
+    if band is None:
+        return
+    assert radius.sign() > 0
+    if d2 is None:  # exactly on the sphere, when radius**2 is rational
+        d2 = radius.square_scalar()
+        if d2 is None:
+            return
+        assert band[0] <= float(d2) <= band[1]
+    exact = radius.cmp(Radical.sqrt(d2))
+    if float(d2) < band[0]:
+        assert exact > 0
+    if float(d2) > band[1]:
+        assert exact < 0
+
+
+def test_square_band_declines_unsafe_values():
+    huge = F(10**400)
+    assert Radical.of(huge).square_band() is None          # float overflow
+    assert Radical.of(F(1, 10**400)).square_band() is None  # float underflow
+    assert Radical.of(0).square_band() is None
+    assert Radical.of(quadext(1, 1, 3)).square_band() is None
+    tol = Tolerance.exact_mode()
+    # a d2 whose float conversion overflows falls through to the exact kernel
+    assert not radius_covers(Radical.of(3), huge, tol)
+    assert radius_covers(Radical.of(huge), huge * huge, tol)
+
+
+def test_covers_decides_ties_exactly(monkeypatch):
+    calls = []
+    real = Radical.square_scalar
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Radical, "square_scalar", spy)
+    tol = Tolerance.exact_mode()
+    r = Radical.sqrt(F(13, 50))
+    assert radius_covers(r, F(13, 50), tol) and len(calls) == 1   # tie: exact
+    assert radius_covers(r, F(1, 10), tol) and len(calls) == 1    # far inside: floats
+    assert not radius_covers(r, F(1), tol) and len(calls) == 1    # far outside: floats
+
+
+@pytest.mark.parametrize("radius", [Radical.sqrt(2), Radical(1, ((2, 3),))])
+def test_band_is_computed_once(radius):
+    assert radius.square_band() is radius.square_band()

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delone.scalars import (ExactComparisonError, Radical, field_sqrt,
-                            quadext, sfloor)
+from delone.scalars import (ExactComparisonError, Radical, _sign_sum,
+                            field_sqrt, quadext, sfloor)
 
 fracs = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 pos_fracs = st.fractions(min_value=0, max_value=9, max_denominator=6)
@@ -75,6 +75,60 @@ def test_sign_kernel_four_terms_no_rational(terms):
     from fractions import Fraction
     r = Radical(0, tuple(terms))
     assert r.sign() == _mp_sign(Fraction(0), terms)
+
+
+radicands = st.one_of(st.sampled_from((F(2), F(3), F(8), F(1, 2), F(9, 4), F(12))),
+                      st.fractions(min_value=0, max_value=20, max_denominator=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.fractions(min_value=-9, max_value=9, max_denominator=12),
+       st.lists(st.tuples(st.fractions(min_value=-5, max_value=5, max_denominator=8),
+                          radicands), min_size=1, max_size=3))
+def test_sign_sum_matches_mpmath(rat, terms):
+    # raw term lists, not canonicalized: repeated and square radicands stay
+    assert _sign_sum(rat, terms) == _mp_sign(rat, terms)
+
+
+def test_sign_sum_exact_cancellations():
+    assert _sign_sum(F(0), [(F(1), F(8)), (F(-2), F(2))]) == 0
+    assert _sign_sum(F(0), [(F(1), F(12)), (F(-1), F(3)), (F(-1), F(3))]) == 0
+    assert _sign_sum(F(-3), [(F(1), F(9, 4)), (F(1), F(9, 4))]) == 0
+    assert _sign_sum(F(1), [(F(-1), F(2)), (F(-1), F(1, 2)), (F(3, 2), F(2))]) == 1
+
+
+square_free = st.sampled_from((2, 3, 5, 6, 7, 10, 13, 15, 26, 30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=-5, max_value=5, max_denominator=9),
+       st.lists(st.tuples(st.fractions(min_value=-5, max_value=5, max_denominator=9),
+                          square_free), max_size=3),
+       st.lists(st.fractions(min_value=F(1, 7), max_value=7, max_denominator=7),
+                min_size=3, max_size=3))
+def test_equal_radicals_hash_equally(rat, terms, scales):
+    # c*sqrt(f) == (c/t)*sqrt(f*t^2): same value, different radicand
+    a = Radical(rat, tuple(terms))
+    b = Radical(rat, tuple((c / t, f * t * t) for (c, f), t in zip(terms, scales)))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_radical_hash_square_free_radicands():
+    assert Radical.sqrt(2) == Radical(0, ((F(1, 2), 8),))
+    assert len({Radical.sqrt(2), Radical(0, ((F(1, 2), 8),))}) == 1
+    assert hash(Radical.sqrt(F(1, 2))) == hash(Radical(0, ((F(1, 2), 2),)))
+    assert hash(Radical.of(F(3, 2))) == hash(F(3, 2))
+    # quadratic-field parts expand to rational roots: sqrt(2 + sqrt(3)) is
+    # (sqrt(6) + sqrt(2))/2, and a rational part sqrt(3) is the root sqrt(3)
+    nested = Radical.sqrt(quadext(2, 1, 3))
+    flat = Radical(0, ((F(1, 2), 6), (F(1, 2), 2)))
+    assert nested == flat and hash(nested) == hash(flat)
+    assert hash(Radical.of(quadext(0, 1, 3))) == hash(Radical.sqrt(3))
+    # repr and report strings keep the term lists as given
+    assert repr(Radical(0, ((F(1, 2), 8),))) == "1/2*sqrt(8)"
+    assert repr(Radical.sqrt(F(13, 50))) == "sqrt(13/50)"
 
 
 def test_exact_ties():
