@@ -398,10 +398,16 @@ class Radical:
         return self.cmp(other) >= 0
 
     def __hash__(self):
+        # _canonicalize merges radicands that differ by a field square, so
+        # equal values share rat and, term by term, differ only as
+        # (c, m) ~ (c/t, m*t*t) with t > 0: sign(c) and c*c*m are invariant.
+        # A term-free value hashes like the equal field scalar.
         try:
             return self._hash
         except AttributeError:
-            h = hash(_hash_key(self.rat, self.terms))
+            key = self.rat if not self.terms else (
+                self.rat, frozenset((ssign(c), c * c * m) for c, m in self.terms))
+            h = hash(key)
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -560,66 +566,3 @@ def _square_band(rat, terms):
         return None
     lo2, hi2 = lo * lo * (1 - _SLACK), hi * hi * (1 + _SLACK)
     return (lo2, hi2) if lo2 >= _MAG_RANGE[0] ** 2 else None
-
-
-# -- hashing -----------------------------------------------------------------
-# Equal radicals must hash equally, but one value has many term lists:
-# sqrt(2) = (1/2)*sqrt(8) = 2*sqrt(1/2).  The hash key rewrites the value as
-# q + sum c_f*sqrt(f) over square-free integers f > 1, which is unique.
-
-def _square_free(n):
-    """(s, f) with n = s*s*f and f square-free, for an integer n >= 1."""
-    s, f, p = 1, 1, 2
-    while p * p * p <= n:
-        while n % (p * p) == 0:
-            n //= p * p
-            s *= p
-        if n % p == 0:
-            n //= p
-            f *= p
-        p += 1
-    # what is left has at most two prime factors, each above the cube root
-    r = math.isqrt(n)
-    if r * r == n:
-        return s * r, f
-    return s, f * n
-
-
-def _add_root(acc, coef, m):
-    """acc += coef*sqrt(m) for rational coef and m >= 0, keyed by square-free f."""
-    m = _as_fraction(m)
-    if coef == 0 or m == 0:
-        return
-    s, f = _square_free(m.numerator * m.denominator)
-    acc[f] = acc.get(f, 0) + _as_fraction(coef) * s / m.denominator
-
-
-def _add_term(acc, c, m):
-    """acc += c*sqrt(m) for field scalars c, m; False if m does not denest."""
-    if isinstance(c, QuadExt):
-        return _add_term(acc, c.a, m) and _add_term(acc, c.b, m * c.d)
-    if not isinstance(m, QuadExt):
-        _add_root(acc, c, m)
-        return True
-    # sqrt(a + b*sqrt(d)) = sqrt(x) +- sqrt(y) iff a^2 - b^2 d is a square
-    n = _frac_sqrt(m.a * m.a - m.b * m.b * m.d)
-    if n is None:
-        return False
-    sgn = 1 if m.b > 0 else -1
-    _add_root(acc, c, (m.a + n) / 2)
-    _add_root(acc, sgn * c, (m.a - n) / 2)
-    return True
-
-
-def _hash_key(rat, terms):
-    acc = {}
-    nested = not _add_term(acc, rat, 1)
-    for c, m in terms:
-        nested = not _add_term(acc, c, m) or nested
-    q = acc.pop(1, Fraction(0))
-    roots = tuple(sorted((f, c) for f, c in acc.items() if c != 0))
-    if not roots and not nested:
-        return q  # hashes like the equal Fraction
-    # a nested root that does not denest is no sum of rational roots; it
-    # only marks the key
-    return (q, roots, nested)

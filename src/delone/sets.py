@@ -294,10 +294,10 @@ class PointSetHandle:
         _, pairs, fl, rational = hit
         tol = self.tol
         band = radius.square_band() if tol.exact and rational else None
-        lo2, hi2 = band or (-math.inf, math.inf)
+        hi2 = band[1] if band else math.inf
         out = []
         for t, f in zip(pairs, fl):
-            if f < lo2 or (f <= hi2 and radius_covers(radius, t[0], tol)):
+            if radius_covers(radius, t[0], tol):
                 out.append(t)
             elif f > hi2 or not tol.exact:
                 break  # float covers is monotone in d2, so no later pair is in

@@ -120,15 +120,19 @@ def test_radical_hash_square_free_radicands():
     assert len({Radical.sqrt(2), Radical(0, ((F(1, 2), 8),))}) == 1
     assert hash(Radical.sqrt(F(1, 2))) == hash(Radical(0, ((F(1, 2), 2),)))
     assert hash(Radical.of(F(3, 2))) == hash(F(3, 2))
-    # quadratic-field parts expand to rational roots: sqrt(2 + sqrt(3)) is
-    # (sqrt(6) + sqrt(2))/2, and a rational part sqrt(3) is the root sqrt(3)
-    nested = Radical.sqrt(quadext(2, 1, 3))
-    flat = Radical(0, ((F(1, 2), 6), (F(1, 2), 2)))
-    assert nested == flat and hash(nested) == hash(flat)
-    assert hash(Radical.of(quadext(0, 1, 3))) == hash(Radical.sqrt(3))
     # repr and report strings keep the term lists as given
     assert repr(Radical(0, ((F(1, 2), 8),))) == "1/2*sqrt(8)"
     assert repr(Radical.sqrt(F(13, 50))) == "sqrt(13/50)"
+
+
+def test_radical_hash_large_radicand():
+    # the key needs no factoring: a radicand with two primes near 10**15
+    # hashes at once
+    pq = 1000000000000037 * 1000000001000053
+    a = Radical(F(1, 3), ((1, pq),))
+    b = Radical(F(1, 3), ((F(1, 7), 49 * pq),))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Radical.sqrt(F(pq, 10**30 + 57))}) == 2
 
 
 def test_exact_ties():
