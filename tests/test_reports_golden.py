@@ -4,9 +4,10 @@ Each job runs ``delone.cli.main`` in-process inside a temporary directory,
 with relative file names, on inputs the CLI itself generates.  Only jobs
 whose reports are known to be correct are recorded: Z^2, the triangular
 lattice and the three-coset fixture (periodic), the Z^2 window of extent 3
-in exact and float form, the Z^2 window of extent 5 and the exact RLLRLR
+in exact and float form, the Z^2 window of extent 5, the exact RLLRLR
 shifted rows at x half-width 9/4 (a window strip query, and the two-term
-radius rho0 + 2R of the rows).  The golden files live in
+radius rho0 + 2R of the rows) and the triangular-lattice window of extent 3
+(coordinates in Q(sqrt 3), not scalable to integers).  The golden files live in
 ``tests/golden/<job>.txt``; the first line of each is the exit code.
 """
 
@@ -30,6 +31,8 @@ SETUP = (
      "--extent", "3", "--out", "fw3.ps"),
     ("generate", "lattice", "--basis", "1,0;0,1", "--extent", "5", "--out", "w5.ps"),
     ("generate", "shifted-rows", "--seq", "RLLRLR", "--extent", "9/4", "--out", "rows.ps"),
+    ("generate", "lattice", "--basis", "1,0;1/2,1/2*sqrt(3)", "--extent", "3",
+     "--out", "triw3.ps"),
 )
 
 # (golden name, argv)
@@ -51,6 +54,7 @@ JOBS = (
     ("fw3_analyze", ("--numeric-mode", "float", "analyze", "fw3.ps")),
     ("w5_analyze", ("analyze", "w5.ps")),
     ("rows_certify_regular", ("certify", "rows.ps", "--criterion", "regular")),
+    ("triw3_certify_regular", ("certify", "triw3.ps", "--criterion", "regular")),
 )
 
 
