@@ -12,16 +12,27 @@ Degenerate clusters (offsets spanning fewer than d dimensions) get their
 frame completed with orthogonal-complement vectors.  A rank deficit of one
 contributes a +-1 choice on the normal line; a deficit of two or more
 makes the center-fixing group infinite and ``cluster_group`` raises.
+
+``classify`` decides each cluster in this order (exact mode):
+1. its translation key, the offsets from its center: a cluster whose key
+   was seen before is a translate of that earlier cluster, so it joins the
+   same class with the translation composed onto the earlier witness;
+2. its fingerprint, a dict key that picks the representatives it can be
+   equivalent to;
+3. witness synthesis against those representatives.
+A crystal has at most as many distinct offset sets as motif points, so
+step 1 settles almost every cluster of a window.  Float mode has no exact
+keys: it matches fingerprints with a tolerance against every
+representative, then synthesizes.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .geometry import (ORTHO_EPS, Isometry, Tolerance, apply, compose,
-                       dist_sq, fdiv, identity, mat_identity, mat_mul,
-                       mat_solve, orthogonal_complement, p_dot, p_sub, rank)
+from .geometry import (ORTHO_EPS, Isometry, Tolerance, apply, compose, fdiv,
+                       identity, mat_identity, mat_mul, mat_solve,
+                       orthogonal_complement, p_add, p_dot, p_sub, rank)
 from .scalars import Radical, field_sqrt, quadext, sfloat
 from .sets import Cluster, as_radius, cluster, distance_spectrum
 
@@ -48,88 +59,35 @@ class InfiniteGroupError(Exception):
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Isometry-invariant cluster summary used as a fast equivalence filter.
+    """Isometry-invariant cluster summary: the key classify buckets by.
 
     One entry per cluster point: squared distance from the center plus the
-    sorted row of squared distances to every cluster point; the multiset of
-    entries is sorted canonically.  ``digest`` is a cheap hashable proxy
-    (floats) used to bucket candidates before the exact comparison.
+    sorted row of squared distances to every cluster point; the entries are
+    sorted.  Exact entries are ints in units of ``1/scale**2`` for a
+    cluster cut from a handle with a scale (all clusters of one handle
+    share it), or field scalars when ``scale`` is None; either way they
+    hash and compare exactly.  Float entries are matched with a tolerance
+    by :func:`fingerprints_match`.
     """
 
     data: tuple
-    digest: tuple = None
-
-    def __post_init__(self):
-        if self.digest is None:
-            dg = (len(self.data),
-                  tuple(round(sfloat(d2c), 9) for d2c, _ in self.data))
-            object.__setattr__(self, "digest", dg)
+    scale: int = None
 
     def __len__(self):
         return len(self.data)
 
 
-@lru_cache(maxsize=512)
-def _point_entries(c):
-    """Per-point (d2-to-center, sorted squared-distance row), points order.
-
-    Rational coordinates are rescaled to integers so the all-pairs table
-    runs on machine ints; the handful of distinct values then lift back to
-    Fractions once each.
-    """
-    pts = c.points
-    scale = 1
-    fast = True
-    for p in pts:
-        for x in p:
-            if isinstance(x, Fraction):
-                scale = math.lcm(scale, x.denominator)
-            elif not isinstance(x, int):
-                fast = False
-                break
-        if not fast:
-            break
-    if not fast or isinstance(c.center[0], float):
-        out = []
-        for p in pts:
-            row = sorted(dist_sq(p, q) for q in pts)
-            out.append((dist_sq(p, c.center), tuple(row)))
-        return tuple(out)
-    ipts = [tuple(int(x * scale) for x in p) for p in pts]
-    icen = tuple(int(x * scale) for x in c.center)
+def _in_field(rows, scale):
+    """Distance rows as field scalars: ints over scale**2 become Fractions."""
+    if scale is None:
+        return rows
     s2 = scale * scale
-    memo = {}
-
-    def fr(v):
-        f = memo.get(v)
-        if f is None:
-            f = Fraction(v, s2)
-            memo[v] = f
-        return f
-
-    n = len(ipts)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        pi = ipts[i]
-        for j in range(i + 1, n):
-            s = 0
-            for a, b in zip(pi, ipts[j]):
-                t = a - b
-                s += t * t
-            rows[i][j] = rows[j][i] = s
-    out = []
-    for i in range(n):
-        d2c = 0
-        for a, b in zip(ipts[i], icen):
-            t = a - b
-            d2c += t * t
-        out.append((fr(d2c), tuple(fr(v) for v in sorted(rows[i]))))
-    return tuple(out)
+    return tuple((Fraction(d, s2), tuple(Fraction(v, s2) for v in row))
+                 for d, row in rows)
 
 
-@lru_cache(maxsize=512)
 def fingerprint(c):
-    return Fingerprint(data=tuple(sorted(_point_entries(c))))
+    return Fingerprint(data=tuple(sorted(c.distance_rows)), scale=c.scale)
 
 
 def _entries_match(e1, e2, tol):
@@ -151,7 +109,9 @@ def fingerprints_match(f1, f2, tol):
     if len(f1) != len(f2):
         return False
     if tol.exact:
-        return f1.digest == f2.digest and f1.data == f2.data
+        if f1.scale != f2.scale:
+            return _in_field(f1.data, f1.scale) == _in_field(f2.data, f2.scale)
+        return f1.data == f2.data
     return all(_entries_match(a, b, tol) for a, b in zip(f1.data, f2.data))
 
 
@@ -175,15 +135,13 @@ def _sorted_offsets(c):
     return offs
 
 
-def _profiles(c):
-    """Per-offset invariants within the cluster: (|v|^2, sorted row)."""
-    entries = _point_entries(c)
-    prof = {}
-    for p, entry in zip(c.points, entries):
-        if p == c.center:
-            continue
-        prof[p_sub(p, c.center)] = entry
-    return prof
+def _profiles(c, in_field):
+    """Per-offset invariants within the cluster: (|v|^2, sorted row);
+    ``in_field`` lifts integer rows to field scalars."""
+    rows = c.distance_rows
+    if in_field:
+        rows = _in_field(rows, c.scale)
+    return dict(zip(c.offsets(), (e for p, e in zip(c.points, rows) if p != c.center)))
 
 
 def _gram_ok(frame, images, v, t, tol):
@@ -277,19 +235,14 @@ def _witness_linear_parts(c1, c2, tol, want_all):
             raise InfiniteGroupError(
                 f"a single-point cluster in {d}-d has stabilizer O({d})")
         return
-    prof1 = _profiles(c1)
-    prof2 = _profiles(c2)
+    # rows in different units compare only as field scalars
+    prof1 = _profiles(c1, c1.scale != c2.scale)
+    prof2 = _profiles(c2, c1.scale != c2.scale)
     frame = _greedy_frame(offs1, tol)
     s = len(frame)
     comp1 = orthogonal_complement(frame, d) if s < d else []
     spans_parallel = s == d or rank(frame + offs2, exact=tol.exact) == s
     offs2_set = tol.point_set(offs2)
-
-    def candidates(v):
-        pv = prof1[v]
-        out = [t for t in offs2 if _entries_match(prof2[t], pv, tol)]
-        return out
-
     comp_image_choices = None
     if s < d:
         if spans_parallel:
@@ -306,12 +259,16 @@ def _witness_linear_parts(c1, c2, tol, want_all):
                 f"cluster spans only {s} of {d} dimensions; its group is infinite")
         else:
             comp_image_choices = [base[0]]
+    # images each frame vector may take: offsets with its profile (computed
+    # here, so the recursive closure below holds no profile tables)
+    candidates = [[t for t in offs2 if _entries_match(prof2[t], prof1[v], tol)]
+                  for v in frame]
 
     def assignments(i, images):
         if i == s:
             yield list(images)
             return
-        for t in candidates(frame[i]):
+        for t in candidates[i]:
             if t in images:
                 continue
             if _gram_ok(frame[:i], images, frame[i], t, tol):
@@ -340,14 +297,13 @@ def clusters_equivalent(c1, c2, tol=None):
 
     Radii must agree.  The witness may reverse orientation (det -1); for
     rank-deficient clusters one canonical completion is returned out of the
-    continuum of valid witnesses.
+    continuum of valid witnesses.  Synthesis alone decides; callers that
+    compare fingerprints first (as :func:`classify` does) only save work.
     """
     tol = tol or Tolerance.exact_mode()
     if not tol.is_zero(c1.radius - c2.radius):
         raise ValueError("clusters have different radii")
     if c1.size != c2.size:
-        return None
-    if not fingerprints_match(fingerprint(c1), fingerprint(c2), tol):
         return None
     for o in _witness_linear_parts(c1, c2, tol, want_all=False):
         shift = p_sub(c2.center, tuple(sum(o[i][j] * c1.center[j] for j in range(c1.dim))
@@ -439,38 +395,59 @@ class ClusterPartition:
         return len(self.classes)
 
 
+def _translation_key(c):
+    """The offsets of a cluster from its center, flattened: clusters of
+    one handle with equal keys are translates of each other."""
+    if c.grid is None:
+        return c.offsets()
+    ic, ipts = c.grid
+    return tuple(a - b for q in ipts for a, b in zip(q, ic))
+
+
 def classify(handle, rho, points=None):
     """Partition the population into classes of equivalent rho-clusters.
 
     Population: motif points of a periodic set, or interior points of a
     window, unless ``points`` names the centers to classify.
     Representatives are the lexicographically smallest members and every
-    member carries a witness isometry from the representative.
+    member carries a witness isometry from the representative.  The module
+    docstring gives the order in which a cluster is decided.
     """
     radius = as_radius(rho, handle.tol)
     population = sorted(handle.population(radius)) if points is None else points
     tol = handle.tol
-    reps = []      # (cluster, fingerprint, members, witnesses)
+    classes = []      # [representative, members, witnesses, fingerprint]
+    translates = {}   # translation key -> (class, center, its witness)
+    buckets = {}      # fingerprint -> classes (exact); one bucket (float)
     for x in population:
         cx = cluster(handle, x, radius)
-        fx = fingerprint(cx)
-        witness = None
-        hit = None
-        for idx, (rc, rf, _, _) in enumerate(reps):
-            if not fingerprints_match(rf, fx, tol):
-                continue
-            witness = clusters_equivalent(rc, cx, tol)
-            if witness is not None:
-                hit = idx
-                break
-        if hit is None:
-            reps.append((cx, fx, [x], [identity(handle.dim)]))
+        key = _translation_key(cx) if tol.exact else None
+        hit = None if key is None else translates.get(key)
+        if hit is not None:
+            cls, c0, w0 = hit
+            # compose(translation(x - c0), w0), without the identity product
+            witness = Isometry(w0.linear, p_add(w0.shift, p_sub(x, c0)))
         else:
-            reps[hit][2].append(x)
-            reps[hit][3].append(witness)
-    classes = tuple(ClusterClass(representative=rc, members=tuple(ms), witnesses=tuple(ws))
-                    for rc, _, ms, ws in reps)
-    return ClusterPartition(rho=radius, classes=classes, tol=tol)
+            fx = fingerprint(cx)
+            bucket = buckets.setdefault(fx if tol.exact else None, [])
+            for cls in bucket:
+                if tol.exact or fingerprints_match(cls[3], fx, tol):
+                    witness = clusters_equivalent(cls[0], cx, tol)
+                    if witness is not None:
+                        break
+            else:
+                witness = identity(handle.dim)
+                cls = [cx, [], [], fx]
+                classes.append(cls)
+                bucket.append(cls)
+            if key is not None:
+                translates[key] = (cls, x, witness)
+        cls[1].append(x)
+        cls[2].append(witness)
+    return ClusterPartition(
+        rho=radius, tol=tol,
+        classes=tuple(ClusterClass(representative=rc, members=tuple(ms), witnesses=tuple(ws))
+                      for rc, ms, ws, _ in classes))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@ reconstruct | plot.
 
 Exit codes: 0 success, 2 usage or parse errors, 3 inconclusive (window or
 scan cap), 4 precondition violated (e.g. a non-antipodal input where
-antipodality is required, an input a command does not support, or a
-radius whose clusters have an infinite symmetry group).
+antipodality is required, an input a command does not support, a radius
+whose clusters have an infinite symmetry group, a radical comparison the
+exact kernel cannot decide, or an antipodal set with no lattice-coset
+decomposition).
 """
 
 import argparse
@@ -14,7 +16,8 @@ from fractions import Fraction
 
 from .classify import (InfiniteGroupError, classify, group_orders_by_class,
                        n_profile)
-from .criteria import (NotAntipodalError, antipodal_lattice_decomposition,
+from .criteria import (DecompositionError, NotAntipodalError,
+                       antipodal_lattice_decomposition,
                        certify_auto, check_crystal_criterion,
                        check_regular_criterion, reconstruct_from_2R_cluster)
 from .fileio import (PointSetFormatError, Report, atomic_write, file_sha256,
@@ -24,7 +27,7 @@ from .generators import (CrystalSpec, ShiftSequence, ShiftedRowSpec,
                          gen_coset_union, gen_crystal, gen_lattice,
                          gen_shifted_rows)
 from .geometry import Isometry, Lattice, Tolerance
-from .scalars import Radical, quadext, sfloat
+from .scalars import ExactComparisonError, Radical, quadext, sfloat
 from .sets import (TruncationError, WindowTooSmallError, build_window,
                    cluster, delone_params)
 from .svg import render_svg
@@ -391,7 +394,7 @@ def main(argv=None):
         sys.stderr.write(f"inconclusive: {exc}\n")
         return EXIT_INCONCLUSIVE
     except (NotAntipodalError, TruncationError, NotImplementedError,
-            InfiniteGroupError) as exc:
+            InfiniteGroupError, ExactComparisonError, DecompositionError) as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return EXIT_PRECONDITION
 

@@ -5,12 +5,20 @@ the infinite set exactly.  A window handle is a finite list of points cut
 from a larger set; statistics at radius rho are only offered for points
 whose rho-ball stays inside the trusted region (bounds inset by the
 validity margin), because a truncated set is not Delone near its edge.
+
+When every coordinate is rational, a handle has a ``scale``: the least
+common denominator of its coordinates, which turns each point into an
+integer vector.  A window stores its points once in that form, so exact
+squared distances between its points are ints over ``scale**2``, and its
+clusters carry the integer vectors for classification.
 """
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 
 from .geometry import (Lattice, Tolerance, dist_sq, fdiv, mat_solve, p_add,
                        p_dot, p_sub, point_is_exact)
@@ -59,10 +67,14 @@ def as_radius(rho, tol):
     return float(rho)
 
 
-def radius_covers(radius, d2, tol):
-    """Whether sqrt(d2) <= radius (closed-ball membership)."""
+def radius_covers(radius, d2, tol, scale2=1):
+    """Whether sqrt(d2 / scale2) <= radius (closed-ball membership).
+
+    ``scale2`` is the square of a handle's scale when d2 is an int in its
+    units; it is 1 for field scalars and floats.
+    """
     if tol.exact:
-        return _radius_sign(radius, d2) >= 0
+        return _radius_sign(radius, d2, scale2) >= 0
     return math.sqrt(d2) <= radius + tol.eps_abs
 
 
@@ -73,22 +85,25 @@ def radius_lt(radius, d2, tol):
     return math.sqrt(d2) < radius - tol.eps_abs
 
 
-def _radius_sign(radius, d2):
-    """Exact sign of radius - sqrt(d2).
+def _radius_sign(radius, d2, scale2=1):
+    """Exact sign of radius - sqrt(d2 / scale2).
 
-    Floats decide a rational d2 outside the radius's square band; ties,
-    irrational d2 and values too large for a float go to the exact kernel.
+    Floats decide a rational d2 outside the radius's square band (an int
+    d2 converts in one correctly rounded division); ties, irrational d2 and
+    values too large for a float go to the exact kernel.
     """
     band = radius.square_band()
     if band is not None and isinstance(d2, (int, Fraction)):
         try:
-            f = float(d2)
+            f = d2 / scale2 if isinstance(d2, int) else float(d2)
         except OverflowError:
             f = math.nan  # compares false both ways
         if f < band[0]:
             return 1
         if f > band[1]:
             return -1
+    if scale2 != 1:
+        d2 = Fraction(d2, scale2)
     sq = radius.square_scalar()
     if sq is not None:
         return ssign(sq - d2)
@@ -133,6 +148,43 @@ def _float_point(p):
     return tuple(out), mag
 
 
+def _common_denominator(coords):
+    """Least common denominator of rational scalars, or None if one of
+    them is not rational."""
+    scale = 1
+    for c in coords:
+        if isinstance(c, Fraction):
+            if scale % c.denominator:
+                scale = math.lcm(scale, c.denominator)
+        elif not isinstance(c, int):
+            return None
+    return scale
+
+
+def _on_grid(p, scale):
+    """p * scale as an int tuple, or None if that is not integral."""
+    out = []
+    for c in p:
+        if isinstance(c, Fraction):
+            q, r = divmod(scale, c.denominator)
+            if r:
+                return None
+            out.append(c.numerator * q)
+        elif isinstance(c, int):
+            out.append(c * scale)
+        else:
+            return None
+    return tuple(out)
+
+
+def _sq(p, q):
+    """Squared distance without dimension checks (ints stay ints)."""
+    s = 0
+    for a, b in zip(p, q):
+        s += (a - b) * (a - b)
+    return s
+
+
 @dataclass(frozen=True)
 class DeloneParams:
     """Packing radius r and covering radius R with exactness flags."""
@@ -149,11 +201,18 @@ class DeloneParams:
 
 @dataclass(frozen=True)
 class Cluster:
-    """A center point together with all set points within a closed radius."""
+    """A center point together with all set points within a closed radius.
+
+    Clusters cut from a handle with a scale carry it, with the points and
+    the center times the scale as int tuples (``grid``).  All clusters of
+    one handle share its scale, so their integer data compare directly.
+    """
 
     center: tuple
     radius: object
     points: tuple  # lexicographically sorted, includes the center
+    scale: int = field(default=None, compare=False, repr=False)
+    grid: tuple = field(default=None, compare=False, repr=False)  # (center, points)
 
     @property
     def dim(self):
@@ -165,7 +224,33 @@ class Cluster:
 
     def offsets(self):
         """Points relative to the center (center excluded)."""
-        return tuple(p_sub(p, self.center) for p in self.points if p != self.center)
+        if self.grid is None:
+            return tuple(p_sub(p, self.center) for p in self.points if p != self.center)
+        ic, ipts = self.grid
+        return tuple(tuple(Fraction(a - b, self.scale) for a, b in zip(q, ic))
+                     for q in ipts if q != ic)
+
+    @cached_property
+    def distance_rows(self):
+        """Per point, in points order: (d2 to the center, sorted row of d2
+        to every cluster point); ints in units of 1/scale**2 on a grid,
+        otherwise field scalars or floats.  Equal values share one object."""
+        center, points = self.grid or (self.center, self.points)
+        memo = {}
+
+        def d2(p, q):
+            v = _sq(p, q)
+            return memo.setdefault(v, v)
+
+        n = len(points)
+        table = [[None] * n for _ in range(n)]
+        for i in range(n):
+            pi, ti = points[i], table[i]
+            ti[i] = d2(pi, pi)
+            for j in range(i + 1, n):
+                ti[j] = table[j][i] = d2(pi, points[j])
+        return tuple((d2(p, center), tuple(sorted(row)))
+                     for p, row in zip(points, table))
 
 
 @dataclass(frozen=True)
@@ -223,30 +308,81 @@ class PointSetHandle:
             self._cache["member_set"] = self.tol.point_set(pts)
         return self._cache["member_set"]
 
+    # -- integer coordinates -----------------------------------------------
+
+    def _scale(self):
+        """Least common denominator of the set's coordinates (every point
+        times it is an integer vector), or None when some coordinate is a
+        float or irrational."""
+        if "scale" not in self._cache:
+            if self.mode == "window":
+                coords = chain.from_iterable(self.points)
+            else:
+                coords = chain(chain.from_iterable(self.motif),
+                               chain.from_iterable(self.lattice.reduced))
+            self._cache["scale"] = _common_denominator(coords)
+        return self._cache["scale"]
+
+    def _grid(self):
+        """(scale, window points times scale as int tuples), or None."""
+        if "grid" not in self._cache:
+            scale = self._scale() if self.mode == "window" else None
+            self._cache["grid"] = None if scale is None else \
+                (scale, tuple(_on_grid(p, scale) for p in self.points))
+        return self._cache["grid"]
+
+    def _lift(self, d2, scale2):
+        """A squared distance in ints over scale2 as a field scalar."""
+        if scale2 == 1 and not isinstance(d2, int):
+            return d2
+        memo = self._cache.setdefault("d2", {})
+        f = memo.get(d2)
+        if f is None:
+            f = memo[d2] = Fraction(d2, scale2)
+        return f
+
     # -- range queries ----------------------------------------------------
 
     def points_in_ball(self, center, radius):
         """All set points p with |p - center| <= radius, as (d2, p) pairs."""
-        rho_f = sfloat(radius)
+        scale2, hits = self._ball(center, radius)
+        return [(self._lift(d2, scale2), p) for d2, _, p in hits]
+
+    def _ball(self, center, radius):
+        """points_in_ball as (scale2, [(d2 * scale2, key, p)]).
+
+        On a window with a scale, and a center on its grid, d2 * scale2 is
+        an int and key the point's integer vector; otherwise scale2 = 1 and
+        key is p.  Keys order like the points.
+        """
+        tol = self.tol
         out = []
         if self.mode == "periodic":
+            rho_f = sfloat(radius)
             pad = 1e-9 * (1.0 + abs(rho_f))
             for m in self.motif:
                 v = p_sub(center, m)
                 for k in self.lattice.offsets_in_ball(v, rho_f + pad):
                     p = p_add(m, self.lattice.from_coords(k))
                     d2 = dist_sq(p, center)
-                    if radius_covers(radius, d2, self.tol):
-                        out.append((d2, p))
+                    if radius_covers(radius, d2, tol):
+                        out.append((d2, p, p))
+            return 1, out
+        grid = self._grid()
+        ic = None if grid is None else _on_grid(center, grid[0])
+        if ic is None:
+            keys, c, scale2 = self.points, center, 1
         else:
-            for p in self._window_candidates(center, radius):
-                d2 = dist_sq(p, center)
-                if radius_covers(radius, d2, self.tol):
-                    out.append((d2, p))
-        return out
+            keys, c, scale2 = grid[1], ic, grid[0] ** 2
+        for i in self._window_candidates(center, radius):
+            d2 = _sq(keys[i], c)
+            if radius_covers(radius, d2, tol, scale2):
+                out.append((d2, keys[i], self.points[i]))
+        return scale2, out
 
     def _window_candidates(self, center, radius):
-        """Window points that may lie within radius of center, in order.
+        """Indices of window points that may lie within radius of center,
+        in order.
 
         Bisects the sorted float first coordinates to a strip and drops
         points whose float distance exceeds the reach; the pad bounds the
@@ -256,28 +392,33 @@ class PointSetHandle:
             self._cache["index"] = _float_index(self.points)
         index = self._cache["index"]
         reach = _reach(radius, self.tol)
+        everything = range(len(self.points))
         if index is None or reach is None:
-            return self.points
+            return everything
         xs, fpts, mag = index
         try:
             fc, cmag = _float_point(center)
         except OverflowError:
-            return self.points
+            return everything
         reach += 1e-9 * (reach + mag + cmag) + 1e-300
         if not math.isfinite(reach):
-            return self.points
+            return everything
         lo = bisect.bisect_left(xs, fc[0] - reach)
         hi = bisect.bisect_right(xs, fc[0] + reach)
         reach2 = reach * reach
-        return [self.points[i] for i in range(lo, hi)
+        return [i for i in range(lo, hi)
                 if sum((a - b) * (a - b) for a, b in zip(fpts[i], fc)) <= reach2]
 
     def neighborhood(self, center, radius):
-        """Cached variant of points_in_ball keyed by the center point.
+        """Cached variant of points_in_ball keyed by the center point."""
+        return [(d2, p) for d2, _, p in self._nearby(center, radius)]
 
-        The cache holds the pairs sorted by float d2, so the answer is a
-        prefix: pairs below the radius's float band are in, the first pair
-        above it ends the scan, and only pairs inside the band are tested
+    def _nearby(self, center, radius):
+        """neighborhood as (d2, key, p) triples, keys as in :meth:`_ball`.
+
+        The cache holds the hits sorted by float d2, so the answer is a
+        prefix: hits below the radius's float band are in, the first hit
+        above it ends the scan, and only hits inside the band are tested
         exactly.  Irrational d2 have no certified float order and are all
         tested exactly.
         """
@@ -286,18 +427,22 @@ class PointSetHandle:
         hit = self._cache.get(key)
         if hit is None or hit[0] < rho_f:
             grow = max(rho_f * 1.25, rho_f + 0.01)
-            pairs = self.points_in_ball(center, self.tol.radius_at_least(grow))
-            keyed = sorted((sfloat(d2), p, d2) for d2, p in pairs)
-            hit = (grow, [(d2, p) for _, p, d2 in keyed], [f for f, _, _ in keyed],
-                   all(isinstance(d2, (int, Fraction)) for d2, _ in pairs))
+            scale2, hits = self._ball(center, self.tol.radius_at_least(grow))
+            keyed = sorted(
+                (d2 / scale2 if isinstance(d2, int) else sfloat(d2), k, d2, p)
+                for d2, k, p in hits)
+            hit = (grow, scale2,
+                   [(self._lift(d2, scale2), k, p) for _, k, d2, p in keyed],
+                   [t[0] for t in keyed], [t[2] for t in keyed],
+                   all(isinstance(d2, (int, Fraction)) for d2, _, _ in hits))
             self._cache[key] = hit
-        _, pairs, fl, rational = hit
+        _, scale2, triples, fl, raw, rational = hit
         tol = self.tol
         band = radius.square_band() if tol.exact and rational else None
         hi2 = band[1] if band else math.inf
         out = []
-        for t, f in zip(pairs, fl):
-            if radius_covers(radius, t[0], tol):
+        for t, f, d2 in zip(triples, fl, raw):
+            if radius_covers(radius, d2, tol, scale2):
                 out.append(t)
             elif f > hi2 or not tol.exact:
                 break  # float covers is monotone in d2, so no later pair is in
@@ -329,12 +474,20 @@ class PointSetHandle:
         raw = min(v for a, l, h in zip(p, lo, hi) for v in (a - l, h - a))
         return raw - self.margin
 
+    def hosts_ball(self, p, radius):
+        """Whether the closed radius-ball about p lies in the trusted region
+        (boundary_distance(p) >= radius); a rational distance is compared
+        with an exact radius through the radius's square band."""
+        bd = self.boundary_distance(p)
+        if not (isinstance(radius, Radical) and isinstance(bd, (int, Fraction))):
+            return self.tol.ge(bd, radius)
+        return bd >= 0 and _radius_sign(radius, bd * bd) <= 0
+
     def interior_points(self, radius):
         """Points able to host a closed radius-ball inside the trusted region."""
         if self.mode == "periodic":
             return list(self.motif)
-        return [p for p in self.points
-                if self.tol.ge(self.boundary_distance(p), radius)]
+        return [p for p in self.points if self.hosts_ball(p, radius)]
 
     def population(self, radius):
         """Classification population: motif points or interior points."""
@@ -496,9 +649,10 @@ def _min_dist_sq(handle):
                         continue
                     best = min(best, p_dot(w, w))
         return best
-    pts = handle.points
-    if len(pts) < 2:
+    if len(handle.points) < 2:
         raise ValueError("packing radius needs at least two points")
+    grid = handle._grid()
+    pts = handle.points if grid is None else grid[1]
     best = None
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
@@ -508,7 +662,7 @@ def _min_dist_sq(handle):
             d2 = dist_sq(p, q)
             if best is None or d2 < best:
                 best = d2
-    return best
+    return best if grid is None else handle._lift(best, grid[0] ** 2)
 
 
 def _compute_params(handle):
@@ -575,7 +729,7 @@ def _covering(handle):
             if not all(-0.35 <= sfloat(k) <= 1.35 for k in ks):
                 continue
         else:
-            if not tol.ge(handle.boundary_distance(cc), tol.sqrt(r2)):
+            if not handle.hosts_ball(cc, tol.sqrt(r2)):
                 continue
         candidates.append((sfloat(r2), r2, cc))
     if not candidates:
@@ -620,7 +774,10 @@ def _covering_1d(handle):
 
 
 def _covering_grid(handle):
-    """Grid-sampled lower bound for d >= 4 (flagged estimate)."""
+    """Grid-sampled lower bound for d >= 4 float windows (flagged
+    estimate); exact mode has no certified value to give."""
+    if handle.tol.exact:
+        raise NotImplementedError("exact covering radii need d <= 3")
     if handle.mode != "window":
         raise NotImplementedError("d >= 4 covering radii only for windows")
     lo, hi = handle.bounds
@@ -658,7 +815,7 @@ def _require_member(handle, x):
 def _require_interior(handle, x, radius):
     if handle.mode != "window":
         return
-    if not handle.tol.ge(handle.boundary_distance(x), radius):
+    if not handle.hosts_ball(x, radius):
         raise TruncationError(
             f"point {tuple(map(sfloat, x))} is within {sfloat(radius):g} of the window boundary")
 
@@ -669,9 +826,17 @@ def cluster(handle, x, rho):
     radius = as_radius(rho, handle.tol)
     _require_member(handle, x)
     _require_interior(handle, x, radius)
-    pairs = handle.neighborhood(x, radius)
-    pts = sorted(p for _, p in pairs)
-    return Cluster(center=x, radius=radius, points=tuple(pts))
+    hits = sorted(handle._nearby(x, radius), key=lambda t: t[1])
+    pts = tuple(p for _, _, p in hits)
+    scale = handle._scale()
+    if scale is None:
+        return Cluster(center=x, radius=radius, points=pts)
+    if handle.mode == "window":
+        ipts = tuple(k for _, k, _ in hits)
+    else:
+        ipts = tuple(_on_grid(p, scale) for p in pts)
+    return Cluster(center=x, radius=radius, points=pts, scale=scale,
+                   grid=(_on_grid(x, scale), ipts))
 
 
 def distance_spectrum(handle, x, cutoff):

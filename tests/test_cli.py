@@ -192,6 +192,43 @@ def test_infinite_group_exit4(tmp_path, z2_file, capsys):
     assert "precondition violated" in capsys.readouterr().err
 
 
+def test_undecidable_radical_exit4(tmp_path, z2_file, capsys):
+    # a five-term radical sum is beyond the exact sign kernel
+    assert run(tmp_path, "analyze", z2_file, "--rho",
+               "sqrt(2)+sqrt(3)+sqrt(5)+sqrt(7)+sqrt(11)") == 4
+    err = capsys.readouterr().err
+    assert "precondition violated" in err and "Traceback" not in err
+
+
+def test_decomposition_error_exit4(tmp_path, monkeypatch, capsys):
+    # no input known today reaches DecompositionError, so one is stood in
+    from delone import cli
+    from delone.criteria import DecompositionError
+
+    def fail(handle):
+        raise DecompositionError("half-vectors collide modulo 2*Lambda")
+
+    assert run(tmp_path, "generate", "coset-union", "--basis", "1,0;0,1",
+               "--half-vectors", "0,0;1,0;0,1", "--out", "fix.ps") == 0
+    monkeypatch.setattr(cli, "antipodal_lattice_decomposition", fail)
+    assert run(tmp_path, "decompose", "fix.ps") == 4
+    assert "precondition violated: half-vectors" in capsys.readouterr().err
+
+
+def test_exact_4d_window_exit4(tmp_path, capsys):
+    # the d >= 4 covering radius is a float grid estimate, never exact
+    assert run(tmp_path, "generate", "lattice", "--basis",
+               "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1", "--extent", "1",
+               "--out", "z4.ps") == 0
+    capsys.readouterr()
+    assert run(tmp_path, "analyze", "z4.ps") == 4
+    assert run(tmp_path, "certify", "z4.ps", "--criterion", "regular") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("precondition violated: exact covering radii") == 2
+    assert "Traceback" not in captured.err
+
+
 def test_report_files_deterministic(tmp_path, z2_file):
     r1, r2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
     for r in (r1, r2):
