@@ -89,13 +89,13 @@ def _radius_sign(radius, d2, scale2=1):
     """Exact sign of radius - sqrt(d2 / scale2).
 
     Floats decide a rational d2 outside the radius's square band (an int
-    d2 converts in one correctly rounded division); ties, irrational d2 and
-    values too large for a float go to the exact kernel.
+    d2 over scale2 converts in one correctly rounded division); ties,
+    irrational d2 and values too large for a float go to the exact kernel.
     """
     band = radius.square_band()
     if band is not None and isinstance(d2, (int, Fraction)):
         try:
-            f = d2 / scale2 if isinstance(d2, int) else float(d2)
+            f = float(d2) if scale2 == 1 else d2 / scale2
         except OverflowError:
             f = math.nan  # compares false both ways
         if f < band[0]:
@@ -316,7 +316,8 @@ class PointSetHandle:
         float or irrational."""
         if "scale" not in self._cache:
             if self.mode == "window":
-                coords = chain.from_iterable(self.points)
+                lo, hi = self.bounds
+                coords = chain(chain.from_iterable(self.points), lo, hi, (self.margin,))
             else:
                 coords = chain(chain.from_iterable(self.motif),
                                chain.from_iterable(self.lattice.reduced))
@@ -324,11 +325,14 @@ class PointSetHandle:
         return self._cache["scale"]
 
     def _grid(self):
-        """(scale, window points times scale as int tuples), or None."""
+        """(scale, points, (lo, hi, margin)) of a window, all times scale
+        as ints, or None."""
         if "grid" not in self._cache:
             scale = self._scale() if self.mode == "window" else None
-            self._cache["grid"] = None if scale is None else \
-                (scale, tuple(_on_grid(p, scale) for p in self.points))
+            lo, hi = self.bounds or (None, None)
+            self._cache["grid"] = None if scale is None else (
+                scale, tuple(_on_grid(p, scale) for p in self.points),
+                (_on_grid(lo, scale), _on_grid(hi, scale), _on_grid((self.margin,), scale)[0]))
         return self._cache["grid"]
 
     def _lift(self, d2, scale2):
@@ -476,8 +480,15 @@ class PointSetHandle:
 
     def hosts_ball(self, p, radius):
         """Whether the closed radius-ball about p lies in the trusted region
-        (boundary_distance(p) >= radius); a rational distance is compared
-        with an exact radius through the radius's square band."""
+        (boundary_distance(p) >= radius).  A rational distance is compared
+        with an exact radius through the radius's square band, in ints when
+        p lies on the window's grid."""
+        grid = self._grid() if isinstance(radius, Radical) else None
+        ip = None if grid is None else _on_grid(p, grid[0])
+        if ip is not None:
+            lo, hi, margin = grid[2]
+            bd = min(min(a - l, h - a) for a, l, h in zip(ip, lo, hi)) - margin
+            return bd >= 0 and _radius_sign(radius, bd * bd, grid[0] ** 2) <= 0
         bd = self.boundary_distance(p)
         if not (isinstance(radius, Radical) and isinstance(bd, (int, Fraction))):
             return self.tol.ge(bd, radius)

@@ -159,6 +159,10 @@ def test_margin_insets_trusted_region():
     r1 = as_radius(1, plain.tol)
     assert len(plain.interior_points(r1)) == 9
     assert len(inset.interior_points(r1)) == 1
+    # a margin off the points' integer grid: 2 - 1/2 >= 3/2 > 1 - 1/2
+    half = build_window(pts, ((F(0), F(0)), (F(4), F(4))), margin=F(1, 2))
+    assert len(half.interior_points(as_radius(F(3, 2), half.tol))) == 1
+    assert len(half.interior_points(as_radius(F(1, 2), half.tol))) == 9
 
 
 def test_float_default_eps_scales_with_r():
