@@ -19,6 +19,7 @@ from .classify import (ClusterClass, ClusterGroup, ClusterPartition,
                        group_orders_by_class, n_profile)
 from .criteria import (AntipodalReport, CosetDecomposition, CriterionReport,
                        DecompositionError, NotAntipodalError,
+                       ReconstructionError,
                        antipodal_lattice_decomposition, certify_auto,
                        check_crystal_criterion, check_global_antipodality,
                        check_regular_criterion, is_locally_antipodal,

@@ -5,8 +5,8 @@ Exit codes: 0 success, 2 usage or parse errors, 3 inconclusive (window or
 scan cap), 4 precondition violated (e.g. a non-antipodal input where
 antipodality is required, an input a command does not support, a radius
 whose clusters have an infinite symmetry group, a radical comparison the
-exact kernel cannot decide, or an antipodal set with no lattice-coset
-decomposition).
+exact kernel cannot decide, an antipodal set with no lattice-coset
+decomposition, or a reconstruction that outgrows its point cap).
 """
 
 import argparse
@@ -17,11 +17,12 @@ from fractions import Fraction
 from .classify import (InfiniteGroupError, classify, group_orders_by_class,
                        n_profile)
 from .criteria import (DecompositionError, NotAntipodalError,
+                       ReconstructionError,
                        antipodal_lattice_decomposition,
                        certify_auto, check_crystal_criterion,
                        check_regular_criterion, reconstruct_from_2R_cluster)
 from .fileio import (PointSetFormatError, Report, atomic_write, file_sha256,
-                     format_radius, parse_radius, parse_scalar,
+                     format_radius, format_scalar, parse_radius, parse_scalar,
                      read_point_set, write_point_set)
 from .generators import (CrystalSpec, ShiftSequence, ShiftedRowSpec,
                          gen_coset_union, gen_crystal, gen_lattice,
@@ -62,7 +63,17 @@ def _rotation_generator(n, exact):
     }
     if n not in mats:
         raise ValueError(f"unsupported rotation order {n}; use 1,2,3,4,6")
-    return Isometry(mats[n], (zero, zero) if exact else (0.0, 0.0))
+    return Isometry(mats[n], (zero, zero))
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _emit(report, out_path):
@@ -220,8 +231,7 @@ def cmd_certify(args):
     if result.witnesses:
         rep.section("witness_classes")
         for w in result.witnesses:
-            rep.row(*(format_radius(Radical.of(c), True) if exact else repr(c)
-                      for c in w))
+            rep.row(*(format_scalar(c, exact) for c in w))
     for note in result.notes:
         rep.kv("note", note)
     _emit(rep, args.out)
@@ -237,10 +247,10 @@ def cmd_decompose(args):
     rep.kv("window_limited", "yes" if dec.window_limited else "no")
     rep.section("lattice_basis")
     for row in dec.lattice.reduced:
-        rep.row(*(format_radius(Radical.of(c), True) if exact else repr(c) for c in row))
+        rep.row(*(format_scalar(c, exact) for c in row))
     rep.section("half_vectors")
     for v in dec.half_vectors:
-        rep.row(*(format_radius(Radical.of(c), True) if exact else repr(c) for c in v))
+        rep.row(*(format_scalar(c, exact) for c in v))
     _emit(rep, args.out)
     return EXIT_OK
 
@@ -315,9 +325,9 @@ def build_parser():
     p.add_argument("--numeric-mode", choices=("exact", "float"), default="exact")
     p.add_argument("--tolerance", type=float, default=None,
                    help="absolute tolerance for float mode (default 1e-9)")
-    p.add_argument("--seed-cap", type=int, default=None,
+    p.add_argument("--seed-cap", type=_positive_int, default=None,
                    help="max points a reconstruction may generate")
-    p.add_argument("--rho-cap", type=int, default=6,
+    p.add_argument("--rho-cap", type=_positive_int, default=6,
                    help="auto certify scans rho0 up to rho-cap * R")
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -394,7 +404,8 @@ def main(argv=None):
         sys.stderr.write(f"inconclusive: {exc}\n")
         return EXIT_INCONCLUSIVE
     except (NotAntipodalError, TruncationError, NotImplementedError,
-            InfiniteGroupError, ExactComparisonError, DecompositionError) as exc:
+            InfiniteGroupError, ExactComparisonError, DecompositionError,
+            ReconstructionError) as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return EXIT_PRECONDITION
 

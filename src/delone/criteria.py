@@ -32,6 +32,7 @@ __all__ = [
     "CosetDecomposition",
     "NotAntipodalError",
     "DecompositionError",
+    "ReconstructionError",
     "check_regular_criterion",
     "check_crystal_criterion",
     "certify_auto",
@@ -48,6 +49,11 @@ class NotAntipodalError(Exception):
 
 class DecompositionError(Exception):
     """The coset decomposition hit a structural inconsistency (diagnostic)."""
+
+
+class ReconstructionError(RuntimeError):
+    """A reconstruction outgrew its point cap: the seed is not a valid
+    2R-cluster, or the cap is too small."""
 
 
 @dataclass(frozen=True)
@@ -370,7 +376,7 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
                     additions.append(cand)
         if additions:
             if len(known) > max_points:
-                raise RuntimeError(
+                raise ReconstructionError(
                     "reconstruction exceeded the packing bound; "
                     "the seed is not a valid 2R-cluster")
             tail = order[idx:] + additions
@@ -410,9 +416,6 @@ class CosetDecomposition:
     half_vectors: tuple       # lambda_i in Lambda, lambda_i/2 the coset offsets
     n: int
     window_limited: bool = False
-
-    def coset_offsets(self):
-        return tuple(p_scale(v, Fraction(1, 2)) for v in self.half_vectors)
 
 
 def antipodal_lattice_decomposition(handle):

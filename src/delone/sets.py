@@ -6,6 +6,9 @@ from a larger set; statistics at radius rho are only offered for points
 whose rho-ball stays inside the trusted region (bounds inset by the
 validity margin), because a truncated set is not Delone near its edge.
 
+The covering radius R comes from exact Voronoi cells of the sites (d <= 3),
+clipped one bisector at a time; no external geometry library is used.
+
 When every coordinate is rational, a handle has a ``scale``: the least
 common denominator of its coordinates, which turns each point into an
 integer vector.  A window stores its points once in that form, so exact
@@ -18,9 +21,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 
-from .geometry import (Lattice, Tolerance, dist_sq, fdiv, mat_solve, p_add,
+from .geometry import (Lattice, Tolerance, dist_sq, fdiv, p_add,
                        p_dot, p_sub, point_is_exact)
 from .scalars import QuadExt, Radical, is_exact_scalar, sfloat, ssign
 
@@ -627,8 +630,12 @@ def packing_radius(handle):
 def covering_radius(handle):
     """R = sup over space of the distance to the nearest set point.
 
-    Computed from Delaunay circumradii (d <= 3); window handles yield a
-    lower-bound estimate (see DeloneParams.R_exactness).
+    For d <= 3, R^2 is the largest squared distance from a site to a vertex
+    of its Voronoi cell, computed in the handle's own arithmetic: exact for
+    periodic sets; window handles yield a lower-bound estimate from the
+    cells' vertices whose empty balls fit in the trusted region (see
+    DeloneParams.R_exactness).  Float windows with d >= 4 get a grid
+    estimate; exact inputs with d >= 4 raise NotImplementedError.
     """
     return delone_params(handle).R
 
@@ -683,105 +690,100 @@ def _compute_params(handle):
     return DeloneParams(r=r, R=big_r, r_exactness=r_flag, R_exactness=flag)
 
 
-def _circumcenter(simplex_points, exact):
-    """Exact circumcenter of an affinely independent simplex, or None."""
-    p0 = simplex_points[0]
-    rows = []
-    rhs = []
-    for p in simplex_points[1:]:
-        rows.append(tuple(2 * (a - b) for a, b in zip(p, p0)))
-        rhs.append(p_dot(p, p) - p_dot(p0, p0))
-    d = len(p0)
-    if len(rows) != d:
-        return None
-    sol = mat_solve(tuple(rows), (tuple(rhs),), exact=exact)
-    if sol is None:
-        return None
-    return sol[0]
-
-
 def _covering(handle):
-    tol = handle.tol
-    d = handle.dim
-    if d == 1:
-        return _covering_1d(handle)
+    """(R, flag) for d <= 3: R^2 is the largest squared distance from a site
+    to a vertex of its Voronoi cell (Conway-Sloane, SPLAG, ch. 2).
+
+    Periodic cells start from a box wider than the bound (1/2) sum |b_i| on
+    R, so the motif's cells give R exactly.  Window cells start from the
+    trusted region, and a vertex counts when its empty ball fits there
+    (``hosts_ball``).  A cell clear of its box depends only on the offsets
+    to its neighbors (ints on a window's grid), so sites share it.
+    """
+    tol, d = handle.tol, handle.dim
     if d > 3:
         return _covering_grid(handle)
-    try:
-        from scipy.spatial import Delaunay, QhullError
-    except ImportError as exc:  # pragma: no cover
-        raise RuntimeError("scipy is required for covering radii in d >= 2") from exc
-
+    grid = handle._grid()
+    scale = grid[0] if grid else 1
     if handle.mode == "periodic":
-        lat = handle.lattice
-        span = max(math.sqrt(sum(sfloat(c) ** 2 for c in b)) for b in lat.reduced)
-        center = tuple(_half(sum(col)) for col in zip(*lat.reduced))
-        patch_r = 2.5 * span + math.sqrt(sum(sfloat(c) ** 2 for c in center)) + 1.0
-        pts = [p for _, p in handle.points_in_ball(
-            p_sub(center, center), tol.radius_at_least(patch_r))]
+        h = Fraction(math.ceil(sum(math.sqrt(sfloat(p_dot(b, b)))
+                                   for b in handle.lattice.reduced)) + 1, 2)
+        h = h if tol.exact else float(h)
+        lo, hi, margin = (-h,) * d, (h,) * d, 0
     else:
-        pts = list(handle.points)
-    coords = [[sfloat(c) for c in p] for p in pts]
-    if len(coords) < d + 1:
-        raise WindowTooSmallError("too few points for a covering-radius estimate")
-    try:
-        tri = Delaunay(coords)
-    except QhullError:
-        tri = Delaunay(coords, qhull_options="QJ")
-    candidates = []
-    for simplex in tri.simplices:
-        sp = [pts[i] for i in simplex]
-        cc = _circumcenter(sp, exact=tol.exact)
-        if cc is None:
-            continue
-        r2 = dist_sq(cc, sp[0])
-        if handle.mode == "periodic":
-            ks = handle.lattice.coords(cc)
-            if not all(-0.35 <= sfloat(k) <= 1.35 for k in ks):
-                continue
-        else:
-            if not handle.hosts_ball(cc, tol.sqrt(r2)):
-                continue
-        candidates.append((sfloat(r2), r2, cc))
-    if not candidates:
-        raise WindowTooSmallError("no circumball fits inside the trusted window")
-    candidates.sort(key=lambda t: -t[0])
-    best = None
-    for _, r2, cc in candidates:
-        if _circumball_empty(handle, cc, r2):
-            best = r2
-            break
-    if best is None:  # float Delaunay produced only sliver artifacts
-        raise RuntimeError("covering-radius triangulation could not be verified")
-    radius = tol.sqrt(best)
+        lo, hi, margin = grid[2] if grid else (*handle.bounds, handle.margin)
+    cells, best = {}, None
+    rho_f = 2 * math.sqrt(sfloat(min_dist_sq(handle)))
+    for x in handle.interior_points(as_radius(0, tol)):
+        base = _on_grid(x, scale) if grid else x
+        at = (0,) * d if handle.mode == "periodic" else base
+        box = [tuple(a + m - c for a, c in zip(b, at)) for b, m in ((lo, margin), (hi, -margin))]
+        while True:  # widen the query until no site beyond it can cut the cell
+            hits = sorted(handle._ball(x, tol.radius_at_least(rho_f))[1],
+                          key=lambda t: sfloat(t[0]))
+            offsets = tuple(o for o in (p_sub(k, base) for _, k, _ in hits) if any(o))
+            cell = cells.get(offsets) or _voronoi_cell(box, offsets, tol)
+            need = 2.000001 * math.sqrt(sfloat(cell[0])) / scale  # slack for rounding
+            if need <= rho_f:
+                break
+            rho_f = min(need, 2 * rho_f)  # a cell cut only by its box reaches far
+        rho_f = need  # the next site starts from this cell's reach
+        if cell[2]:
+            cells[offsets] = cell
+        for r2, c, on_box in cell[1]:
+            if best is not None and r2 <= best:
+                break
+            if not on_box and (handle.mode == "periodic" or handle.hosts_ball(
+                    tuple(a + fdiv(b, scale) for a, b in zip(x, c)),
+                    tol.sqrt(fdiv(r2, scale * scale)))):
+                best = r2
+    if best is None:
+        raise WindowTooSmallError("no Voronoi vertex fits inside the trusted window")
     flag = "exact" if handle.mode == "periodic" else "lower-bound-estimate"
-    return radius, flag
+    return tol.sqrt(fdiv(best, scale * scale) if grid else best), flag
 
 
-def _circumball_empty(handle, center, r2):
-    """No set point strictly inside the open circumball (float slivers fail)."""
-    tol = handle.tol
-    rad = tol.radius_at_least(math.sqrt(sfloat(r2)) * (1 + 1e-12))
-    for d2, _ in handle.points_in_ball(center, rad):
-        inside = (ssign(r2 - d2) > 0) if tol.exact \
-            else d2 < r2 - 2 * tol.eps_abs * math.sqrt(sfloat(r2))
-        if inside:
-            return False
-    return True
+def _voronoi_cell(box, offsets, tol):
+    """The cell {c in box : o.c <= |o|^2 / 2 for each offset o} as (max |c|^2,
+    [(|c|^2, vertex c, on the box)] largest first, whether none is on it).
 
-
-def _covering_1d(handle):
-    if handle.mode == "periodic":
-        xs = sorted(m[0] for m in handle.motif)
-        xs.append(xs[0] + abs(handle.lattice.reduced[0][0]))
-        flag = "exact"
-    else:
-        xs = [p[0] for p in handle.points]
-        flag = "lower-bound-estimate"
-    if len(xs) < 2:
-        raise WindowTooSmallError("need two points for a 1-d covering estimate")
-    gap = max(b - a for a, b in zip(xs, xs[1:]))
-    return as_radius(_half(gap), handle.tol), flag
+    Half-spaces clip the box one at a time, skipping any o with |o|^2 at
+    least four times every |c|^2 (it cannot cut).  A vertex carries the
+    constraints tight at it, and a cut edge joins two vertices unless a
+    third is tight on all they share (the combinatorial test of the double
+    description method).  Floats count a vertex within eps_abs of a
+    bisector as on it.
+    """
+    lo, hi = box
+    d = len(lo)
+    corners = product(*[((hi[i], 2 * i), (lo[i], 2 * i + 1)) for i in range(d)])
+    verts = [(c, p_dot(c, c), frozenset(t)) for c, t in (zip(*k) for k in corners)]
+    top = max(n for _, n, _ in verts)
+    for j, o in enumerate(offsets, 2 * d):
+        n2 = p_dot(o, o)
+        if 4 * top <= n2:
+            continue
+        unit = 1 if tol.exact else 0.5 / math.sqrt(n2)  # floats: signed distance
+        s = [(2 * p_dot(o, c) - n2) * unit for c, _, _ in verts]
+        side = [0 if tol.is_zero(v) else 1 if v > 0 else -1 for v in s]
+        if 1 not in side:
+            continue
+        new = [(c, n, t | {j} if g == 0 else t) for (c, n, t), g in zip(verts, side) if g < 1]
+        outside = [i for i, g in enumerate(side) if g == 1]
+        inside = [i for i, g in enumerate(side) if g == -1]
+        for u, w in product(outside, inside):
+            common = verts[u][2] & verts[w][2]
+            if len(common) < d - 1 or any(common <= t for z, (_, _, t) in enumerate(verts)
+                                          if z != u and z != w):
+                continue
+            f = fdiv(s[u], s[u] - s[w])
+            q = tuple(p + f * (r - p) for p, r in zip(verts[u][0], verts[w][0]))
+            new.append((q, p_dot(q, q), common | {j}))
+        verts = new
+        top = max(n for _, n, _ in verts)
+    verts = sorted(((n, c, min(t) < 2 * d) for c, n, t in verts),
+                   key=lambda v: v[0], reverse=True)
+    return top, verts, not any(v[2] for v in verts)
 
 
 def _covering_grid(handle):

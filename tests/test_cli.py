@@ -131,6 +131,35 @@ def test_reconstruct_non_antipodal_exit4(tmp_path):
                "--rho-max", "3") == 4
 
 
+def test_reconstruct_over_seed_cap_exit4(tmp_path, capsys):
+    # a cap below the points a seed rebuilds: exit 4 with the message
+    assert run(tmp_path, "generate", "coset-union", "--basis", "1,0;0,1",
+               "--half-vectors", "0,0;1,0;0,1", "--out", "fix.ps") == 0
+    capsys.readouterr()
+    assert run(tmp_path, "--seed-cap", "3", "reconstruct", "fix.ps",
+               "--center", "0,0", "--rho-max", "5") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("precondition violated: reconstruction exceeded the "
+                            "packing bound; the seed is not a valid 2R-cluster\n")
+
+
+@pytest.mark.parametrize("flag", ["--rho-cap", "--seed-cap"])
+@pytest.mark.parametrize("value", ["-1", "0", "1.5", "two"])
+def test_caps_must_be_positive_integers(tmp_path, capsys, flag, value):
+    assert run(tmp_path, "generate", "coset-union", "--basis", "1,0;0,1",
+               "--half-vectors", "0,0;1,0;0,1", "--out", "fix.ps") == 0
+    capsys.readouterr()
+    argv = (["certify", "fix.ps", "--criterion", "crystal"] if flag == "--rho-cap"
+            else ["reconstruct", "fix.ps", "--center", "0,0", "--rho-max", "2"])
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, flag, value, *argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag}: expected a positive integer" in captured.err
+
+
 def test_plot_modes_and_determinism(tmp_path, z2_file):
     svg1 = tmp_path / "a.svg"
     svg2 = tmp_path / "b.svg"

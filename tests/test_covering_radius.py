@@ -1,0 +1,203 @@
+"""Covering radius R from Voronoi cells, against independent oracles.
+
+* hand-derived values of periodic sets;
+* one-dimensional sets, where R is half the largest gap;
+* scipy's Delaunay triangulation (a test-only dependency) on random rational
+  lattices, motifs and windows: every circumcenter it proposes is re-solved
+  exactly and kept only if its circumball is empty, so R^2 is the largest
+  kept squared circumradius;
+* the CLI running with scipy and numpy made unimportable.
+"""
+
+import math
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+from scipy.spatial import Delaunay, QhullError
+
+from delone import (build_periodic, build_window, honeycomb, square_lattice,
+                    three_coset_fixture, triangular_lattice)
+from delone.geometry import mat_solve
+from delone.scalars import Radical, sfloat, ssign
+from delone.sets import WindowTooSmallError, delone_params
+
+Z3 = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
+O3 = (F(0), F(0), F(0))
+
+
+@pytest.mark.parametrize("name, handle, r2", [
+    # the center of a unit square is sqrt(1/2) from its corners
+    ("Z^2", square_lattice(), F(1, 2)),
+    # sides a, b: the rectangle's center, sqrt(a^2 + b^2) / 2 from its corners
+    ("rectangle 1/5 x 1", build_periodic(((F(1, 5), F(0)), (F(0), F(1))),
+                                         [(F(0), F(0))]), F(26, 100)),
+    # the centroid of a unit equilateral triangle is 1/sqrt(3) from its corners
+    ("triangular", triangular_lattice(), F(1, 3)),
+    # the center of a unit-edge hexagon is 1 from its six corners
+    ("honeycomb", honeycomb(), F(1)),
+    # Z^2 + {0, e1/2, e2/2}: the hole (1/2, 1/2) is 1/2 from (1/2, 0), (0, 1/2)
+    ("three-coset", three_coset_fixture(), F(1, 4)),
+    # the center of a unit cube is half its diagonal, sqrt(3)/2, from its corners
+    ("Z^3", build_periodic(Z3, [O3]), F(3, 4)),
+    # bcc: the tetrahedral hole (1/2, 1/4, 0) is sqrt(1/4 + 1/16) from its corners
+    ("bcc", build_periodic(Z3, [O3, (F(1, 2),) * 3]), F(5, 16)),
+])
+def test_hand_derived_periodic(name, handle, r2):
+    params = delone_params(handle)
+    assert params.R == Radical.sqrt(r2), name
+    assert params.R_exactness == "exact"
+
+
+def test_one_dimensional_periodic():
+    # 3Z + {0, 1}: gaps 1 and 2, so R is half of 2
+    params = delone_params(build_periodic(((F(3),),), [(F(0),), (F(1),)]))
+    assert params.R == Radical.of(F(1))
+    assert params.R_exactness == "exact"
+
+
+def test_one_dimensional_windows():
+    pts = [(F(x),) for x in (0, F(1, 2), 2, 3, 4, 5)]
+    bounds = ((F(0),), (F(5),))
+    # margin 0: half the largest gap, (2 - 1/2) / 2
+    params = delone_params(build_window(pts, bounds))
+    assert params.R == Radical.of(F(3, 4))
+    assert params.R_exactness == "lower-bound-estimate"
+    # margin 1, trusted region [1, 4]: the ball over the gap (1/2, 2) pokes
+    # out of it, so only the unit gaps count
+    assert delone_params(build_window(pts, bounds, margin=F(1))).R == Radical.of(F(1, 2))
+    with pytest.raises(WindowTooSmallError):  # trusted region {5/2}: no site
+        delone_params(build_window(pts, bounds, margin=F(5, 2)))
+
+
+# -- scipy cross-check ---------------------------------------------------------
+
+def _delaunay(points):
+    coords = [[sfloat(c) for c in p] for p in points]
+    try:
+        return Delaunay(coords)
+    except QhullError:
+        return Delaunay(coords, qhull_options="QJ")
+
+
+def _circumball(simplex):
+    """Exact circumcenter and squared circumradius, or None if flat."""
+    p0 = simplex[0]
+    rows = tuple(tuple(2 * (a - b) for a, b in zip(p, p0)) for p in simplex[1:])
+    rhs = tuple(sum(a * a - b * b for a, b in zip(p, p0)) for p in simplex[1:])
+    sol = mat_solve(rows, (rhs,))
+    if sol is None:
+        return None
+    cc = sol[0]
+    return cc, sum((a - b) ** 2 for a, b in zip(cc, p0))
+
+
+def _delaunay_r2(points, keep, empty):
+    """Largest squared circumradius over the triangulation's simplices
+    whose exact circumcenter passes ``keep`` and whose ball is ``empty``."""
+    best = None
+    for simplex in _delaunay(points).simplices:
+        ball = _circumball([points[i] for i in simplex])
+        if ball is None or (best is not None and ball[1] <= best):
+            continue
+        if keep(*ball) and empty(*ball):
+            best = ball[1]
+    return best
+
+
+def _random_rational(rng, lo, hi, den):
+    return F(rng.randint(lo * den, hi * den), den)
+
+
+def _random_periodic(rng, d):
+    while True:
+        basis = [[(F(1) if i == j else F(0)) + _random_rational(rng, -1, 1, 4) * F(1, 2)
+                  for j in range(d)] for i in range(d)]
+        motif = [tuple(_random_rational(rng, 0, 1, 5) for _ in range(d))
+                 for _ in range(rng.randint(1, 3))]
+        try:
+            return build_periodic(basis, motif)
+        except ValueError:  # a flat basis or coinciding motif points
+            continue
+
+
+@pytest.mark.parametrize("d, trials", [(2, 12), (3, 3)])
+def test_periodic_against_scipy(d, trials):
+    rng = random.Random(20261018 + d)
+    for _ in range(trials):
+        handle = _random_periodic(rng, d)
+        basis = handle.lattice.reduced
+        c0 = tuple(sum(col) / 2 for col in zip(*basis))  # center of the cell
+        diam = sum(math.sqrt(sfloat(sum(c * c for c in b))) for b in basis)
+        patch = [p for _, p in handle.points_in_ball(c0, Radical.of(F(math.ceil(diam) + 1)))]
+
+        def near_cell(cc, r2):
+            # every point of space has a translate within diam / 2 of c0
+            return math.dist(map(sfloat, cc), map(sfloat, c0)) <= diam / 2 + 1e-9
+
+        def empty(cc, r2):
+            reach = Radical.of(F(math.sqrt(sfloat(r2))) + F(1, 1000))
+            return all(ssign(d2 - r2) >= 0 for d2, _ in handle.points_in_ball(cc, reach))
+
+        want = _delaunay_r2(patch, near_cell, empty)
+        assert delone_params(handle).R == Radical.sqrt(want), (basis, handle.motif)
+
+
+@pytest.mark.parametrize("d, trials", [(2, 8), (3, 2)])
+def test_windows_against_scipy(d, trials):
+    rng = random.Random(1018 + d)
+    for _ in range(trials):
+        n = 45 if d == 2 else 60
+        pts = list({tuple(_random_rational(rng, 0, 4, 3) for _ in range(d))
+                    for _ in range(n)})
+        margin = F(rng.randint(0, 2), 2)
+        handle = build_window(pts, ((F(0),) * d, (F(4),) * d), margin=margin)
+
+        def fits(cc, r2):
+            return handle.hosts_ball(cc, Radical.sqrt(r2))
+
+        def empty(cc, r2):
+            return all(ssign(sum((a - b) ** 2 for a, b in zip(p, cc)) - r2) >= 0
+                       for p in handle.points)
+
+        want = _delaunay_r2(handle.points, fits, empty)
+        if want is None:
+            with pytest.raises(WindowTooSmallError):
+                delone_params(handle)
+            continue
+        params = delone_params(handle)
+        assert params.R == Radical.sqrt(want), (sorted(pts), margin)
+        assert params.R_exactness == "lower-bound-estimate"
+
+
+# -- no scipy at run time ---------------------------------------------------------
+
+BLOCKED = """
+import sys
+sys.modules["scipy"] = sys.modules["numpy"] = None
+from delone.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_cli_runs_without_scipy_or_numpy(tmp_path):
+    golden = Path(__file__).parent / "golden"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-c", BLOCKED, *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+
+    assert cli("generate", "lattice", "--basis", "1,0;0,1", "--extent", "3",
+               "--out", "w3.ps").returncode == 0
+    for name, argv in (("w3_analyze", ("analyze", "w3.ps")),
+                       ("w3_certify_regular", ("certify", "w3.ps", "--criterion", "regular"))):
+        proc = cli(*argv)
+        assert proc.stderr == ""
+        assert f"exit = {proc.returncode}\n{proc.stdout}" == \
+            (golden / f"{name}.txt").read_text(encoding="utf-8")
