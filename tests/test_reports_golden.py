@@ -6,8 +6,11 @@ whose reports are known to be correct are recorded: Z^2, the triangular
 lattice and the three-coset fixture (periodic), the Z^2 window of extent 3
 in exact and float form, the Z^2 window of extent 5, the exact RLLRLR
 shifted rows at x half-width 9/4 (a window strip query, and the two-term
-radius rho0 + 2R of the rows) and the triangular-lattice window of extent 3
-(coordinates in Q(sqrt 3), not scalable to integers).  The golden files live in
+radius rho0 + 2R of the rows), the triangular-lattice window of extent 3
+(coordinates in Q(sqrt 3), not scalable to integers), reconstruction of the
+fixture translated by (2/5, 9/10) (a motif with denominator 10) and of the
+triangular lattice (the field path), and decomposition of the fixture window
+of extent 4.  The golden files live in
 ``tests/golden/<job>.txt``; the first line of each is the exit code.
 """
 
@@ -33,6 +36,10 @@ SETUP = (
     ("generate", "shifted-rows", "--seq", "RLLRLR", "--extent", "9/4", "--out", "rows.ps"),
     ("generate", "lattice", "--basis", "1,0;1/2,1/2*sqrt(3)", "--extent", "3",
      "--out", "triw3.ps"),
+    ("generate", "crystal", "--basis", "1,0;0,1",
+     "--motif", "2/5,9/10;9/10,9/10;2/5,7/5", "--out", "tfix.ps"),
+    ("generate", "coset-union", "--basis", "1,0;0,1",
+     "--half-vectors", "0,0;1,0;0,1", "--extent", "4", "--out", "fixw4.ps"),
 )
 
 # (golden name, argv)
@@ -55,6 +62,11 @@ JOBS = (
     ("w5_analyze", ("analyze", "w5.ps")),
     ("rows_certify_regular", ("certify", "rows.ps", "--criterion", "regular")),
     ("triw3_certify_regular", ("certify", "triw3.ps", "--criterion", "regular")),
+    ("tfix_reconstruct_compare", ("reconstruct", "tfix.ps", "--center", "2/5,9/10",
+                                  "--rho-max", "5", "--compare", "tfix.ps")),
+    ("tri_reconstruct_compare", ("reconstruct", "tri.ps", "--center", "0,0",
+                                 "--rho-max", "4", "--compare", "tri.ps")),
+    ("fixw4_decompose", ("decompose", "fixw4.ps")),
 )
 
 
