@@ -17,14 +17,15 @@ Window-mode verdicts never claim the global theorems: reports carry a
 
 from dataclasses import dataclass
 from fractions import Fraction
+import heapq
 import math
 
 from .classify import InfiniteGroupError, classify, cluster_group_of
 from .geometry import (Lattice, Tolerance, dist_sq, lattice_from_generators,
                        p_add, p_neg, p_scale, p_sub, point_is_exact, rank)
-from .scalars import Radical, sfloat
-from .sets import (WindowTooSmallError, as_radius, cluster, delone_params,
-                   distance_spectrum, radius_covers)
+from .scalars import Radical, format_point, sfloat
+from .sets import (WindowTooSmallError, _on_grid, _sq, as_radius, cluster,
+                   delone_params, distance_spectrum, radius_covers)
 
 __all__ = [
     "CriterionReport",
@@ -333,11 +334,18 @@ def check_global_antipodality(handle, x):
 def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
     """Rebuild a locally antipodal set inside a ball from one 2R-cluster.
 
-    Inversion closure: repeatedly add sigma_y(z) for known points y, z with
-    |yz| <= seed.radius, clipped to the closed ball of radius rho_max about
-    the seed center.  Points are processed radially outward, mirroring the
-    induction along the distance spectrum that makes the closure complete.
-    Returns the reconstructed points as a sorted tuple.
+    Inversion closure: repeatedly add sigma_y(z) = 2y - z for known points
+    y, z with |yz| <= seed.radius, clipped to the closed ball of radius
+    rho_max about the seed center.  Points are processed radially outward,
+    mirroring the induction along the distance spectrum that makes the
+    closure complete.  A seed with integer coordinates (``grid``) runs the
+    closure on them: 2y - z stays an integer vector, squared distances are
+    ints over scale**2 decided by ``radius_covers``, and the known points
+    are a set of int tuples, lifted to Fractions once at the end.  Other
+    seeds run the same loop on their field or float points.  Returns the
+    reconstructed points as a sorted tuple.  More than ``max_points``
+    points (by default a packing bound from the seed's closest pair) raise
+    ReconstructionError.
     """
     tol = tol or (Tolerance.exact_mode() if point_is_exact(seed.center)
                   else Tolerance.floating())
@@ -346,47 +354,45 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
     if bad is not None:
         raise NotAntipodalError(
             f"seed cluster is not antipodal: offset {bad} has no antipode")
-    center = seed.center
     radius_max = as_radius(rho_max, tol)
     pair_radius = as_radius(seed.radius, tol)
     if max_points is None:
-        max_points = _packing_cap(seed, radius_max)
-    known = {}
-    for p in seed.points:
-        if radius_covers(radius_max, dist_sq(p, center), tol):
-            known[p] = dist_sq(p, center)
-    order = sorted(known, key=lambda p: (sfloat(known[p]), _fkey(p)))
-    idx = 0
-    while idx < len(order):
-        y = order[idx]
-        idx += 1
-        additions = []
+        cap, why = _packing_cap(seed, radius_max), (
+            "the packing bound; the seed is not a valid 2R-cluster")
+    else:
+        cap, why = max_points, f"its cap of {max_points} points"
+    if seed.grid is None:
+        center, points, scale = seed.center, seed.points, None
+    else:
+        (center, points), scale = seed.grid, seed.scale
+    scale2 = 1 if scale is None else scale * scale
+    todo = []  # heap of (float d2, point) still to invert about
+    for p in points:
+        d2 = _sq(p, center)
+        if radius_covers(radius_max, d2, tol, scale2):
+            todo.append((sfloat(d2), p))
+    known = {p for _, p in todo}
+    heapq.heapify(todo)
+    while todo:
+        y = heapq.heappop(todo)[1]
+        grew = False
         for z in list(known):
-            if z == y:
+            if z == y or not radius_covers(pair_radius, _sq(y, z), tol, scale2):
                 continue
-            d2 = dist_sq(y, z)
-            if not radius_covers(pair_radius, d2, tol):
-                continue
-            for cand in (p_sub(p_scale(y, 2), z), p_sub(p_scale(z, 2), y)):
+            for cand in (tuple(2 * a - b for a, b in zip(y, z)),
+                         tuple(2 * b - a for a, b in zip(y, z))):
                 if cand in known:
                     continue
-                cd2 = dist_sq(cand, center)
-                if radius_covers(radius_max, cd2, tol):
-                    known[cand] = cd2
-                    additions.append(cand)
-        if additions:
-            if len(known) > max_points:
-                raise ReconstructionError(
-                    "reconstruction exceeded the packing bound; "
-                    "the seed is not a valid 2R-cluster")
-            tail = order[idx:] + additions
-            tail.sort(key=lambda p: (sfloat(known[p]), _fkey(p)))
-            order = order[:idx] + tail
-    return tuple(sorted(known))
-
-
-def _fkey(p):
-    return tuple(sfloat(c) for c in p)
+                cd2 = _sq(cand, center)
+                if radius_covers(radius_max, cd2, tol, scale2):
+                    known.add(cand)
+                    heapq.heappush(todo, (sfloat(cd2), cand))
+                    grew = True
+        if grew and len(known) > cap:
+            raise ReconstructionError(f"reconstruction exceeded {why}")
+    if scale is None:
+        return tuple(sorted(known))
+    return tuple(tuple(Fraction(a, scale) for a in p) for p in sorted(known))
 
 
 def _packing_cap(seed, radius_max):
@@ -431,7 +437,7 @@ def antipodal_lattice_decomposition(handle):
     if not report.all_antipodal:
         x, v = report.first_violation
         raise NotAntipodalError(
-            f"set is not locally antipodal at {tuple(map(sfloat, x))}")
+            f"set is not locally antipodal at {format_point(x, handle.tol.exact)}")
     if handle.mode == "periodic":
         lam, reps = _max_lattice_periodic(handle)
         window_limited = False
@@ -530,7 +536,7 @@ def _max_lattice_window(handle):
     for d2, p in handle.points_in_ball(x0, tol.radius_at_least(cap_f)):
         if p != x0:
             cands.append(p_sub(p, x0))
-    passing = [t for t in cands if _translation_fits_window(handle, t)]
+    passing = _window_translations(handle, cands)
     if not passing:
         raise WindowTooSmallError("window too small to confirm lattice invariance")
     if rank(passing, exact=tol.exact) < handle.dim:
@@ -543,14 +549,32 @@ def _max_lattice_window(handle):
     return lam, reps
 
 
-def _translation_fits_window(handle, t):
-    """X + t = X as far as the window can tell (both directions)."""
-    tol = handle.tol
-    checked = 0
-    for p in handle.points:
-        for q in (p_add(p, t), p_sub(p, t)):
-            if tol.ge(handle.boundary_distance(q), 0):
-                checked += 1
-                if not handle.contains(q):
+def _window_translations(handle, ts):
+    """The differences t of window points in ts with X + t = X as far as
+    the window can tell: on a window with a scale, the test runs on its
+    integer points, bounds and margin with t times the scale."""
+    grid = handle._grid()
+    if grid is None:
+        frame = (handle.points, handle._member_set(), (*handle.bounds, handle.margin))
+        steps = ts
+    else:
+        scale, keys, box = grid
+        frame = (keys, frozenset(keys), box)
+        steps = [_on_grid(t, scale) for t in ts]
+    return [t for t, k in zip(ts, steps)
+            if _translation_fits_window(*frame, k, handle.tol)]
+
+
+def _translation_fits_window(points, members, box, t, tol):
+    """Whether each of p + t, p - t that lies in the trusted region of
+    ``box`` = (lo, hi, margin) is in ``members``, for some such point at
+    all (both directions of X + t = X)."""
+    lo, hi, margin = box
+    checked = False
+    for p in points:
+        for q in (tuple(a + b for a, b in zip(p, t)), tuple(a - b for a, b in zip(p, t))):
+            if tol.ge(min(min(a - l, h - a) for a, l, h in zip(q, lo, hi)) - margin, 0):
+                if q not in members:
                     return False
-    return checked > 0
+                checked = True
+    return checked

@@ -26,7 +26,7 @@ import tempfile
 from fractions import Fraction
 
 from .geometry import Lattice, Tolerance
-from .scalars import QuadExt, Radical, quadext, sfloat
+from .scalars import Radical, format_scalar, quadext, sfloat
 from .sets import build_periodic, build_window
 
 __all__ = [
@@ -56,23 +56,6 @@ def _rational(text, token):
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise PointSetFormatError(f"zero denominator in {token!r}") from exc
-
-
-def format_scalar(x, exact):
-    if not exact:
-        return repr(float(x))
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-    if isinstance(x, QuadExt):
-        b = format_scalar(x.b, True)
-        term = f"sqrt({x.d})" if x.b == 1 else f"{b}*sqrt({x.d})"
-        if x.a == 0:
-            return term
-        sign = "+" if x.b > 0 else ""
-        return f"{format_scalar(x.a, True)}{sign}{term}"
-    raise PointSetFormatError(f"cannot serialize scalar {x!r} exactly")
 
 
 def parse_scalar(token, exact):

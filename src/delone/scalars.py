@@ -29,6 +29,8 @@ __all__ = [
     "sfloor",
     "field_sqrt",
     "is_exact_scalar",
+    "format_scalar",
+    "format_point",
 ]
 
 
@@ -209,6 +211,31 @@ def _frac_sign(q):
 
 def is_exact_scalar(x):
     return isinstance(x, (int, Fraction, QuadExt))
+
+
+def format_scalar(x, exact):
+    """x as point-set files and reports write it: a rational ``p/q``, a
+    quadratic-field ``a+b*sqrt(d)``, or (not exact) a float repr."""
+    if not exact:
+        return repr(float(x))
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, Fraction):
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if isinstance(x, QuadExt):
+        b = format_scalar(x.b, True)
+        term = f"sqrt({x.d})" if x.b == 1 else f"{b}*sqrt({x.d})"
+        if x.a == 0:
+            return term
+        sign = "+" if x.b > 0 else ""
+        return f"{format_scalar(x.a, True)}{sign}{term}"
+    raise ValueError(f"cannot serialize scalar {x!r} exactly")
+
+
+def format_point(p, exact):
+    """A point for messages, its coordinates as :func:`format_scalar`
+    writes them, e.g. ``(1/2, 1/6*sqrt(3))``."""
+    return f"({', '.join(format_scalar(c, exact and is_exact_scalar(c)) for c in p)})"
 
 
 def ssign(x):

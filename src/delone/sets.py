@@ -11,9 +11,10 @@ clipped one bisector at a time; no external geometry library is used.
 
 When every coordinate is rational, a handle has a ``scale``: the least
 common denominator of its coordinates, which turns each point into an
-integer vector.  A window stores its points once in that form, so exact
-squared distances between its points are ints over ``scale**2``, and its
-clusters carry the integer vectors for classification.
+integer vector.  A window stores its points once in that form, and a
+periodic handle its motif and reduced basis, so exact squared distances
+between set points are ints over ``scale**2``, range queries decide them
+as ints, and clusters carry the integer vectors for classification.
 """
 
 import bisect
@@ -25,7 +26,7 @@ from itertools import chain, product
 
 from .geometry import (Lattice, Tolerance, dist_sq, fdiv, p_add,
                        p_dot, p_sub, point_is_exact)
-from .scalars import QuadExt, Radical, is_exact_scalar, sfloat, ssign
+from .scalars import QuadExt, Radical, format_point, is_exact_scalar, sfloat, ssign
 
 __all__ = [
     "PointSetHandle",
@@ -78,7 +79,7 @@ def radius_covers(radius, d2, tol, scale2=1):
     """
     if tol.exact:
         return _radius_sign(radius, d2, scale2) >= 0
-    return math.sqrt(d2) <= radius + tol.eps_abs
+    return math.sqrt(d2 / scale2) <= radius + tol.eps_abs
 
 
 def radius_lt(radius, d2, tol):
@@ -328,14 +329,22 @@ class PointSetHandle:
         return self._cache["scale"]
 
     def _grid(self):
-        """(scale, points, (lo, hi, margin)) of a window, all times scale
-        as ints, or None."""
+        """(scale, points, (lo, hi, margin)) of a window or (scale, motif,
+        reduced basis) of a periodic set, all times scale as ints; None
+        without a scale."""
         if "grid" not in self._cache:
-            scale = self._scale() if self.mode == "window" else None
-            lo, hi = self.bounds or (None, None)
-            self._cache["grid"] = None if scale is None else (
-                scale, tuple(_on_grid(p, scale) for p in self.points),
-                (_on_grid(lo, scale), _on_grid(hi, scale), _on_grid((self.margin,), scale)[0]))
+            scale = self._scale()
+            if scale is None:
+                grid = None
+            elif self.mode == "window":
+                lo, hi = self.bounds
+                grid = (scale, tuple(_on_grid(p, scale) for p in self.points),
+                        (_on_grid(lo, scale), _on_grid(hi, scale),
+                         _on_grid((self.margin,), scale)[0]))
+            else:
+                grid = (scale, tuple(_on_grid(m, scale) for m in self.motif),
+                        tuple(_on_grid(b, scale) for b in self.lattice.reduced))
+            self._cache["grid"] = grid
         return self._cache["grid"]
 
     def _lift(self, d2, scale2):
@@ -358,29 +367,31 @@ class PointSetHandle:
     def _ball(self, center, radius):
         """points_in_ball as (scale2, [(d2 * scale2, key, p)]).
 
-        On a window with a scale, and a center on its grid, d2 * scale2 is
+        On a handle with a scale, and a center on its grid, d2 * scale2 is
         an int and key the point's integer vector; otherwise scale2 = 1 and
-        key is p.  Keys order like the points.
+        key is p.  Keys order like the points.  A periodic hit is built as
+        its key, and only a hit is lifted to Fractions.
         """
         tol = self.tol
-        out = []
-        if self.mode == "periodic":
-            rho_f = sfloat(radius)
-            pad = 1e-9 * (1.0 + abs(rho_f))
-            for m in self.motif:
-                v = p_sub(center, m)
-                for k in self.lattice.offsets_in_ball(v, rho_f + pad):
-                    p = p_add(m, self.lattice.from_coords(k))
-                    d2 = dist_sq(p, center)
-                    if radius_covers(radius, d2, tol):
-                        out.append((d2, p, p))
-            return 1, out
         grid = self._grid()
         ic = None if grid is None else _on_grid(center, grid[0])
-        if ic is None:
-            keys, c, scale2 = self.points, center, 1
-        else:
-            keys, c, scale2 = grid[1], ic, grid[0] ** 2
+        scale, c = (None, center) if ic is None else (grid[0], ic)
+        scale2 = 1 if scale is None else scale * scale
+        out = []
+        if self.mode == "periodic":
+            motif, basis = (self.motif, self.lattice.reduced) if ic is None else grid[1:]
+            rho_f = sfloat(radius)
+            pad = 1e-9 * (1.0 + abs(rho_f))
+            for m, km in zip(self.motif, motif):
+                for k in self.lattice.offsets_in_ball(p_sub(center, m), rho_f + pad):
+                    key = tuple(a + sum(ki * b[j] for ki, b in zip(k, basis))
+                                for j, a in enumerate(km))
+                    d2 = _sq(key, c)
+                    if radius_covers(radius, d2, tol, scale2):
+                        out.append((d2, key, key if scale is None else
+                                    tuple(Fraction(a, scale) for a in key)))
+            return scale2, out
+        keys = self.points if ic is None else grid[1]
         for i in self._window_candidates(center, radius):
             d2 = _sq(keys[i], c)
             if radius_covers(radius, d2, tol, scale2):
@@ -698,7 +709,7 @@ def _covering(handle):
     R, so the motif's cells give R exactly.  Window cells start from the
     trusted region, and a vertex counts when its empty ball fits there
     (``hosts_ball``).  A cell clear of its box depends only on the offsets
-    to its neighbors (ints on a window's grid), so sites share it.
+    to its neighbors (ints on the handle's grid), so sites share it.
     """
     tol, d = handle.tol, handle.dim
     if d > 3:
@@ -707,7 +718,7 @@ def _covering(handle):
     scale = grid[0] if grid else 1
     if handle.mode == "periodic":
         h = Fraction(math.ceil(sum(math.sqrt(sfloat(p_dot(b, b)))
-                                   for b in handle.lattice.reduced)) + 1, 2)
+                                   for b in handle.lattice.reduced)) + 1, 2) * scale
         h = h if tol.exact else float(h)
         lo, hi, margin = (-h,) * d, (h,) * d, 0
     else:
@@ -822,7 +833,7 @@ def two_r_bound_sq(handle):
 
 def _require_member(handle, x):
     if not handle.contains(x):
-        raise ValueError(f"point {x} is not in the set")
+        raise ValueError(f"point {format_point(x, handle.tol.exact)} is not in the set")
 
 
 def _require_interior(handle, x, radius):
@@ -844,12 +855,8 @@ def cluster(handle, x, rho):
     scale = handle._scale()
     if scale is None:
         return Cluster(center=x, radius=radius, points=pts)
-    if handle.mode == "window":
-        ipts = tuple(k for _, k, _ in hits)
-    else:
-        ipts = tuple(_on_grid(p, scale) for p in pts)
     return Cluster(center=x, radius=radius, points=pts, scale=scale,
-                   grid=(_on_grid(x, scale), ipts))
+                   grid=(_on_grid(x, scale), tuple(k for _, k, _ in hits)))
 
 
 def distance_spectrum(handle, x, cutoff):

@@ -140,8 +140,35 @@ def test_reconstruct_over_seed_cap_exit4(tmp_path, capsys):
                "--center", "0,0", "--rho-max", "5") == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("precondition violated: reconstruction exceeded the "
-                            "packing bound; the seed is not a valid 2R-cluster\n")
+    assert captured.err == ("precondition violated: reconstruction exceeded its "
+                            "cap of 3 points\n")
+
+
+def test_reconstruct_non_member_center_prints_file_scalars(tmp_path, capsys):
+    # the fixture translated by (2/5, 9/10) does not contain the origin
+    assert run(tmp_path, "generate", "crystal", "--basis", "1,0;0,1",
+               "--motif", "2/5,9/10;9/10,9/10;2/5,7/5", "--out", "tfix.ps") == 0
+    capsys.readouterr()
+    assert run(tmp_path, "reconstruct", "tfix.ps", "--center", "0,0",
+               "--rho-max", "3") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: point (0, 0) is not in the set\n"
+    assert run(tmp_path, "reconstruct", "tfix.ps", "--center", "1/2,1/3",
+               "--rho-max", "3") == 2
+    assert capsys.readouterr().err == "error: point (1/2, 1/3) is not in the set\n"
+
+
+def test_decompose_non_antipodal_prints_file_scalars(tmp_path, capsys):
+    # the honeycomb: a Q(sqrt 3) set whose 2R-clusters are not antipodal
+    assert run(tmp_path, "generate", "crystal", "--basis", "1,0;1/2,1/2*sqrt(3)",
+               "--motif", "0,0;1/2,1/6*sqrt(3)", "--out", "hc.ps") == 0
+    capsys.readouterr()
+    assert run(tmp_path, "decompose", "hc.ps") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("precondition violated: set is not locally "
+                            "antipodal at (0, 0)\n")
 
 
 @pytest.mark.parametrize("flag", ["--rho-cap", "--seed-cap"])

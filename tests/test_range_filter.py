@@ -4,6 +4,8 @@ Window queries bisect a float strip and drop points by float distance, and
 closed-ball tests decide in floats outside a per-radius band.  Every answer
 must equal a brute-force scan that decides each point with the exact
 radical kernel (``Radical.cmp``), which the float filter never enters.
+Periodic queries with a centre on the set's integer grid run on the motif
+and basis times its scale; centres off it run on the points themselves.
 """
 
 import math
@@ -141,20 +143,57 @@ def brute_periodic(handle, center, radius):
     return sorted(out)
 
 
-@settings(max_examples=40, deadline=None)
+# off the grid of every periodic set drawn here: no coordinate scale of
+# theirs has a factor 7, 11 or 13
+OFF_GRID = st.tuples(st.sampled_from((F(1, 7), F(-2, 11), F(3, 13))),
+                     st.sampled_from((F(0), F(1, 7), F(-5, 13))))
+
+
+def check_periodic_query(handle, center, radius):
+    want = brute_periodic(handle, center, radius)
+    got = handle.points_in_ball(center, radius)
+    assert sorted(p for _, p in got) == want
+    assert all(d2 == dist_sq(p, center) for d2, p in got)
+    assert all(type(c) is F for _, p in got for c in p)
+    assert sorted(p for _, p in handle.neighborhood(center, radius)) == want
+
+
+@settings(max_examples=60, deadline=None)
 @given(periodic_sets(), st.data())
 def test_periodic_queries_equal_exact_scan(spec, data):
+    # centres on the set's integer grid (a motif point) and off it
     basis, motif = spec
     try:
         handle = build_periodic(basis, motif)
     except ValueError:
         assume(False)
     center = handle.motif[0]
+    if data.draw(st.booleans()):
+        shift = data.draw(OFF_GRID)
+        center = (center[0] + shift[0], center[1] + shift[1])
     near = handle.points_in_ball(center, Radical.of(2))
     radius = data.draw(radii([d2 for d2, p in near if p != center] or [F(1)]))
-    want = brute_periodic(handle, center, radius)
-    assert sorted(p for _, p in handle.points_in_ball(center, radius)) == want
-    assert sorted(p for _, p in handle.neighborhood(center, radius)) == want
+    check_periodic_query(handle, center, radius)
+
+
+@pytest.mark.parametrize("basis, motif, scale", [
+    (((F(3, 2), F(0)), (F(1, 3), F(5, 4))), [(F(1, 7), F(2, 5)), (F(5, 6), F(1, 3))], 420),
+    (((F(1), F(0)), (F(0), F(1))), [(F(2, 5), F(9, 10)), (F(9, 10), F(9, 10)),
+                                    (F(2, 5), F(2, 5))], 10),
+])
+@pytest.mark.parametrize("where", ["member", "off-grid", "on-grid"])
+def test_periodic_queries_with_a_scale(basis, motif, scale, where):
+    # a motif point, a centre off the grid, and one on the grid but not in the set
+    handle = build_periodic(basis, motif)
+    assert handle._scale() == scale
+    shift = {"member": (0, 0), "off-grid": (F(1, 11), F(-3, 13)),
+             "on-grid": (F(1, scale), 0)}[where]
+    center = tuple(a + b for a, b in zip(handle.motif[0], shift))
+    assert handle.contains(center) == (where == "member")
+    ds = sorted({d2 for d2, _ in handle.points_in_ball(center, Radical.of(3))})
+    for radius in (Radical.sqrt(ds[1]), Radical.sqrt(ds[-1]), Radical.of(F(5, 2)),
+                   Radical(1, ((1, 2),))):
+        check_periodic_query(handle, center, radius)
 
 
 @settings(max_examples=60, deadline=None)
