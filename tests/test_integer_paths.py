@@ -4,7 +4,9 @@ Reconstruction runs its inversion closure on a seed's integer vectors, and
 the window translation test of the coset decomposition on a window's
 integer points, bounds and margin.  Each answer must equal a computation
 kept here that works on the points themselves (Fractions, Q(sqrt 3) or
-floats) and decides every radius exactly from its square.
+floats) and decides every radius exactly from its square.  Rational sets
+under a float tolerance, and the points that error messages print, are
+checked here too.
 """
 
 import math
