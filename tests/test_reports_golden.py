@@ -9,8 +9,10 @@ shifted rows at x half-width 9/4 (a window strip query, and the two-term
 radius rho0 + 2R of the rows), the triangular-lattice window of extent 3
 (coordinates in Q(sqrt 3), not scalable to integers), reconstruction of the
 fixture translated by (2/5, 9/10) (a motif with denominator 10) and of the
-triangular lattice (the field path), and decomposition of the fixture window
-of extent 4.  The golden files live in
+triangular lattice (the field path), decomposition of the fixture window
+of extent 4, the p4 crystal (Z^2 with its quarter-turn orbit of
+(3/10, 1/10): four motif points in one class) certified and analyzed, and
+the crystal certify of the translated fixture at every population point.  The golden files live in
 ``tests/golden/<job>.txt``; the first line of each is the exit code.
 """
 
@@ -40,6 +42,8 @@ SETUP = (
      "--motif", "2/5,9/10;9/10,9/10;2/5,7/5", "--out", "tfix.ps"),
     ("generate", "coset-union", "--basis", "1,0;0,1",
      "--half-vectors", "0,0;1,0;0,1", "--extent", "4", "--out", "fixw4.ps"),
+    ("generate", "crystal", "--basis", "1,0;0,1", "--rotation", "4",
+     "--motif", "3/10,1/10", "--out", "p4.ps"),
 )
 
 # (golden name, argv)
@@ -67,6 +71,12 @@ JOBS = (
     ("tri_reconstruct_compare", ("reconstruct", "tri.ps", "--center", "0,0",
                                  "--rho-max", "4", "--compare", "tri.ps")),
     ("fixw4_decompose", ("decompose", "fixw4.ps")),
+    ("p4_certify_regular", ("certify", "p4.ps", "--criterion", "regular")),
+    ("p4_certify_crystal_all", ("certify", "p4.ps", "--criterion", "crystal",
+                                "--group-mode", "all")),
+    ("p4_analyze", ("analyze", "p4.ps")),
+    ("tfix_certify_crystal_all", ("certify", "tfix.ps", "--criterion", "crystal",
+                                  "--group-mode", "all")),
 )
 
 
