@@ -6,7 +6,11 @@ point correspondences: pick a frame of independent offsets in the first
 cluster, enumerate candidate images with matching distance data in the
 second, solve for the unique linear part, then verify orthogonality and a
 full set bijection.  Cluster sizes are bounded by packing, so the frame
-enumeration stays small.
+enumeration stays small.  The distance data of an offset are its squared
+distance from the center, compared first, and its row of squared distances
+to every cluster point, built on demand: only for the frame and for the
+offsets at a frame vector's distance from the center.  A cluster of n
+points thus costs O(k n) distances for k candidate images, not n^2.
 
 Degenerate clusters (offsets spanning fewer than d dimensions) get their
 frame completed with orthogonal-complement vectors.  A rank deficit of one
@@ -17,9 +21,12 @@ makes the center-fixing group infinite and ``cluster_group`` raises.
 1. its translation key, the offsets from its center: a cluster whose key
    was seen before is a translate of that earlier cluster, so it joins the
    same class with the translation composed onto the earlier witness;
-2. its fingerprint, a dict key that picks the representatives it can be
-   equivalent to;
-3. witness synthesis against those representatives.
+2. its radial key, the sorted squared distances from its center (ints on
+   the grid, or field scalars): a dict key that picks the representatives
+   it can be equivalent to;
+3. witness synthesis against those representatives, which alone decides,
+   so clusters with equal radial keys that are not equivalent are told
+   apart here.
 A crystal has at most as many distinct offset sets as motif points, so
 step 1 settles almost every cluster of a window.  Float mode has no exact
 keys: it matches fingerprints with a tolerance against every
@@ -28,13 +35,14 @@ representative, then synthesizes.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .geometry import (ORTHO_EPS, Isometry, Tolerance, apply, compose, fdiv,
                        identity, mat_identity, mat_mul, mat_solve,
                        orthogonal_complement, p_add, p_dot, p_sub, rank)
 from .scalars import Radical, field_sqrt, quadext, sfloat
-from .sets import Cluster, as_radius, cluster, distance_spectrum
+from .sets import Cluster, _sq, as_radius, cluster, distance_spectrum
 
 __all__ = [
     "Fingerprint",
@@ -59,7 +67,7 @@ class InfiniteGroupError(Exception):
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Isometry-invariant cluster summary: the key classify buckets by.
+    """Isometry-invariant cluster summary, quadratic in the cluster size.
 
     One entry per cluster point: squared distance from the center plus the
     sorted row of squared distances to every cluster point; the entries are
@@ -67,7 +75,10 @@ class Fingerprint:
     cluster cut from a handle with a scale (all clusters of one handle
     share it), or field scalars when ``scale`` is None; either way they
     hash and compare exactly.  Float entries are matched with a tolerance
-    by :func:`fingerprints_match`.
+    by :func:`fingerprints_match`, which float :func:`classify` runs before
+    synthesis.  Exact classify buckets by the radial key instead (the first
+    component of every entry, sorted), and witness synthesis builds only the
+    rows it compares.
     """
 
     data: tuple
@@ -90,19 +101,22 @@ def fingerprint(c):
     return Fingerprint(data=tuple(sorted(c.distance_rows)), scale=c.scale)
 
 
-def _entries_match(e1, e2, tol):
+def _scalars_match(a, b, tol):
+    """Equal squared distances: exactly, or within a band in float mode."""
     if tol.exact:
-        return e1 == e2
-    d1, row1 = e1
-    d2, row2 = e2
-    if len(row1) != len(row2):
-        return False
-    band = 4 * tol.eps_abs
+        return a == b
+    return abs(a - b) <= 4 * tol.eps_abs * (1.0 + math.sqrt(abs(a) + abs(b)))
 
-    def close(a, b):
-        return abs(a - b) <= band * (1.0 + math.sqrt(abs(a) + abs(b)))
 
-    return close(d1, d2) and all(close(a, b) for a, b in zip(row1, row2))
+def _rows_match(row1, row2, tol):
+    if tol.exact:
+        return row1 == row2
+    return len(row1) == len(row2) and all(
+        _scalars_match(a, b, tol) for a, b in zip(row1, row2))
+
+
+def _entries_match(e1, e2, tol):
+    return _scalars_match(e1[0], e2[0], tol) and _rows_match(e1[1], e2[1], tol)
 
 
 def fingerprints_match(f1, f2, tol):
@@ -135,13 +149,34 @@ def _sorted_offsets(c):
     return offs
 
 
-def _profiles(c, in_field):
-    """Per-offset invariants within the cluster: (|v|^2, sorted row);
-    ``in_field`` lifts integer rows to field scalars."""
-    rows = c.distance_rows
-    if in_field:
-        rows = _in_field(rows, c.scale)
-    return dict(zip(c.offsets(), (e for p, e in zip(c.points, rows) if p != c.center)))
+class _Rows:
+    """Distance data of a cluster's offsets, each built on first use.
+
+    ``norm(v)`` is the squared distance from the center to center + v and
+    ``row(v)`` the sorted squared distances from center + v to every
+    cluster point: ints in units of ``1/scale**2`` on a grid, field scalars
+    otherwise, or field scalars throughout when ``in_field`` is set (rows
+    of clusters in different units compare only that way).
+    """
+
+    def __init__(self, c, in_field):
+        self.center, self.points = c.grid or (c.center, c.points)
+        self.own = dict(zip(c.offsets(), (p for p in self.points if p != self.center)))
+        self.scale2 = c.scale * c.scale if in_field and c.scale is not None else None
+        self.rows = {}
+
+    def _lift(self, d2):
+        return d2 if self.scale2 is None else Fraction(d2, self.scale2)
+
+    def norm(self, v):
+        return self._lift(_sq(self.own[v], self.center))
+
+    def row(self, v):
+        r = self.rows.get(v)
+        if r is None:
+            p = self.own[v]
+            r = self.rows[v] = tuple(map(self._lift, sorted(_sq(p, q) for q in self.points)))
+        return r
 
 
 def _gram_ok(frame, images, v, t, tol):
@@ -236,8 +271,9 @@ def _witness_linear_parts(c1, c2, tol, want_all):
                 f"a single-point cluster in {d}-d has stabilizer O({d})")
         return
     # rows in different units compare only as field scalars
-    prof1 = _profiles(c1, c1.scale != c2.scale)
-    prof2 = _profiles(c2, c1.scale != c2.scale)
+    in_field = c1.scale != c2.scale
+    rows1 = _Rows(c1, in_field)
+    rows2 = rows1 if c2 is c1 else _Rows(c2, in_field)
     frame = _greedy_frame(offs1, tol)
     s = len(frame)
     comp1 = orthogonal_complement(frame, d) if s < d else []
@@ -259,10 +295,16 @@ def _witness_linear_parts(c1, c2, tol, want_all):
                 f"cluster spans only {s} of {d} dimensions; its group is infinite")
         else:
             comp_image_choices = [base[0]]
-    # images each frame vector may take: offsets with its profile (computed
-    # here, so the recursive closure below holds no profile tables)
-    candidates = [[t for t in offs2 if _entries_match(prof2[t], prof1[v], tol)]
-                  for v in frame]
+    # images each frame vector may take: offsets at its distance from the
+    # center, then with its row (built only for those); computed here, so
+    # the recursive closure below holds no row tables
+    norms2 = [rows2.norm(t) for t in offs2]
+    candidates = []
+    for v in frame:
+        n1, row1 = rows1.norm(v), rows1.row(v)
+        candidates.append([t for t, n in zip(offs2, norms2)
+                           if _scalars_match(n, n1, tol)
+                           and _rows_match(rows2.row(t), row1, tol)])
 
     def assignments(i, images):
         if i == s:
@@ -344,9 +386,14 @@ class ClusterGroup:
     def order(self):
         return len(self.elements)
 
+    @cached_property
+    def _linear_parts(self):
+        """The exact linear parts as a set: equal matrices hash equally."""
+        return frozenset(g.linear for g in self.elements)
+
     def contains_linear(self, lin):
         if self.tol.exact:
-            return any(lin == g.linear for g in self.elements)
+            return lin in self._linear_parts
         for other in self.elements:
             if all(abs(a - b) <= ORTHO_EPS
                    for ra, rb in zip(lin, other.linear) for a, b in zip(ra, rb)):
@@ -404,6 +451,13 @@ def _translation_key(c):
     return tuple(a - b for q in ipts for a, b in zip(q, ic))
 
 
+def _radial_key(c):
+    """The sorted squared distances from a cluster's center to its points:
+    ints over scale**2 on a grid, otherwise field scalars."""
+    center, points = c.grid or (c.center, c.points)
+    return tuple(sorted(_sq(p, center) for p in points))
+
+
 def classify(handle, rho, points=None):
     """Partition the population into classes of equivalent rho-clusters.
 
@@ -416,9 +470,9 @@ def classify(handle, rho, points=None):
     radius = as_radius(rho, handle.tol)
     population = sorted(handle.population(radius)) if points is None else points
     tol = handle.tol
-    classes = []      # [representative, members, witnesses, fingerprint]
+    classes = []      # [representative, members, witnesses, fingerprint (float)]
     translates = {}   # translation key -> (class, center, its witness)
-    buckets = {}      # fingerprint -> classes (exact); one bucket (float)
+    buckets = {}      # radial key -> classes (exact); one bucket (float)
     for x in population:
         cx = cluster(handle, x, radius)
         key = _translation_key(cx) if tol.exact else None
@@ -428,8 +482,8 @@ def classify(handle, rho, points=None):
             # compose(translation(x - c0), w0), without the identity product
             witness = Isometry(w0.linear, p_add(w0.shift, p_sub(x, c0)))
         else:
-            fx = fingerprint(cx)
-            bucket = buckets.setdefault(fx if tol.exact else None, [])
+            fx = None if tol.exact else fingerprint(cx)
+            bucket = buckets.setdefault(_radial_key(cx) if tol.exact else None, [])
             for cls in bucket:
                 if tol.exact or fingerprints_match(cls[3], fx, tol):
                     witness = clusters_equivalent(cls[0], cx, tol)

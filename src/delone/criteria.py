@@ -84,11 +84,18 @@ def _two_r(handle):
     return delone_params(handle).R * 2
 
 
-def _group_or_none(c, tol):
-    try:
-        return cluster_group_of(c, tol)
-    except InfiniteGroupError:
-        return None
+def _group_or_none(handle, c):
+    """The group of a cluster cut from handle, or None when it is infinite.
+    Groups are kept on the handle per (center, radius): the rho0 scan's
+    pre-check and the full check ask for the same ones."""
+    memo = handle._cache.setdefault("groups", {})
+    key = (c.center, c.radius)
+    if key not in memo:
+        try:
+            memo[key] = cluster_group_of(c, handle.tol)
+        except InfiniteGroupError:
+            memo[key] = None
+    return memo[key]
 
 
 def _group_rows(handle, hi_clusters, rho0):
@@ -99,10 +106,9 @@ def _group_rows(handle, hi_clusters, rho0):
     equivalent to equal orders.  Rows are yielded lazily so a pre-check can
     stop at the first unequal one.
     """
-    tol = handle.tol
     for i, c_hi in enumerate(hi_clusters):
-        g_lo = _group_or_none(cluster(handle, c_hi.center, rho0), tol)
-        g_hi = _group_or_none(c_hi, tol)
+        g_lo = _group_or_none(handle, cluster(handle, c_hi.center, rho0))
+        g_hi = _group_or_none(handle, c_hi)
         yield (i, g_lo.order if g_lo else None, g_hi.order if g_hi else None,
                g_lo is not None and g_hi is not None and g_lo.equals(g_hi))
 
@@ -543,6 +549,9 @@ def _max_lattice_window(handle):
         raise WindowTooSmallError("invariant translations do not span the space")
     if not tol.exact:
         raise NotImplementedError("window decomposition requires exact coordinates")
+    if not all(isinstance(c, (int, Fraction)) for t in passing for c in t):
+        raise NotImplementedError(
+            "window decomposition requires rational invariant translations")
     lam = lattice_from_generators(passing)
     interior = handle.interior_points(as_radius(0, tol))
     reps = _coset_reps(interior, lam, tol)

@@ -55,12 +55,35 @@ def quadext(a, b, d):
     return QuadExt(a, b, d)
 
 
+_RATIONAL = (int, Fraction)
+_new_object = object.__new__
+_set_attr = object.__setattr__
+
+
+def _raw(a, b, d):
+    """``a + b*sqrt(d)`` from Fractions a, b != 0 and a radicand already
+    checked: arithmetic results skip the checks of the constructor."""
+    obj = _new_object(QuadExt)
+    _set_attr(obj, "a", a)
+    _set_attr(obj, "b", b)
+    _set_attr(obj, "d", d)
+    return obj
+
+
+def _make(a, b, d):
+    """Like :func:`_raw`, collapsing to the Fraction a when b == 0."""
+    return _raw(a, b, d) if b else a
+
+
 class QuadExt:
     """Element ``a + b*sqrt(d)`` of the real quadratic field Q(sqrt(d)).
 
     ``d`` is a fixed positive non-square integer.  Arithmetic that would
     land back in Q returns a plain Fraction, so rational values have a
-    single representation (important for hashing point tuples).
+    single representation (important for hashing point tuples).  The
+    radicand is checked once, when a value is built from outside; results
+    of arithmetic are built directly, and an int or Fraction operand acts
+    on the two coordinates without becoming a QuadExt.
     """
 
     __slots__ = ("a", "b", "d")
@@ -70,139 +93,142 @@ class QuadExt:
             raise ValueError(f"radicand must be an integer > 1, got {d!r}")
         if math.isqrt(d) ** 2 == d:
             raise ValueError(f"radicand {d} is a perfect square")
-        self.a = _as_fraction(a)
-        self.b = _as_fraction(b)
-        if self.b == 0:
+        a, b = _as_fraction(a), _as_fraction(b)
+        if b == 0:
             raise ValueError("use quadext() so rational values collapse")
-        self.d = d
-
-    def _coerce(self, other):
-        if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise ValueError(f"mixed radicands sqrt({self.d}) and sqrt({other.d})")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt.__new_raw(Fraction(other), Fraction(0), self.d)
-        return None
-
-    @staticmethod
-    def __new_raw(a, b, d):
-        obj = object.__new__(QuadExt)
-        object.__setattr__(obj, "a", a)
-        object.__setattr__(obj, "b", b)
-        object.__setattr__(obj, "d", d)
-        return obj
+        _set_attr(self, "a", a)
+        _set_attr(self, "b", b)
+        _set_attr(self, "d", d)
 
     def __setattr__(self, name, value):
-        if hasattr(self, "d") and name in self.__slots__ and getattr(self, name, None) is not None:
+        # copy and pickle fill empty slots; a set value is final
+        if getattr(self, name, None) is not None:
             raise AttributeError("QuadExt is immutable")
-        object.__setattr__(self, name, value)
+        _set_attr(self, name, value)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return quadext(self.a + o.a, self.b + o.b, self.d)
+    def _same_field(self, other):
+        if other.d != self.d:
+            raise ValueError(f"mixed radicands sqrt({self.d}) and sqrt({other.d})")
+        return other
+
+    def __add__(self, o):
+        if isinstance(o, QuadExt):
+            self._same_field(o)
+            return _make(self.a + o.a, self.b + o.b, self.d)
+        if isinstance(o, _RATIONAL):
+            return _raw(self.a + o, self.b, self.d)
+        return NotImplemented
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return quadext(self.a - o.a, self.b - o.b, self.d)
+    def __sub__(self, o):
+        if isinstance(o, QuadExt):
+            self._same_field(o)
+            return _make(self.a - o.a, self.b - o.b, self.d)
+        if isinstance(o, _RATIONAL):
+            return _raw(self.a - o, self.b, self.d)
+        return NotImplemented
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return quadext(o.a - self.a, o.b - self.b, self.d)
+    def __rsub__(self, o):
+        if isinstance(o, _RATIONAL):
+            return _raw(o - self.a, -self.b, self.d)
+        return NotImplemented
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return quadext(self.a * o.a + self.b * o.b * self.d,
-                       self.a * o.b + self.b * o.a, self.d)
+    def __mul__(self, o):
+        if isinstance(o, QuadExt):
+            self._same_field(o)
+            a, b = self.a, self.b
+            return _make(a * o.a + b * o.b * self.d, a * o.b + b * o.a, self.d)
+        if isinstance(o, _RATIONAL):
+            return _make(self.a * o, self.b * o, self.d)
+        return NotImplemented
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o.a * o.a - o.b * o.b * self.d  # field norm, nonzero for o != 0
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return self * quadext(o.a / n, -o.b / n, self.d)
+    def __truediv__(self, o):
+        if isinstance(o, QuadExt):
+            self._same_field(o)
+            # times the conjugate of o over its field norm, nonzero for o != 0
+            n = o.a * o.a - o.b * o.b * self.d
+            a, b = self.a, self.b
+            return _make((a * o.a - b * o.b * self.d) / n, (b * o.a - a * o.b) / n,
+                         self.d)
+        if isinstance(o, _RATIONAL):
+            if not o:
+                raise ZeroDivisionError("division by zero in Q(sqrt(d))")
+            return _raw(self.a / o, self.b / o, self.d)
+        return NotImplemented
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+    def __rtruediv__(self, o):
+        if isinstance(o, _RATIONAL):
+            n = self.a * self.a - self.b * self.b * self.d
+            return _make(o * self.a / n, -o * self.b / n, self.d)
+        return NotImplemented
 
     def __neg__(self):
-        return QuadExt.__new_raw(-self.a, -self.b, self.d)
+        return _raw(-self.a, -self.b, self.d)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
     def sign(self):
-        sa, sb = _frac_sign(self.a), _frac_sign(self.b)
-        if sa == sb or sa == 0:
-            return sb if sa == 0 else sa
-        if sb == 0:
-            return sa
-        # opposite signs: compare a^2 with b^2 d
-        t = self.a * self.a - self.b * self.b * self.d
-        if t == 0:
-            return 0
-        return sa if t > 0 else sb
+        return _quad_sign(self.a, self.b, self.d)
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
             return self.d == other.d and self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _RATIONAL):
             return False  # b != 0 always
         return NotImplemented
 
     def __hash__(self):
         return hash((self.a, self.b, self.d))
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.__sub_sign(o) < 0
+    def _sign_minus(self, o):
+        """Sign of self - o, or None when o is no field scalar."""
+        if isinstance(o, QuadExt):
+            self._same_field(o)
+            return _quad_sign(self.a - o.a, self.b - o.b, self.d)
+        if isinstance(o, _RATIONAL):
+            return _quad_sign(self.a - o, self.b, self.d)
+        return None
 
-    def __sub_sign(self, o):
-        diff = quadext(self.a - o.a, self.b - o.b, self.d)
-        return diff.sign() if isinstance(diff, QuadExt) else _frac_sign(diff)
+    def __lt__(self, other):
+        s = self._sign_minus(other)
+        return NotImplemented if s is None else s < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.__sub_sign(o) <= 0
+        s = self._sign_minus(other)
+        return NotImplemented if s is None else s <= 0
 
     def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.__sub_sign(o) > 0
+        s = self._sign_minus(other)
+        return NotImplemented if s is None else s > 0
 
     def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.__sub_sign(o) >= 0
+        s = self._sign_minus(other)
+        return NotImplemented if s is None else s >= 0
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def __repr__(self):
         return f"({self.a}{'+' if self.b > 0 else '-'}{abs(self.b)}*sqrt({self.d}))"
+
+
+def _quad_sign(a, b, d):
+    """Exact sign of ``a + b*sqrt(d)`` for rationals a, b."""
+    na, nb = a.numerator, b.numerator
+    sa, sb = (na > 0) - (na < 0), (nb > 0) - (nb < 0)
+    if sa == sb or sa == 0:
+        return sb if sa == 0 else sa
+    if sb == 0:
+        return sa
+    # opposite signs: compare a^2 with b^2 d
+    t = a * a - b * b * d
+    if t == 0:
+        return 0
+    return sa if t > 0 else sb
 
 
 def _frac_sign(q):

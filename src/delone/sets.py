@@ -841,7 +841,8 @@ def _require_interior(handle, x, radius):
         return
     if not handle.hosts_ball(x, radius):
         raise TruncationError(
-            f"point {tuple(map(sfloat, x))} is within {sfloat(radius):g} of the window boundary")
+            f"point {format_point(x, handle.tol.exact)} is within {sfloat(radius):g} "
+            "of the window boundary")
 
 
 def cluster(handle, x, rho):

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from delone.classify import (InfiniteGroupError, classify, cluster_group,
-                             cluster_group_of, clusters_equivalent,
+from delone.classify import (ClusterGroup, InfiniteGroupError, classify,
+                             cluster_group, cluster_group_of, clusters_equivalent,
                              fingerprint, fingerprints_match,
                              group_orders_by_class, n_profile)
 from delone.geometry import Isometry, Tolerance, apply, compose
@@ -12,6 +12,7 @@ from delone.scalars import Radical
 from delone.sets import Cluster, build_periodic, build_window, cluster
 
 from oracles import brute_force_group_order
+from test_classify_translation import _p4
 
 TOL = Tolerance.exact_mode()
 
@@ -86,9 +87,19 @@ def test_cluster_group_orders(z2):
     assert dets == [-1.0] * 4 + [1.0] * 4
 
 
-def test_cluster_group_against_bruteforce(z2, tri):
-    for handle, rho, expect in ((z2, 1, 8), (z2, Radical.sqrt(2), 8), (tri, 1, 12)):
-        c = cluster(handle, (F(0), F(0)), rho)
+def test_cluster_group_against_bruteforce(z2, tri, fix3):
+    # tri: coordinates in Q(sqrt 3); p4: a point with a trivial site group
+    # far out; fix3: a lattice point and two half-lattice points
+    p4 = _p4()
+    origin, site = (F(0), F(0)), (F(3, 10), F(1, 10))
+    for handle, x, rho, expect in (
+            (z2, origin, 1, 8), (z2, origin, Radical.sqrt(2), 8),
+            (tri, origin, 1, 12), (tri, origin, Radical.sqrt(3), 12),
+            (tri, origin, 2, 12),
+            (p4, site, F(1, 2), 2), (p4, site, 2, 1),
+            (fix3, origin, F(1, 2), 8), (fix3, (F(1, 2), F(0)), 1, 4),
+            (fix3, (F(0), F(1, 2)), 2, 4)):
+        c = cluster(handle, x, rho)
         g = cluster_group_of(c, TOL)
         assert g.order == expect
         assert brute_force_group_order(c) == expect
@@ -128,6 +139,25 @@ def test_group_closure_verified(z2):
     for el in g.elements:
         assert el.is_orthogonal(TOL)
         assert apply(el, (F(0), F(0))) == (F(0), F(0))
+
+
+@pytest.mark.parametrize("tol", [TOL, Tolerance.floating()], ids=["exact", "float"])
+def test_group_closure_rejects_open_sets(tol):
+    one, zero = F(1), F(0)
+    origin = (zero, zero)
+
+    def linear(*rows):
+        return Isometry(tuple(tuple(r) for r in rows), origin)
+
+    eye = linear((one, zero), (zero, one))
+    quarter_turn = linear((zero, -one), (one, zero))
+    mirror_x = linear((one, zero), (zero, -one))
+    mirror_y = linear((-one, zero), (zero, one))
+    for elements, missing in (((eye, quarter_turn), "inverse"),
+                              ((eye, mirror_x, mirror_y), "composition")):
+        group = ClusterGroup(center=origin, rho=Radical.of(1), elements=elements, tol=tol)
+        with pytest.raises(AssertionError, match=f"not closed under {missing}"):
+            group.verify_closure()
 
 
 def test_n_profile_z2(z2):

@@ -1,6 +1,7 @@
 """classify decides most clusters by their translation key, the offsets from
-their center, and buckets the rest by exact fingerprint.  Both are
-shortcuts, so they are checked two ways:
+their center, and buckets the rest by their radial key, the sorted squared
+distances from the center.  Both are shortcuts, so they are checked two
+ways:
 
 - against a reference scan, written here, that matches every cluster's
   fingerprint against every representative and then synthesizes a witness
@@ -42,6 +43,13 @@ def _p4():
                                    motif=((F(3, 10), F(1, 10)),)))
 
 
+def _bent():
+    # at radius sqrt(1/5) the cluster at the origin is a straight triple and
+    # the one at (2/5, 1/5) a right angle: equal radial keys, not equivalent
+    return gen_crystal(CrystalSpec(lattice=Z2, generators=(), motif=(
+        (F(0), F(0)), (F(2, 5), F(1, 5)), (F(3, 5), F(4, 5)))))
+
+
 # (name, handle builder, radii); the radii include the rho0 and rho0 + 2R
 # of each set's regular certify
 CASES = (
@@ -53,6 +61,7 @@ CASES = (
     ("z2", square_lattice, (F(1), F(3))),
     ("p4", _p4, (F(1, 2), F(2))),
     ("fix3", three_coset_fixture, (F(1, 2), F(2))),
+    ("bent", _bent, (Radical.sqrt(F(1, 5)), F(1))),
 )
 HANDLES = {}
 
@@ -92,6 +101,19 @@ def test_classify_equals_reference_scan(name, build, radii):
         got = [(cl.representative.center, cl.members, cl.witnesses)
                for cl in part.classes]
         assert got == reference_classify(handle, rho), (name, rho)
+
+
+@pytest.mark.parametrize("name, rho", [("bent", Radical.sqrt(F(1, 5))), ("rows", F(9, 4))])
+def test_inequivalent_classes_share_a_radial_key(name, rho):
+    # classify buckets by the sorted squared distances from the center, so
+    # on these sets a bucket holds two classes and synthesis must split them
+    build = next(c[1] for c in CASES if c[0] == name)
+    handle = _handle(name, build)
+    radius = as_radius(rho, handle.tol)
+    keys = [tuple(sorted(dist_sq(p, cl.representative.center)
+                         for p in _brute_ball(handle, cl.representative.center, radius)))
+            for cl in classify(handle, radius).classes]
+    assert len(set(keys)) < len(keys)
 
 
 def test_float_classify_equals_reference_scan():

@@ -171,6 +171,33 @@ def test_decompose_non_antipodal_prints_file_scalars(tmp_path, capsys):
                             "antipodal at (0, 0)\n")
 
 
+def test_boundary_message_prints_file_scalars(tmp_path, capsys):
+    # a center whose 2R-ball leaves the fixture window of extent 4
+    assert run(tmp_path, "generate", "coset-union", "--basis", "1,0;0,1",
+               "--half-vectors", "0,0;1,0;0,1", "--extent", "4",
+               "--out", "fixw4.ps") == 0
+    capsys.readouterr()
+    assert run(tmp_path, "reconstruct", "fixw4.ps", "--center", "4,7/2",
+               "--rho-max", "2") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("precondition violated: point (4, 7/2) is within 1 "
+                            "of the window boundary\n")
+
+
+def test_decompose_quadratic_field_window_exit4(tmp_path, capsys):
+    # a valid Q(sqrt 3) window whose invariant translations are irrational:
+    # unsupported (exit 4), not a usage error
+    assert run(tmp_path, "generate", "lattice", "--basis", "1,0;1/2,1/2*sqrt(3)",
+               "--extent", "3", "--out", "triw3.ps") == 0
+    capsys.readouterr()
+    assert run(tmp_path, "decompose", "triw3.ps") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("precondition violated: window decomposition requires "
+                            "rational invariant translations\n")
+
+
 @pytest.mark.parametrize("flag", ["--rho-cap", "--seed-cap"])
 @pytest.mark.parametrize("value", ["-1", "0", "1.5", "two"])
 def test_caps_must_be_positive_integers(tmp_path, capsys, flag, value):

@@ -2,10 +2,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from delone.scalars import (ExactComparisonError, Radical, _sign_sum,
+from delone.scalars import (ExactComparisonError, QuadExt, Radical, _sign_sum,
                             field_sqrt, quadext, sfloor)
 
 fracs = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -27,6 +27,59 @@ def test_quadext_arithmetic_matches_floats():
                       (1 / x, 1 / float(x)),
                       (x - 2 * y, float(x) - 2 * float(y))]:
         assert abs(float(expr) - ref) < 1e-12
+
+
+def _pair(v):
+    """A field scalar as the (Fraction, Fraction) pair (a, b) of a + b*sqrt(3)."""
+    if isinstance(v, QuadExt):
+        assert v.d == 3 and v.b != 0  # rational values are never a QuadExt
+        return v.a, v.b
+    return F(v), F(0)
+
+
+def _pair_sign(a, b):
+    # operands have denominators <= 6, so a nonzero a + b*sqrt(3) is far
+    # from 0 in floats
+    return 0 if a == b == 0 else (1 if float(a) + float(b) * math.sqrt(3) > 0 else -1)
+
+
+_operands = st.one_of(st.integers(-6, 6), fracs,
+                      st.builds(lambda a, b: quadext(a, b, 3), fracs, fracs))
+
+
+@given(_operands, _operands)
+def test_quadext_arithmetic_matches_pair_reference(x, y):
+    assume(isinstance(x, QuadExt) or isinstance(y, QuadExt))
+    (a1, b1), (a2, b2) = _pair(x), _pair(y)
+    norm = a2 * a2 - 3 * b2 * b2
+    want = {"+": (a1 + a2, b1 + b2), "-": (a1 - a2, b1 - b2),
+            "*": (a1 * a2 + 3 * b1 * b2, a1 * b2 + a2 * b1),
+            "/": None if norm == 0 else ((a1 * a2 - 3 * b1 * b2) / norm,
+                                         (b1 * a2 - a1 * b2) / norm)}
+    for op, ref in want.items():
+        apply_op = {"+": lambda: x + y, "-": lambda: x - y,
+                    "*": lambda: x * y, "/": lambda: x / y}[op]
+        if ref is None:
+            with pytest.raises(ZeroDivisionError):
+                apply_op()
+            continue
+        got = apply_op()
+        assert _pair(got) == ref, op
+        if ref[1] == 0:
+            assert type(got) is F  # collapsed, and hashes as that Fraction
+        same = quadext(ref[0], ref[1], 3)  # the value built another way
+        assert got == same and hash(got) == hash(same)
+    s = _pair_sign(a1 - a2, b1 - b2)
+    assert ((x < y), (x <= y), (x > y), (x >= y), (x == y)) == (
+        s < 0, s <= 0, s > 0, s >= 0, s == 0)
+    assert -x == quadext(-a1, -b1, 3) and hash(-x) == hash(quadext(-a1, -b1, 3))
+
+
+def test_quadext_is_immutable():
+    x = quadext(1, 2, 3)
+    with pytest.raises(AttributeError):
+        x.a = F(5)
+    assert (x.a, x.b, x.d, repr(x)) == (F(1), F(2), 3, "(1+2*sqrt(3))")
 
 
 def test_quadext_rejects_mixed_radicands():
