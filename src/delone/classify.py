@@ -34,6 +34,7 @@ representative, then synthesizes.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -101,22 +102,29 @@ def fingerprint(c):
     return Fingerprint(data=tuple(sorted(c.distance_rows)), scale=c.scale)
 
 
-def _scalars_match(a, b, tol):
-    """Equal squared distances: exactly, or within a band in float mode."""
+def _matcher(tol):
+    """Equality of squared distances: exact, or in float mode a band that
+    grows with their square roots."""
     if tol.exact:
-        return a == b
-    return abs(a - b) <= 4 * tol.eps_abs * (1.0 + math.sqrt(abs(a) + abs(b)))
+        return operator.eq
+    band = 4 * tol.eps_abs
+
+    def close(a, b):
+        return abs(a - b) <= band * (1.0 + math.sqrt(abs(a) + abs(b)))
+
+    return close
 
 
 def _rows_match(row1, row2, tol):
     if tol.exact:
         return row1 == row2
-    return len(row1) == len(row2) and all(
-        _scalars_match(a, b, tol) for a, b in zip(row1, row2))
+    return len(row1) == len(row2) and all(map(_matcher(tol), row1, row2))
 
 
 def _entries_match(e1, e2, tol):
-    return _scalars_match(e1[0], e2[0], tol) and _rows_match(e1[1], e2[1], tol)
+    if tol.exact:
+        return e1 == e2
+    return _matcher(tol)(e1[0], e2[0]) and _rows_match(e1[1], e2[1], tol)
 
 
 def fingerprints_match(f1, f2, tol):
@@ -298,13 +306,13 @@ def _witness_linear_parts(c1, c2, tol, want_all):
     # images each frame vector may take: offsets at its distance from the
     # center, then with its row (built only for those); computed here, so
     # the recursive closure below holds no row tables
+    same = _matcher(tol)
     norms2 = [rows2.norm(t) for t in offs2]
     candidates = []
     for v in frame:
         n1, row1 = rows1.norm(v), rows1.row(v)
         candidates.append([t for t, n in zip(offs2, norms2)
-                           if _scalars_match(n, n1, tol)
-                           and _rows_match(rows2.row(t), row1, tol)])
+                           if same(n, n1) and _rows_match(rows2.row(t), row1, tol)])
 
     def assignments(i, images):
         if i == s:

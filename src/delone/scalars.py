@@ -56,14 +56,13 @@ def quadext(a, b, d):
 
 
 _RATIONAL = (int, Fraction)
-_new_object = object.__new__
 _set_attr = object.__setattr__
 
 
 def _raw(a, b, d):
     """``a + b*sqrt(d)`` from Fractions a, b != 0 and a radicand already
     checked: arithmetic results skip the checks of the constructor."""
-    obj = _new_object(QuadExt)
+    obj = object.__new__(QuadExt)
     _set_attr(obj, "a", a)
     _set_attr(obj, "b", b)
     _set_attr(obj, "d", d)
@@ -109,7 +108,6 @@ class QuadExt:
     def _same_field(self, other):
         if other.d != self.d:
             raise ValueError(f"mixed radicands sqrt({self.d}) and sqrt({other.d})")
-        return other
 
     def __add__(self, o):
         if isinstance(o, QuadExt):
