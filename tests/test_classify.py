@@ -88,8 +88,8 @@ def test_cluster_group_orders(z2):
 
 
 def test_cluster_group_against_bruteforce(z2, tri, fix3):
-    # tri: coordinates in Q(sqrt 3); p4: a point with a trivial site group
-    # far out; fix3: a lattice point and two half-lattice points
+    # tri: coordinates in Q(sqrt 3); p4: a generic site, whose group is the
+    # identity from radius 2 on; fix3: a lattice point and two half points
     p4 = _p4()
     origin, site = (F(0), F(0)), (F(3, 10), F(1, 10))
     for handle, x, rho, expect in (

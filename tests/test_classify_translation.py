@@ -51,7 +51,8 @@ def _bent():
 
 
 # (name, handle builder, radii); the radii include the rho0 and rho0 + 2R
-# of each set's regular certify
+# of each set's regular certify (of its crystal certify for bent, whose
+# first radius is the one where two classes share a radial key)
 CASES = (
     ("z2_w5", lambda: square_lattice(extent=F(5)), (F(1), 1 + Radical.sqrt(2))),
     ("rows", _rows, (F(1, 5), F(9, 4) - ROWS_2R, F(9, 4))),
@@ -61,7 +62,8 @@ CASES = (
     ("z2", square_lattice, (F(1), F(3))),
     ("p4", _p4, (F(1, 2), F(2))),
     ("fix3", three_coset_fixture, (F(1, 2), F(2))),
-    ("bent", _bent, (Radical.sqrt(F(1, 5)), F(1))),
+    ("bent", _bent, (Radical.sqrt(F(1, 5)), Radical.sqrt(F(2, 5)),
+                      1 + Radical.sqrt(F(2, 5)))),
 )
 HANDLES = {}
 
