@@ -11,8 +11,11 @@ radius rho0 + 2R of the rows), the triangular-lattice window of extent 3
 fixture translated by (2/5, 9/10) (a motif with denominator 10) and of the
 triangular lattice (the field path), decomposition of the fixture window
 of extent 4, the p4 crystal (Z^2 with its quarter-turn orbit of
-(3/10, 1/10): four motif points in one class) certified and analyzed, and
-the crystal certify of the translated fixture at every population point.  The golden files live in
+(3/10, 1/10): four motif points in one class) certified and analyzed,
+the crystal certify of the translated fixture at every population point,
+the triangular lattice analyzed (a Q(sqrt 3) cluster group of order 12),
+and the RLLRLR rows analyzed at rho 1/5 (collinear clusters: a
+rank-deficient group of order 4).  The golden files live in
 ``tests/golden/<job>.txt``; the first line of each is the exit code.
 """
 
@@ -77,6 +80,8 @@ JOBS = (
     ("p4_analyze", ("analyze", "p4.ps")),
     ("tfix_certify_crystal_all", ("certify", "tfix.ps", "--criterion", "crystal",
                                   "--group-mode", "all")),
+    ("tri_analyze", ("analyze", "tri.ps")),
+    ("rows_analyze_rho", ("analyze", "rows.ps", "--rho", "1/5")),
 )
 
 
