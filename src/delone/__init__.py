@@ -5,8 +5,9 @@ into lattice cosets.
 """
 
 from .scalars import QuadExt, Radical, quadext
-from .geometry import (Isometry, Lattice, Tolerance, apply, compose,
-                       point_inversion, points_equal, identity, translation)
+from .geometry import (ConvergenceError, Isometry, Lattice, Tolerance, apply,
+                       compose, point_inversion, points_equal, identity,
+                       translation)
 from .sets import (Chain, Cluster, DeloneParams, DistanceSpectrum,
                    PointSetHandle, TruncationError, WindowTooSmallError,
                    build_periodic, build_window, cluster, covering_radius,

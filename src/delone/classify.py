@@ -5,12 +5,24 @@ other and one point set onto the other.  Witnesses are synthesized from
 point correspondences: pick a frame of independent offsets in the first
 cluster, enumerate candidate images with matching distance data in the
 second, solve for the unique linear part, then verify orthogonality and a
-full set bijection.  Cluster sizes are bounded by packing, so the frame
-enumeration stays small.  The distance data of an offset are its squared
-distance from the center, compared first, and its row of squared distances
-to every cluster point, built on demand: only for the frame and for the
-offsets at a frame vector's distance from the center.  A cluster of n
-points thus costs O(k n) distances for k candidate images, not n^2.
+full bijection of the offsets.  Cluster sizes are bounded by packing, so
+the frame enumeration stays small.  The distance data of an offset are its
+squared distance from the center, compared first, and its row of squared
+distances to every cluster point, built on demand: only for the frame and
+for the offsets at a frame vector's distance from the center.  A cluster of
+n points thus costs O(k n) distances for k candidate images, not n^2.
+
+Clusters cut from a rational set share its grid scale, so synthesis runs
+on their int offsets (grid point minus grid center): scaling leaves the
+linear part of an isometry unchanged.  The bijection check writes a
+candidate as M / q with integer M and q and looks each image M v / q up in
+a dict from offset to index, rejecting the candidate at the first image
+that q does not divide or that is not an offset; it returns the
+permutation of offset indices.  Q(sqrt 3) clusters and clusters of
+different scales run the same lookup on field offsets.  When the offsets
+span R^d a linear map is fixed by that permutation, so a cluster group is
+checked closed under composition and inverse on its permutations; the
+matrices are multiplied only for rank-deficient clusters and in float mode.
 
 Degenerate clusters (offsets spanning fewer than d dimensions) get their
 frame completed with orthogonal-complement vectors.  A rank deficit of one
@@ -151,25 +163,37 @@ def _greedy_frame(offsets, tol):
     return frame
 
 
-def _sorted_offsets(c):
-    offs = list(c.offsets())
-    offs.sort(key=lambda v: (sfloat(p_dot(v, v)), tuple(map(sfloat, v))))
-    return offs
+class _Offsets:
+    """A cluster's offsets from its center, sorted by length then by
+    coordinates, with their distance data built on first use.
 
-
-class _Rows:
-    """Distance data of a cluster's offsets, each built on first use.
-
-    ``norm(v)`` is the squared distance from the center to center + v and
-    ``row(v)`` the sorted squared distances from center + v to every
-    cluster point: ints in units of ``1/scale**2`` on a grid, field scalars
-    otherwise, or field scalars throughout when ``in_field`` is set (rows
-    of clusters in different units compare only that way).
+    With ``integer`` set the offsets are the int vectors ``grid point - grid
+    center``: scaling does not change the linear part of an isometry, so
+    synthesis runs on ints.  Otherwise they are field offsets (or floats).
+    ``index.get(v)`` is the position of offset v (see
+    :meth:`Tolerance.point_set`).  ``norm(v)`` is the squared distance
+    from the center to the point at offset v and ``row(v)`` the sorted
+    squared distances from that point to every cluster point: ints in units
+    of ``1/scale**2`` on a grid, field scalars otherwise, or field scalars
+    throughout when ``in_field`` is set (rows of clusters in different units
+    compare only that way).
     """
 
-    def __init__(self, c, in_field):
+    def __init__(self, c, tol, integer, in_field):
         self.center, self.points = c.grid or (c.center, c.points)
-        self.own = dict(zip(c.offsets(), (p for p in self.points if p != self.center)))
+        own = [q for q in self.points if q != self.center]
+        if integer:
+            vecs = [tuple(a - b for a, b in zip(q, self.center)) for q in own]
+            order = sorted(range(len(vecs)),
+                           key=lambda k: (sum(a * a for a in vecs[k]), vecs[k]))
+        else:
+            vecs = c.offsets()
+            order = sorted(range(len(vecs)),
+                           key=lambda k: (sfloat(p_dot(vecs[k], vecs[k])),
+                                          tuple(map(sfloat, vecs[k]))))
+        self.vectors = [vecs[k] for k in order]
+        self.own = {vecs[k]: own[k] for k in order}
+        self.index = tol.point_set(self.vectors)
         self.scale2 = c.scale * c.scale if in_field and c.scale is not None else None
         self.rows = {}
 
@@ -215,12 +239,29 @@ def _solve_map(frame_rows, image_rows, tol):
     return o
 
 
-def _map_bijects(o, offs1, offs2_set):
-    for v in offs1:
-        image = tuple(sum(o[i][j] * v[j] for j in range(len(v))) for i in range(len(o)))
-        if image not in offs2_set:
-            return False
-    return True
+def _permutation(o, offs, index, integer):
+    """Positions (``index.get``) of the images of ``offs`` under the linear
+    part o, or None as soon as an image is not an offset.
+
+    On int offsets a rational o is written as M / q with integer M and q:
+    an image M v that q does not divide is not an offset.
+    """
+    q = None
+    if integer and all(isinstance(x, Fraction) for r in o for x in r):
+        q = math.lcm(*(x.denominator for r in o for x in r))
+        o = [[x.numerator * (q // x.denominator) for x in r] for r in o]
+    perm = []
+    for v in offs:
+        image = tuple(sum(map(operator.mul, r, v)) for r in o)
+        if q is not None:
+            if any(a % q for a in image):
+                return None
+            image = tuple(a // q for a in image)
+        k = index.get(image)
+        if k is None:
+            return None
+        perm.append(k)
+    return tuple(perm)
 
 
 def _scale_root(ratio):
@@ -259,40 +300,46 @@ def _complement_images(comp1, offs2, d, tol):
 
 
 def _witness_linear_parts(c1, c2, tol, want_all):
-    """Orthogonal linear parts mapping offsets(c1) onto offsets(c2).
+    """Orthogonal linear parts mapping the offsets of c1 onto those of c2.
 
-    Yields row-major matrices; enumeration order is deterministic.
+    Yields pairs (o, perm) in a deterministic order: o is a row-major
+    matrix and perm, when the offsets span R^d, the permutation of offset
+    positions that o induces (a linear map is fixed by its action on a
+    spanning set, so perm determines o); perm is None otherwise.  Clusters
+    with one grid scale are matched on int offsets, with int distance data;
+    other exact clusters (Q(sqrt 3) coordinates, or different scales) on
+    field offsets.  Either way every candidate o is solved from a frame, is
+    checked orthogonal, and must biject the offsets (:func:`_permutation`).
     """
-    offs1 = _sorted_offsets(c1)
-    offs2 = _sorted_offsets(c2)
-    if len(offs1) != len(offs2):
+    if c1.size != c2.size:
         return
     d = c1.dim
-    if not offs1:
+    integer = c1.grid is not None and c2.grid is not None and c1.scale == c2.scale
+    # rows in different units compare only as field scalars
+    in_field = c1.scale != c2.scale
+    offs1 = _Offsets(c1, tol, integer, in_field)
+    offs2 = offs1 if c2 is c1 else _Offsets(c2, tol, integer, in_field)
+    vecs1, vecs2 = offs1.vectors, offs2.vectors
+    if not vecs1:
         if not want_all:
-            yield mat_identity(d)  # canonical witness: plain translation
+            yield mat_identity(d), None  # canonical witness: plain translation
         elif d == 1:
-            yield mat_identity(d)
-            yield ((Fraction(-1),),)
+            yield mat_identity(d), None
+            yield ((Fraction(-1),),), None
         else:
             raise InfiniteGroupError(
                 f"a single-point cluster in {d}-d has stabilizer O({d})")
         return
-    # rows in different units compare only as field scalars
-    in_field = c1.scale != c2.scale
-    rows1 = _Rows(c1, in_field)
-    rows2 = rows1 if c2 is c1 else _Rows(c2, in_field)
-    frame = _greedy_frame(offs1, tol)
+    frame = _greedy_frame(vecs1, tol)
     s = len(frame)
     comp1 = orthogonal_complement(frame, d) if s < d else []
-    spans_parallel = s == d or rank(frame + offs2, exact=tol.exact) == s
-    offs2_set = tol.point_set(offs2)
+    spans_parallel = s == d or rank(frame + vecs2, exact=tol.exact) == s
     comp_image_choices = None
     if s < d:
         if spans_parallel:
             base = [list(comp1)]
         else:
-            imgs = _complement_images(comp1, offs2, d, tol)
+            imgs = _complement_images(comp1, vecs2, d, tol)
             if imgs is None:
                 return
             base = [imgs]
@@ -307,12 +354,12 @@ def _witness_linear_parts(c1, c2, tol, want_all):
     # center, then with its row (built only for those); computed here, so
     # the recursive closure below holds no row tables
     same = _matcher(tol)
-    norms2 = [rows2.norm(t) for t in offs2]
+    norms2 = [offs2.norm(t) for t in vecs2]
     candidates = []
     for v in frame:
-        n1, row1 = rows1.norm(v), rows1.row(v)
-        candidates.append([t for t, n in zip(offs2, norms2)
-                           if same(n, n1) and _rows_match(rows2.row(t), row1, tol)])
+        n1, row1 = offs1.norm(v), offs1.row(v)
+        candidates.append([t for t, n in zip(vecs2, norms2)
+                           if same(n, n1) and _rows_match(offs2.row(t), row1, tol)])
 
     def assignments(i, images):
         if i == s:
@@ -331,13 +378,14 @@ def _witness_linear_parts(c1, c2, tol, want_all):
             o = _solve_map(frame + comp1, images + list(comp_imgs), tol)
             if o is None:
                 continue
-            if not _map_bijects(o, offs1, offs2_set):
+            perm = _permutation(o, vecs1, offs2.index, integer)
+            if perm is None:
                 continue
             key = o if tol.exact else tuple(tuple(round(x, 9) for x in row) for row in o)
             if key in seen:
                 continue
             seen.add(key)
-            yield o
+            yield o, (perm if s == d else None)
             if not want_all:
                 return
 
@@ -355,24 +403,52 @@ def clusters_equivalent(c1, c2, tol=None):
         raise ValueError("clusters have different radii")
     if c1.size != c2.size:
         return None
-    for o in _witness_linear_parts(c1, c2, tol, want_all=False):
+    for o, _ in _witness_linear_parts(c1, c2, tol, want_all=False):
         shift = p_sub(c2.center, tuple(sum(o[i][j] * c1.center[j] for j in range(c1.dim))
                                        for i in range(c1.dim)))
         return Isometry(o, shift)
     return None
 
 
+def _check_permutation_closure(perms):
+    """Raise AssertionError unless the permutations (tuples of images) are
+    closed under inverse and composition."""
+    members = set(perms)
+    for p in perms:
+        inverse = [0] * len(p)
+        for i, j in enumerate(p):
+            inverse[j] = i
+        if tuple(inverse) not in members:
+            raise AssertionError("cluster group not closed under inverse")
+    for p in perms:
+        for q in perms:
+            if tuple(map(p.__getitem__, q)) not in members:  # q first, then p
+                raise AssertionError("cluster group not closed under composition")
+
+
 def cluster_group_of(c, tol=None):
-    """The full finite group of center-fixing self-maps of a cluster."""
+    """The full finite group of center-fixing self-maps of a cluster.
+
+    Elements are the witnesses of :func:`_witness_linear_parts` from the
+    cluster to itself.  Closure under inverse and composition is checked
+    on their permutations of the offsets when the offsets span R^d (each
+    element is then fixed by its permutation, and elements compose as their
+    permutations do); rank-deficient clusters and float mode check the
+    matrices (:meth:`ClusterGroup.verify_closure`).
+    """
     tol = tol or Tolerance.exact_mode()
-    elements = []
-    for o in _witness_linear_parts(c, c, tol, want_all=True):
+    elements, perms = [], []
+    for o, perm in _witness_linear_parts(c, c, tol, want_all=True):
         shift = p_sub(c.center, tuple(sum(o[i][j] * c.center[j] for j in range(c.dim))
                                       for i in range(c.dim)))
         elements.append(Isometry(o, shift))
+        perms.append(perm)
     group = ClusterGroup(center=c.center, rho=c.radius, elements=tuple(elements),
                          tol=tol)
-    group.verify_closure()
+    if tol.exact and None not in perms:
+        _check_permutation_closure(perms)
+    else:
+        group.verify_closure()
     return group
 
 

@@ -27,7 +27,7 @@ from .fileio import (PointSetFormatError, Report, atomic_write, file_sha256,
 from .generators import (CrystalSpec, ShiftSequence, ShiftedRowSpec,
                          gen_coset_union, gen_crystal, gen_lattice,
                          gen_shifted_rows)
-from .geometry import Isometry, Lattice, Tolerance
+from .geometry import ConvergenceError, Isometry, Lattice, Tolerance
 from .scalars import ExactComparisonError, Radical, quadext, sfloat
 from .sets import (TruncationError, WindowTooSmallError, build_window,
                    cluster, delone_params)
@@ -405,7 +405,7 @@ def main(argv=None):
         return EXIT_INCONCLUSIVE
     except (NotAntipodalError, TruncationError, NotImplementedError,
             InfiniteGroupError, ExactComparisonError, DecompositionError,
-            ReconstructionError) as exc:
+            ReconstructionError, ConvergenceError) as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return EXIT_PRECONDITION
 

@@ -17,6 +17,7 @@ from itertools import product
 from .scalars import Radical, is_exact_scalar, sfloat, ssign
 
 __all__ = [
+    "ConvergenceError",
     "Tolerance",
     "Isometry",
     "Lattice",
@@ -34,6 +35,10 @@ __all__ = [
 
 # a posteriori orthogonality bound for synthesized linear parts (float mode)
 ORTHO_EPS = 1e-9
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative search ran past its iteration bound without an answer."""
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,12 @@ class Tolerance:
         return Radical.sqrt(x) if self.exact else math.sqrt(x)
 
     def point_set(self, points):
-        """Container whose ``in`` is :meth:`same_point` membership."""
-        return frozenset(points) if self.exact else _FloatGrid(points, self.eps_abs)
+        """Container whose ``in`` is :meth:`same_point` membership and
+        whose ``get(p)`` is the position in ``points`` of a point
+        :meth:`same_point` as p, or None."""
+        if self.exact:
+            return {p: i for i, p in enumerate(points)}
+        return _FloatGrid(points, self.eps_abs)
 
     def radius_at_least(self, rho_f):
         """A radius guaranteed to be >= the float rho_f."""
@@ -114,25 +123,29 @@ class Tolerance:
 
 
 class _FloatGrid:
-    """Hash grid for approximate point membership in floating mode."""
+    """Hash grid for approximate point membership in floating mode; ``get``
+    gives the input position of a point within eps, or None."""
 
     def __init__(self, points, eps):
         self.eps = eps
         self.cell = max(4 * eps, 1e-12)
         self.map = {}
-        for p in points:
-            self.map.setdefault(self._key(p), []).append(p)
+        for i, p in enumerate(points):
+            self.map.setdefault(self._key(p), []).append((p, i))
 
     def _key(self, p):
         return tuple(int(math.floor(c / self.cell)) for c in p)
 
-    def __contains__(self, p):
+    def get(self, p):
         base = self._key(p)
         for off in product((-1, 0, 1), repeat=len(p)):
-            for q in self.map.get(tuple(a + b for a, b in zip(base, off)), ()):
+            for q, i in self.map.get(tuple(a + b for a, b in zip(base, off)), ()):
                 if all(abs(a - b) <= self.eps for a, b in zip(p, q)):
-                    return True
-        return False
+                    return i
+        return None
+
+    def __contains__(self, p):
+        return self.get(p) is not None
 
 
 def _check_dims(p, q):
@@ -454,7 +467,7 @@ def lll_reduce(basis, exact=True, delta=Fraction(3, 4)):
     while k < n:
         guard += 1
         if guard > 10000:
-            raise RuntimeError("LLL failed to terminate")
+            raise ConvergenceError("LLL failed to terminate")
         for j in range(k - 1, -1, -1):
             q = _snearest(mu[k][j])
             if q != 0:

@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
 
-from .geometry import (Lattice, Tolerance, dist_sq, fdiv, p_add,
-                       p_dot, p_sub, point_is_exact)
+from .geometry import (ConvergenceError, Lattice, Tolerance, dist_sq, fdiv,
+                       p_add, p_dot, p_sub, point_is_exact)
 from .scalars import QuadExt, Radical, format_point, is_exact_scalar, sfloat, ssign
 
 __all__ = [
@@ -903,7 +903,7 @@ def two_r_chain(handle, x, y):
         if chain is not None:
             return chain
         width *= 2.0
-    raise RuntimeError("2R-chain search failed to converge")  # pragma: no cover
+    raise ConvergenceError("2R-chain search failed to converge")
 
 
 def _seg_dist_sq_leq(p, a, b, w2_float, tol):

@@ -349,3 +349,31 @@ def test_numeric_mode_follows_the_file(tmp_path, z2_file, capsys):
     out = capsys.readouterr().out
     assert "numeric_mode = exact" in out
     assert "r = 1/2" in out
+
+
+def test_lll_non_termination_exit4(tmp_path, z2_file, monkeypatch, capsys):
+    # LLL with delta > 1 swaps the basis vectors forever; loading the
+    # lattice hits the iteration bound
+    from fractions import Fraction
+
+    from delone import geometry
+
+    monkeypatch.setattr(geometry.lll_reduce, "__defaults__", (Fraction(2),))
+    assert run(tmp_path, "analyze", z2_file) == 4
+    err = capsys.readouterr().err
+    assert "precondition violated: LLL failed to terminate" in err
+    assert "Traceback" not in err
+
+
+def test_two_r_chain_non_convergence_exit4(tmp_path, z2_file, monkeypatch, capsys):
+    # no periodic input is known to exhaust the corridor widenings, so the
+    # breadth-first search is made to find nothing
+    from delone import sets
+
+    monkeypatch.setattr(sets, "_bfs_chain", lambda *args, **kwargs: None)
+    assert run(tmp_path, "plot", z2_file, "--out", str(tmp_path / "c.svg"),
+               "--highlight", "chains", "--chain-from", "0,0",
+               "--chain-to", "3,2", "--extent", "4") == 4
+    err = capsys.readouterr().err
+    assert "precondition violated: 2R-chain search failed to converge" in err
+    assert "Traceback" not in err

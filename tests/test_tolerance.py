@@ -59,12 +59,14 @@ def test_point_equality_and_membership():
     assert not EXACT.same_point(p, (F(1, 3) + F(1, 10**30), F(-2)))
     members = EXACT.point_set([p, (F(0), F(0))])
     assert p in members and (F(1, 3), F(2)) not in members
+    assert members.get((F(0), F(0))) == 1 and members.get((F(1), F(1))) is None
     q = (0.3, -2.0)
     assert FLOAT.same_point(q, (0.3 + INSIDE, -2.0 - INSIDE))
     assert not FLOAT.same_point(q, (0.3, -2.0 + OUTSIDE))
     grid = FLOAT.point_set([q, (5.0, 5.0)])
     assert (0.3 + INSIDE, -2.0 - INSIDE) in grid
     assert (0.3 - OUTSIDE, -2.0) not in grid
+    assert grid.get((5.0 - INSIDE, 5.0)) == 1 and grid.get((0.3 - OUTSIDE, -2.0)) is None
     # a grid cell is 4 eps wide: membership also holds across a cell edge
     edge = (4e-9, 0.0)
     assert (edge[0] - INSIDE, 0.0) in FLOAT.point_set([edge])
