@@ -48,6 +48,8 @@ def _parse_rows(text, exact):
 
 
 def _rotation_generator(n, exact):
+    if n not in (1, 2, 3, 4, 6):
+        raise ValueError(f"unsupported rotation order {n}; use 1,2,3,4,6")
     if not exact:
         a = 2 * math.pi / n
         return Isometry(((math.cos(a), -math.sin(a)), (math.sin(a), math.cos(a))),
@@ -61,8 +63,6 @@ def _rotation_generator(n, exact):
         3: ((-half, -quadext(0, half, 3)), (quadext(0, half, 3), -half)),
         6: ((half, -quadext(0, half, 3)), (quadext(0, half, 3), half)),
     }
-    if n not in mats:
-        raise ValueError(f"unsupported rotation order {n}; use 1,2,3,4,6")
     return Isometry(mats[n], (zero, zero))
 
 
@@ -119,7 +119,7 @@ def cmd_generate(args):
                                  extent=extent, tol=tol)
     elif args.family == "crystal":
         gens = []
-        if args.rotation and args.rotation != 1:
+        if args.rotation != 1:
             gens.append(_rotation_generator(args.rotation, exact))
         if args.mirror:
             one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)

@@ -56,8 +56,8 @@ class Tolerance:
     def __post_init__(self):
         if self.mode not in ("exact", "float"):
             raise ValueError(f"unknown numeric mode {self.mode!r}")
-        if self.mode == "float" and not self.eps_abs > 0:
-            raise ValueError("eps_abs must be positive in floating mode")
+        if self.mode == "float" and not 0 < self.eps_abs < math.inf:
+            raise ValueError("eps_abs must be positive and finite in floating mode")
 
     @property
     def exact(self):

@@ -17,7 +17,6 @@ between set points are ints over ``scale**2``, range queries decide them
 as ints, and clusters carry the integer vectors for classification.
 """
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -124,32 +123,31 @@ def _reach(radius, tol):
 
 
 def _float_index(points):
-    """Float copies of sorted window points plus a bound on every
-    coordinate's magnitude, or None if a conversion overflows or the
-    float first coordinates are out of order."""
+    """A uniform cell hash over float copies of the points (Bentley, Stanat
+    and Williams, IPL 1977), cell side 2 (volume / n)^(1/k) over the k
+    nonzero extents: (magnitude bound, origin, side, cells per axis, {cell:
+    [(index, float point)]}), or None if an extent is not finite."""
     try:
         fpts, mag = zip(*(_float_point(p) for p in points))
     except OverflowError:
         return None
-    xs = [q[0] for q in fpts]
-    if not all(map(math.isfinite, mag)) or any(a > b for a, b in zip(xs, xs[1:])):
+    origin = [min(c) for c in zip(*fpts)]
+    ext = [max(c) - a for c, a in zip(zip(*fpts), origin)]
+    side = 2 * (math.prod(e for e in ext if e) / len(fpts)) ** (1 / max(1, sum(map(bool, ext))))
+    if not all(map(math.isfinite, chain(mag, ext, (side,)))) or side <= 0:
         return None
-    return xs, fpts, max(mag)
+    table = {}
+    for i, q in enumerate(fpts):
+        table.setdefault(tuple(int((a - b) / side) for a, b in zip(q, origin)), []).append((i, q))
+    return max(mag), origin, side, [int(e / side) + 1 for e in ext], table
 
 
 def _float_point(p):
     """(float copy of p, bound on its parts' magnitudes); a + b*sqrt(d)
     converts with error relative to |a| + |b|*sqrt(d), not to its value."""
-    out, mag = [], 0.0
-    for c in p:
-        if isinstance(c, QuadExt):
-            a, b = float(c.a), float(c.b) * math.sqrt(c.d)
-            out.append(a + b)
-            mag = max(mag, abs(a) + abs(b))
-        else:
-            out.append(float(c))
-            mag = max(mag, abs(out[-1]))
-    return tuple(out), mag
+    parts = [(float(c.a), float(c.b) * math.sqrt(c.d)) if isinstance(c, QuadExt)
+             else (float(c), 0.0) for c in p]
+    return tuple(a + b for a, b in parts), max(abs(a) + abs(b) for a, b in parts)
 
 
 def _common_denominator(coords):
@@ -399,33 +397,29 @@ class PointSetHandle:
         return scale2, out
 
     def _window_candidates(self, center, radius):
-        """Indices of window points that may lie within radius of center,
-        in order.
-
-        Bisects the sorted float first coordinates to a strip and drops
-        points whose float distance exceeds the reach; the pad bounds the
-        conversion and rounding error, so no covered point is dropped.
-        """
+        """Indices, in order, of the window points in the index cells that
+        meet the box of half-side reach about center (all cells when the box
+        has more) within float distance reach; the pad bounds conversion and
+        rounding error, so no covered point is dropped."""
         if "index" not in self._cache:
             self._cache["index"] = _float_index(self.points)
-        index = self._cache["index"]
-        reach = _reach(radius, self.tol)
-        everything = range(len(self.points))
-        if index is None or reach is None:
-            return everything
-        xs, fpts, mag = index
+        index, reach = self._cache["index"], _reach(radius, self.tol)
         try:
             fc, cmag = _float_point(center)
         except OverflowError:
-            return everything
+            index = None
+        if index is None or reach is None:
+            return range(len(self.points))
+        mag, origin, side, dims, table = index
         reach += 1e-9 * (reach + mag + cmag) + 1e-300
         if not math.isfinite(reach):
-            return everything
-        lo = bisect.bisect_left(xs, fc[0] - reach)
-        hi = bisect.bisect_right(xs, fc[0] + reach)
-        reach2 = reach * reach
-        return [i for i in range(lo, hi)
-                if sum((a - b) * (a - b) for a, b in zip(fpts[i], fc)) <= reach2]
+            return range(len(self.points))
+        ranges = [range(int(min(max((c - reach - a) / side, 0.0), m)),  # clamped to the table
+                        math.floor(min(max((c + reach - a) / side, -1.0), m - 1)) + 1)
+                  for c, a, m in zip(fc, origin, dims)]
+        found = (table.values() if math.prod(r.stop - r.start for r in ranges) > len(table)
+                 else (table.get(cell, ()) for cell in product(*ranges)))
+        return sorted(i for i, q in chain.from_iterable(found) if math.dist(q, fc) <= reach)
 
     def neighborhood(self, center, radius):
         """Cached variant of points_in_ball keyed by the center point."""
@@ -642,11 +636,11 @@ def covering_radius(handle):
     """R = sup over space of the distance to the nearest set point.
 
     For d <= 3, R^2 is the largest squared distance from a site to a vertex
-    of its Voronoi cell, computed in the handle's own arithmetic: exact for
-    periodic sets; window handles yield a lower-bound estimate from the
-    cells' vertices whose empty balls fit in the trusted region (see
-    DeloneParams.R_exactness).  Float windows with d >= 4 get a grid
-    estimate; exact inputs with d >= 4 raise NotImplementedError.
+    of its Voronoi cell, clipped on ints for a handle with a scale and in
+    its own field (or floats) otherwise: exact for periodic sets; window
+    handles yield a lower-bound estimate from the cells' vertices whose
+    empty balls fit in the trusted region (see DeloneParams.R_exactness).
+    Float windows with d >= 4 get a grid estimate; exact ones raise.
     """
     return delone_params(handle).R
 
@@ -758,43 +752,50 @@ def _voronoi_cell(box, offsets, tol):
     """The cell {c in box : o.c <= |o|^2 / 2 for each offset o} as (max |c|^2,
     [(|c|^2, vertex c, on the box)] largest first, whether none is on it).
 
-    Half-spaces clip the box one at a time, skipping any o with |o|^2 at
-    least four times every |c|^2 (it cannot cut).  A vertex carries the
-    constraints tight at it, and a cut edge joins two vertices unless a
-    third is tight on all they share (the combinatorial test of the double
-    description method).  Floats count a vertex within eps_abs of a
-    bisector as on it.
-    """
+    Half-spaces clip the box one at a time, skipping an o with |o|^2 >= 4 |c|^2
+    at every vertex (it cannot cut).  Vertex c = V / w is beyond o's bisector
+    if s = 2 o.V - |o|^2 w > 0; cut edge (u, x) gives V = s_u V_x - s_x V_u,
+    w = s_u w_x - s_x w_u, ints cut by their gcd for int offsets and a rational
+    box, else divided back to w = 1 (floats: s is a signed distance, 0 within
+    eps_abs).  Vertices carry their tight constraints; a cut edge joins two
+    unless a third is tight on all they share (double description method)."""
     lo, hi = box
     d = len(lo)
+    ints = all(type(a) is int for a in chain(*offsets))
+    den = _common_denominator(chain(lo, hi)) if ints else None
     corners = product(*[((hi[i], 2 * i), (lo[i], 2 * i + 1)) for i in range(d)])
-    verts = [(c, p_dot(c, c), frozenset(t)) for c, t in (zip(*k) for k in corners)]
-    top = max(n for _, n, _ in verts)
+    verts = [(v, den or 1, p_dot(v, v), frozenset(t)) for c, t in (zip(*k) for k in corners)
+             for v in [c if den is None else _on_grid(c, den)]]
     for j, o in enumerate(offsets, 2 * d):
-        n2 = p_dot(o, o)
-        if 4 * top <= n2:
+        n2 = p_dot(o, o)  # n // w^2 + 1 bounds |c|^2 = n / w^2 when w > 1
+        if all(4 * (n if w == 1 else n // (w * w) + 1) <= n2 for _, w, n, _ in verts):
             continue
-        unit = 1 if tol.exact else 0.5 / math.sqrt(n2)  # floats: signed distance
-        s = [(2 * p_dot(o, c) - n2) * unit for c, _, _ in verts]
+        unit = 1 if tol.exact else 0.5 / math.sqrt(n2)
+        s = [(2 * p_dot(o, v) - n2 * w) * unit for v, w, _, _ in verts]
         side = [0 if tol.is_zero(v) else 1 if v > 0 else -1 for v in s]
         if 1 not in side:
             continue
-        new = [(c, n, t | {j} if g == 0 else t) for (c, n, t), g in zip(verts, side) if g < 1]
-        outside = [i for i, g in enumerate(side) if g == 1]
-        inside = [i for i, g in enumerate(side) if g == -1]
-        for u, w in product(outside, inside):
-            common = verts[u][2] & verts[w][2]
-            if len(common) < d - 1 or any(common <= t for z, (_, _, t) in enumerate(verts)
-                                          if z != u and z != w):
+        new = [(v, w, n, t | {j} if g == 0 else t)
+               for (v, w, n, t), g in zip(verts, side) if g < 1]
+        for u, x in product(*([i for i, g in enumerate(side) if g == k] for k in (1, -1))):
+            (vu, wu, _, tu), (vx, wx, _, tx) = verts[u], verts[x]
+            common = tu & tx
+            if len(common) < d - 1 or any(common <= t for z, (_, _, _, t) in enumerate(verts)
+                                          if z != u and z != x):
                 continue
-            f = fdiv(s[u], s[u] - s[w])
-            q = tuple(p + f * (r - p) for p, r in zip(verts[u][0], verts[w][0]))
-            new.append((q, p_dot(q, q), common | {j}))
+            if den is None:
+                f = fdiv(s[u], s[u] - s[x])
+                v, w = tuple(p + f * (r - p) for p, r in zip(vu, vx)), 1
+            else:
+                v, w = [s[u] * b - s[x] * a for a, b in zip(vu, vx)], s[u] * wx - s[x] * wu
+                g = math.gcd(w, *v)
+                v, w = tuple(a // g for a in v), w // g
+            new.append((v, w, p_dot(v, v), common | {j}))
         verts = new
-        top = max(n for _, n, _ in verts)
-    verts = sorted(((n, c, min(t) < 2 * d) for c, n, t in verts),
-                   key=lambda v: v[0], reverse=True)
-    return top, verts, not any(v[2] for v in verts)
+    verts = sorted(((n, v, min(t) < 2 * d) if w == 1 else (Fraction(n, w * w), tuple(
+        Fraction(a, w) for a in v), min(t) < 2 * d) for v, w, n, t in verts),
+        key=lambda v: v[0], reverse=True)
+    return verts[0][0], verts, not any(v[2] for v in verts)
 
 
 def _covering_grid(handle):
@@ -812,7 +813,6 @@ def _covering_grid(handle):
         for l, h in zip(lo, hi)]
     coords = [[sfloat(c) for c in p] for p in handle.points]
     best = 0.0
-    from itertools import product
     for g in product(*axes):
         dmin = min(sum((a - b) ** 2 for a, b in zip(g, c)) for c in coords)
         best = max(best, dmin)

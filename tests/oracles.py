@@ -2,9 +2,13 @@
 
 These deliberately avoid the production code paths (fingerprints, profile
 filters, greedy frames, complement completion): matchings are enumerated
-from raw point tuples with only norm/Gram pruning, and window transitivity
-is verified by mapping every window point.
+from raw point tuples with only norm/Gram pruning, window transitivity
+is verified by mapping every window point, and Voronoi cells are found by
+trying every intersection of d facets rather than by clipping.
 """
+
+from fractions import Fraction
+from itertools import combinations
 
 from delone.geometry import Isometry, mat_solve, p_dot, p_sub, rank
 from delone.scalars import sfloat, ssign
@@ -139,3 +143,46 @@ def grid_covering_estimate(handle, samples=60):
             d2 = min((gx - p[0]) ** 2 + (gy - p[1]) ** 2 for p in pts)
             best = max(best, d2)
     return best ** 0.5
+
+
+def _det(rows):
+    """Determinant by cofactor expansion along the first row (d <= 3)."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows)))
+
+
+def brute_force_voronoi_vertices(box, offsets):
+    """{vertex: lies on a box face} of {c in box : o.c <= |o|^2 / 2 for
+    each offset o}.
+
+    Every d of the 2d box facets and the bisectors is intersected by
+    Cramer's rule in the inputs' field (ints and floats become exact
+    Fractions), and an intersection point is kept when it satisfies every
+    inequality.
+    """
+    def exact(x):
+        return Fraction(x) if isinstance(x, (int, float)) else x
+
+    lo, hi = ([exact(a) for a in b] for b in box)
+    d = len(lo)
+    facets = []  # (normal, bound): normal . c <= bound
+    for i in range(d):
+        unit = [Fraction(int(k == i)) for k in range(d)]
+        facets += [(unit, hi[i]), ([-a for a in unit], -lo[i])]
+    for o in offsets:
+        o = [exact(a) for a in o]
+        facets.append((o, sum(a * a for a in o) / 2))
+    out = {}
+    for chosen in combinations(facets, d):
+        rows = [n for n, _ in chosen]
+        det = _det(rows)
+        if det == 0:
+            continue
+        c = tuple(_det([n[:j] + [b] + n[j + 1:] for n, b in chosen]) / det
+                  for j in range(d))
+        slack = [sum(a * b for a, b in zip(n, c)) - b for n, b in facets]
+        if all(ssign(s) <= 0 for s in slack):
+            out[c] = any(s == 0 for s in slack[:2 * d])
+    return out

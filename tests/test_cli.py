@@ -214,6 +214,18 @@ def test_caps_must_be_positive_integers(tmp_path, capsys, flag, value):
     assert f"{flag}: expected a positive integer" in captured.err
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("order", ["0", "-4"])
+def test_unsupported_rotation_orders_exit2(tmp_path, capsys, mode, order):
+    # 0 used to write an unrotated crystal, and 0 in float mode divided by zero
+    rc = run(tmp_path, "--numeric-mode", mode, "generate", "crystal", "--basis", "1,0;0,1",
+             "--motif", "3/10,1/10", "--rotation", order, "--out", "cr.ps")
+    assert rc == 2
+    assert not (tmp_path / "cr.ps").exists()
+    assert capsys.readouterr().err == (f"error: unsupported rotation order {order}; "
+                                       "use 1,2,3,4,6\n")
+
+
 def test_plot_modes_and_determinism(tmp_path, z2_file):
     svg1 = tmp_path / "a.svg"
     svg2 = tmp_path / "b.svg"

@@ -2,6 +2,9 @@
 
 * hand-derived values of periodic sets;
 * one-dimensional sets, where R is half the largest gap;
+* single Voronoi cells against brute-force vertex enumeration
+  (``oracles.brute_force_voronoi_vertices``) on int, half-integer, Q(sqrt 3)
+  and float boxes and offsets;
 * scipy's Delaunay triangulation (a test-only dependency) on random rational
   lattices, motifs and windows: every circumcenter it proposes is re-solved
   exactly and kept only if its circumball is empty, so R^2 is the largest
@@ -18,13 +21,16 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import brute_force_voronoi_vertices
 from scipy.spatial import Delaunay, QhullError
 
 from delone import (build_periodic, build_window, honeycomb, square_lattice,
                     three_coset_fixture, triangular_lattice)
-from delone.geometry import mat_solve
-from delone.scalars import Radical, sfloat, ssign
-from delone.sets import WindowTooSmallError, delone_params
+from delone.geometry import Tolerance, mat_solve
+from delone.scalars import Radical, quadext, sfloat, ssign
+from delone.sets import WindowTooSmallError, _voronoi_cell, delone_params
 
 Z3 = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
 O3 = (F(0), F(0), F(0))
@@ -72,6 +78,83 @@ def test_one_dimensional_windows():
     assert delone_params(build_window(pts, bounds, margin=F(1))).R == Radical.of(F(1, 2))
     with pytest.raises(WindowTooSmallError):  # trusted region {5/2}: no site
         delone_params(build_window(pts, bounds, margin=F(5, 2)))
+
+
+# -- single cells against vertex enumeration -----------------------------------
+
+EXACT = Tolerance.exact_mode()
+FLOAT = Tolerance.floating(1e-9)
+
+
+def check_exact_cell(box, offsets):
+    top, verts, clear = _voronoi_cell(box, offsets, EXACT)
+    want = brute_force_voronoi_vertices(box, offsets)
+    got = {c: on_box for _, c, on_box in verts}
+    assert len(got) == len(verts)  # no vertex twice
+    assert got == want
+    assert all(r2 == sum(a * a for a in c) for r2, c, _ in verts)
+    assert [r2 for r2, _, _ in verts] == sorted((r2 for r2, _, _ in verts), reverse=True)
+    assert top == max(sum(a * a for a in c) for c in want)
+    assert clear == (not any(want.values()))
+
+
+@st.composite
+def cells(draw, d, den):
+    """A box about the site (the origin) with corners in (1/den)Z^d, and
+    up to eight distinct nonzero int offsets."""
+    lo = tuple(F(draw(st.integers(-6 * den, 0)), den) for _ in range(d))
+    hi = tuple(F(draw(st.integers(1, 6 * den)), den) for _ in range(d))
+    if den == 1:
+        lo, hi = tuple(map(int, lo)), tuple(map(int, hi))
+    offset = st.tuples(*[st.integers(-4, 4)] * d).filter(any)
+    return (lo, hi), tuple(draw(st.lists(offset, max_size=8, unique=True)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((1, 2)).flatmap(lambda den: cells(2, den)))
+def test_planar_cells_equal_vertex_enumeration(case):
+    # den 1 clips on ints from an int box, den 2 from a half-integer box
+    check_exact_cell(*case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cells(3, 1))
+def test_spatial_cells_equal_vertex_enumeration(case):
+    check_exact_cell(*case)
+
+
+H3 = quadext(0, F(1, 2), 3)  # sqrt(3) / 2
+TRIANGULAR = tuple((F(i) + F(j, 2), j * H3) for i in range(-3, 4) for j in range(-3, 4)
+                   if (i, j) != (0, 0) and (i + F(j, 2)) ** 2 + F(3 * j * j, 4) <= 4)
+
+
+@pytest.mark.parametrize("box", [
+    ((F(-3), F(-3)), (F(3), F(3))),
+    ((F(-1, 2), F(-3, 2)), (F(5, 2), F(1, 2))),   # cut by the box
+    ((F(0), -H3), (F(3), 4 * H3)),                 # a Q(sqrt 3) box through the site
+])
+def test_quadratic_cells_equal_vertex_enumeration(box):
+    check_exact_cell(box, TRIANGULAR)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3)).flatmap(lambda d: cells(d, 1)))
+def test_float_cells_match_vertex_enumeration(case):
+    # floats near thirds against the exact cell of the thirds they round
+    box, offsets = case
+    want = brute_force_voronoi_vertices(*(tuple(tuple(F(a, 3) for a in p) for p in ps)
+                                          for ps in (box, offsets)))
+    top, verts, clear = _voronoi_cell(*(tuple(tuple(a / 3 for a in p) for p in ps)
+                                        for ps in (box, offsets)), FLOAT)
+
+    def near(c, pts):
+        return [q for q in pts if max(abs(a - float(b)) for a, b in zip(c, q)) <= 1e-9]
+
+    for _, c, on_box in verts:
+        assert {want[q] for q in near(c, want)} == {on_box}
+    assert all(near(tuple(map(float, q)), [c for _, c, _ in verts]) for q in want)
+    assert math.isclose(top, max(float(sum(a * a for a in q)) for q in want), abs_tol=1e-9)
+    assert clear == (not any(on for _, _, on in verts))
 
 
 # -- scipy cross-check ---------------------------------------------------------

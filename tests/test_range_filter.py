@@ -1,7 +1,8 @@
 """Filtered range queries against exact oracles.
 
-Window queries bisect a float strip and drop points by float distance, and
-closed-ball tests decide in floats outside a per-radius band.  Every answer
+Window queries visit the cells of a uniform float cell hash that meet the
+query's reach box and drop points by float distance, and closed-ball tests
+decide in floats outside a per-radius band.  Every answer
 must equal a brute-force scan that decides each point with the exact
 radical kernel (``Radical.cmp``), which the float filter never enters.
 Periodic queries with a centre on the set's integer grid run on the motif
@@ -85,6 +86,79 @@ def test_window_queries_equal_exact_scan(case):
         brute_window(win.points, center, big), key=lambda t: (float(t[0]), t[1]))
     got = win.neighborhood(center, radius)
     assert sorted(got, key=lambda t: t[1]) == sorted(want, key=lambda t: t[1])
+
+
+def exact_scan(points, center, radius):
+    """brute_window for radii with a rational square, in Fractions only (d2
+    past float range included)."""
+    return [(dist_sq(p, center), p) for p in points
+            if dist_sq(p, center) <= radius.square_scalar()]
+
+
+def check_queries(win, centers, radii, scan=brute_window):
+    for center in centers:
+        for radius in radii:
+            want = scan(win.points, center, radius)
+            assert win.points_in_ball(center, radius) == want
+            got = win.neighborhood(center, radius)
+            assert sorted(got, key=lambda t: t[1]) == sorted(want, key=lambda t: t[1])
+
+
+RADII = (Radical.of(0), Radical.of(F(1, 3)), Radical.sqrt(2), Radical.of(3), Radical.of(50))
+
+
+def test_collinear_window():
+    # zero extent on y: the cells span x only; centres on the line, off the
+    # window's grid, and off the line
+    pts = [(F(i, 3), F(1, 2)) for i in range(-12, 13)]
+    win = build_window(pts, ((F(-4), F(1, 2)), (F(4), F(1, 2))))
+    check_queries(win, [pts[0], pts[13], (F(1, 7), F(1, 2)), (F(0), F(2)),
+                        (F(9), F(1, 2))], RADII)
+    assert win._cache["index"] is not None
+
+
+def test_tall_strip_window():
+    # a 1 x 40 strip of shifted rows, 6 points a row and 41 rows
+    pts = [(F(i, 5) + (F(1, 20) if j % 2 else 0), F(j)) for i in range(6) for j in range(41)]
+    win = build_window(pts, ((F(0), F(0)), (F(5, 4), F(40))))
+    check_queries(win, [pts[0], pts[100], pts[-1], (F(3, 7), F(200, 11)), (F(-3), F(20))],
+                  RADII + (Radical.sqrt(F(26, 25)),))
+    assert win._cache["index"] is not None
+
+
+def test_single_point_window():
+    p = (F(1, 3), F(2, 5))
+    win = build_window([p], (p, p))
+    check_queries(win, [p, (F(1, 3), F(1, 2)), (F(-2, 7), F(5, 11))], RADII)
+    assert win.points_in_ball((F(5), F(5)), Radical.of(1)) == []
+
+
+@pytest.mark.parametrize("xs", [
+    [F(17 * 10**307) + i for i in range(4)],        # float copies coincide
+    [s * F(17 * 10**307) + i for s in (-1, 1) for i in range(2)],  # extent overflows
+    [F(10**309) + i for i in range(4)],             # conversion overflows
+])
+def test_windows_near_float_overflow(xs):
+    pts = [(x, F(j, 2)) for x in xs for j in range(3)]
+    lo, hi = (min(xs), F(0)), (max(xs), F(1))
+    win = build_window(pts, (lo, hi))
+    centers = [pts[0], pts[4], (xs[1] + F(1, 7), F(1, 3)), (F(0), F(0)), (F(10**310), F(0))]
+    check_queries(win, centers, RADII, scan=exact_scan)
+
+
+def test_float_collinear_and_strip_windows():
+    tol = Tolerance.floating(1e-9)
+    line = [(i / 3, 0.5) for i in range(-12, 13)]
+    strip = [(i / 5 + (0.05 if j % 2 else 0.0), float(j)) for i in range(6) for j in range(41)]
+    for pts in (line, strip):
+        lo = tuple(min(p[k] for p in pts) for k in range(2))
+        hi = tuple(max(p[k] for p in pts) for k in range(2))
+        win = build_window(pts, (lo, hi), tol=tol)
+        for center in (pts[0], pts[len(pts) // 2], (1 / 7, 0.3)):
+            for rho in (0.0, 0.2, 1.5, 7.0):
+                want = [(dist_sq(p, center), p) for p in win.points
+                        if math.sqrt(dist_sq(p, center)) <= rho + tol.eps_abs]
+                assert win.points_in_ball(center, rho) == want
 
 
 def test_quadratic_window_ties():

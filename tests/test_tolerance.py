@@ -3,10 +3,14 @@ mode (ties decided exactly, composite radii included) and in float mode
 (just inside and just outside eps_abs), plus one exact/float differential
 run of the certifier on the same window."""
 
+import math
 from fractions import Fraction as F
+
+import pytest
 
 from delone import square_lattice
 from delone.classify import n_profile
+from delone.cli import main
 from delone.criteria import certify_auto
 from delone.geometry import Tolerance
 from delone.scalars import Radical, quadext
@@ -51,6 +55,24 @@ def test_float_comparisons_at_eps():
     assert not radius_covers(1.0, (1.0 + OUTSIDE) ** 2, FLOAT)
     assert FLOAT.sqrt(2.0) == 2.0 ** 0.5
     assert EXACT.sqrt(F(2)) == SQRT2
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -1e-9])
+def test_eps_abs_must_be_positive_and_finite(eps):
+    with pytest.raises(ValueError, match="eps_abs must be positive and finite"):
+        Tolerance.floating(eps)
+
+
+def test_infinite_cli_tolerance_exit2(tmp_path, capsys):
+    # an infinite eps made every two window points "equal", so the load failed
+    # with a misleading "window points are not pairwise distinct"
+    path = str(tmp_path / "z2.ps")
+    float_mode = ["--numeric-mode", "float"]
+    assert main([*float_mode, "generate", "lattice", "--basis", "1,0;0,1", "--out", path]) == 0
+    capsys.readouterr()
+    assert main([*float_mode, "--tolerance", "inf", "analyze", path]) == 2
+    assert capsys.readouterr().err == ("error: eps_abs must be positive and finite "
+                                       "in floating mode\n")
 
 
 def test_point_equality_and_membership():
