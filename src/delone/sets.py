@@ -125,29 +125,29 @@ def _reach(radius, tol):
 def _float_index(points):
     """A uniform cell hash over float copies of the points (Bentley, Stanat
     and Williams, IPL 1977), cell side 2 (volume / n)^(1/k) over the k
-    nonzero extents: (magnitude bound, origin, side, cells per axis, {cell:
-    [(index, float point)]}), or None if an extent is not finite."""
+    nonzero extents: (magnitude bound, origin, side, cells per axis, the
+    copies, {cell: indices}), or None if an extent is not finite."""
     try:
-        fpts, mag = zip(*(_float_point(p) for p in points))
+        fpts, mag = zip(*map(_float_point, points))
     except OverflowError:
         return None
-    origin = [min(c) for c in zip(*fpts)]
-    ext = [max(c) - a for c, a in zip(zip(*fpts), origin)]
-    side = 2 * (math.prod(e for e in ext if e) / len(fpts)) ** (1 / max(1, sum(map(bool, ext))))
+    origin = list(map(min, zip(*fpts)))
+    ext = [b - a for a, b in zip(origin, map(max, zip(*fpts)))]
+    side = 2 * (math.prod(filter(None, ext)) / len(fpts)) ** (1 / max(1, sum(map(bool, ext))))
     if not all(map(math.isfinite, chain(mag, ext, (side,)))) or side <= 0:
         return None
     table = {}
     for i, q in enumerate(fpts):
-        table.setdefault(tuple(int((a - b) / side) for a, b in zip(q, origin)), []).append((i, q))
-    return max(mag), origin, side, [int(e / side) + 1 for e in ext], table
+        table.setdefault(tuple(int((a - b) / side) for a, b in zip(q, origin)), []).append(i)
+    return max(mag), origin, side, [int(e / side) + 1 for e in ext], fpts, table
 
 
 def _float_point(p):
     """(float copy of p, bound on its parts' magnitudes); a + b*sqrt(d)
     converts with error relative to |a| + |b|*sqrt(d), not to its value."""
-    parts = [(float(c.a), float(c.b) * math.sqrt(c.d)) if isinstance(c, QuadExt)
-             else (float(c), 0.0) for c in p]
-    return tuple(a + b for a, b in parts), max(abs(a) + abs(b) for a, b in parts)
+    out = tuple(map(float, p))  # float(x) of a float x is x itself
+    return out, max(abs(float(c.a)) + abs(float(c.b)) * math.sqrt(c.d)
+                    if isinstance(c, QuadExt) else abs(x) for c, x in zip(p, out))
 
 
 def _common_denominator(coords):
@@ -410,16 +410,16 @@ class PointSetHandle:
             index = None
         if index is None or reach is None:
             return range(len(self.points))
-        mag, origin, side, dims, table = index
+        mag, origin, side, dims, fpts, table = index
         reach += 1e-9 * (reach + mag + cmag) + 1e-300
         if not math.isfinite(reach):
             return range(len(self.points))
         ranges = [range(int(min(max((c - reach - a) / side, 0.0), m)),  # clamped to the table
                         math.floor(min(max((c + reach - a) / side, -1.0), m - 1)) + 1)
                   for c, a, m in zip(fc, origin, dims)]
-        found = (table.values() if math.prod(r.stop - r.start for r in ranges) > len(table)
-                 else (table.get(cell, ()) for cell in product(*ranges)))
-        return sorted(i for i, q in chain.from_iterable(found) if math.dist(q, fc) <= reach)
+        found = (range(len(fpts)) if math.prod(r.stop - r.start for r in ranges) > len(table)
+                 else chain.from_iterable(table.get(cell, ()) for cell in product(*ranges)))
+        return sorted(i for i in found if math.dist(fpts[i], fc) <= reach)
 
     def neighborhood(self, center, radius):
         """Cached variant of points_in_ball keyed by the center point."""
@@ -767,8 +767,8 @@ def _voronoi_cell(box, offsets, tol):
     verts = [(v, den or 1, p_dot(v, v), frozenset(t)) for c, t in (zip(*k) for k in corners)
              for v in [c if den is None else _on_grid(c, den)]]
     for j, o in enumerate(offsets, 2 * d):
-        n2 = p_dot(o, o)  # n // w^2 + 1 bounds |c|^2 = n / w^2 when w > 1
-        if all(4 * (n if w == 1 else n // (w * w) + 1) <= n2 for _, w, n, _ in verts):
+        n2 = p_dot(o, o)
+        if all(4 * n <= n2 * w * w for _, w, n, _ in verts):  # 4 |V / w|^2 <= |o|^2
             continue
         unit = 1 if tol.exact else 0.5 / math.sqrt(n2)
         s = [(2 * p_dot(o, v) - n2 * w) * unit for v, w, _, _ in verts]
