@@ -124,9 +124,9 @@ def _reach(radius, tol):
 
 def _float_index(points):
     """A uniform cell hash over float copies of the points (Bentley, Stanat
-    and Williams, IPL 1977), cell side 2 (volume / n)^(1/k) over the k
-    nonzero extents: (magnitude bound, origin, side, cells per axis, the
-    copies, {cell: indices}), or None if an extent is not finite."""
+    and Williams, IPL 1977), side 2 (volume / n)^(1/k) over the k nonzero
+    extents: (magnitude bound, origin, side, cells per axis, copies, {cell:
+    indices}); None if a conversion overflows or an extent is not finite."""
     try:
         fpts, mag = zip(*map(_float_point, points))
     except OverflowError:
