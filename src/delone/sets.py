@@ -18,6 +18,7 @@ as ints, and clusters carry the integer vectors for classification.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -124,21 +125,27 @@ def _reach(radius, tol):
 
 def _float_index(points):
     """A uniform cell hash over float copies of the points (Bentley, Stanat
-    and Williams, IPL 1977), side 2 (volume / n)^(1/k) over the k nonzero
-    extents: (magnitude bound, origin, side, cells per axis, copies, {cell:
-    indices}); None if a conversion overflows or an extent is not finite."""
+    and Williams, IPL 1977), side the largest 2 (e_1 ... e_k / n)^(1/k) over
+    the widest extents e_i: (magnitude bound, origin, side, cells per axis,
+    copies, {cell: indices}); None if a conversion overflows, an extent or
+    the side is not finite, or every extent is 0."""
     try:
         fpts, mag = zip(*map(_float_point, points))
     except OverflowError:
         return None
-    origin = list(map(min, zip(*fpts)))
-    ext = [b - a for a, b in zip(origin, map(max, zip(*fpts)))]
-    side = 2 * (math.prod(filter(None, ext)) / len(fpts)) ** (1 / max(1, sum(map(bool, ext))))
+    columns = list(zip(*fpts))
+    origin = [min(col) for col in columns]
+    ext = [max(col) - a for col, a in zip(columns, origin)]
+    wide = sorted(filter(None, ext), reverse=True)
+    side = 0.0
+    for k in range(1, len(wide) + 1):  # thinner extents fit in one cell and would shrink it
+        side = max(side, 2 * (math.prod(wide[:k]) / len(fpts)) ** (1 / k))
     if not all(map(math.isfinite, chain(mag, ext, (side,)))) or side <= 0:
         return None
     table = {}
     for i, q in enumerate(fpts):
-        table.setdefault(tuple(int((a - b) / side) for a, b in zip(q, origin)), []).append(i)
+        cell = tuple(int((a - b) / side) for a, b in zip(q, origin))
+        table.setdefault(cell, []).append(i)
     return max(mag), origin, side, [int(e / side) + 1 for e in ext], fpts, table
 
 
@@ -146,8 +153,12 @@ def _float_point(p):
     """(float copy of p, bound on its parts' magnitudes); a + b*sqrt(d)
     converts with error relative to |a| + |b|*sqrt(d), not to its value."""
     out = tuple(map(float, p))  # float(x) of a float x is x itself
-    return out, max(abs(float(c.a)) + abs(float(c.b)) * math.sqrt(c.d)
-                    if isinstance(c, QuadExt) else abs(x) for c, x in zip(p, out))
+    mag = 0.0
+    for c, x in zip(p, out):
+        if isinstance(c, QuadExt):
+            x = abs(float(c.a)) + abs(float(c.b)) * math.sqrt(c.d)
+        mag = max(mag, abs(x))
+    return out, mag
 
 
 def _common_denominator(coords):
@@ -414,11 +425,15 @@ class PointSetHandle:
         reach += 1e-9 * (reach + mag + cmag) + 1e-300
         if not math.isfinite(reach):
             return range(len(self.points))
-        ranges = [range(int(min(max((c - reach - a) / side, 0.0), m)),  # clamped to the table
-                        math.floor(min(max((c + reach - a) / side, -1.0), m - 1)) + 1)
-                  for c, a, m in zip(fc, origin, dims)]
-        found = (range(len(fpts)) if math.prod(r.stop - r.start for r in ranges) > len(table)
-                 else chain.from_iterable(table.get(cell, ()) for cell in product(*ranges)))
+        ranges = []
+        for c, a, m in zip(fc, origin, dims):  # cells of the reach box, clamped to the table
+            lo = min(max((c - reach - a) / side, 0.0), m)
+            hi = min(max((c + reach - a) / side, -1.0), m - 1)
+            ranges.append(range(int(lo), math.floor(hi) + 1))
+        if math.prod(len(r) for r in ranges) > len(table):
+            found = range(len(fpts))
+        else:
+            found = chain.from_iterable(table.get(cell, ()) for cell in product(*ranges))
         return sorted(i for i in found if math.dist(fpts[i], fc) <= reach)
 
     def neighborhood(self, center, radius):
@@ -755,17 +770,20 @@ def _voronoi_cell(box, offsets, tol):
     Half-spaces clip the box one at a time, skipping an o with |o|^2 >= 4 |c|^2
     at every vertex (it cannot cut).  Vertex c = V / w is beyond o's bisector
     if s = 2 o.V - |o|^2 w > 0; cut edge (u, x) gives V = s_u V_x - s_x V_u,
-    w = s_u w_x - s_x w_u, ints cut by their gcd for int offsets and a rational
-    box, else divided back to w = 1 (floats: s is a signed distance, 0 within
-    eps_abs).  Vertices carry their tight constraints; a cut edge joins two
-    unless a third is tight on all they share (double description method)."""
+    w = s_u w_x - s_x w_u, ints cut by their gcd for int offsets, a rational
+    box and an exact tolerance, else divided back to w = 1 (a float tolerance
+    makes s a signed distance, 0 within eps_abs).  Vertices carry their tight
+    constraints; a cut edge joins two unless a third is tight on all they
+    share (double description method)."""
     lo, hi = box
     d = len(lo)
-    ints = all(type(a) is int for a in chain(*offsets))
+    ints = tol.exact and all(type(a) is int for a in chain(*offsets))
     den = _common_denominator(chain(lo, hi)) if ints else None
-    corners = product(*[((hi[i], 2 * i), (lo[i], 2 * i + 1)) for i in range(d)])
-    verts = [(v, den or 1, p_dot(v, v), frozenset(t)) for c, t in (zip(*k) for k in corners)
-             for v in [c if den is None else _on_grid(c, den)]]
+    verts = []
+    for corner in product(*[((hi[i], 2 * i), (lo[i], 2 * i + 1)) for i in range(d)]):
+        c, t = zip(*corner)
+        v = c if den is None else _on_grid(c, den)
+        verts.append((v, den or 1, p_dot(v, v), frozenset(t)))
     for j, o in enumerate(offsets, 2 * d):
         n2 = p_dot(o, o)
         if all(4 * n <= n2 * w * w for _, w, n, _ in verts):  # 4 |V / w|^2 <= |o|^2
@@ -777,7 +795,9 @@ def _voronoi_cell(box, offsets, tol):
             continue
         new = [(v, w, n, t | {j} if g == 0 else t)
                for (v, w, n, t), g in zip(verts, side) if g < 1]
-        for u, x in product(*([i for i, g in enumerate(side) if g == k] for k in (1, -1))):
+        outside = [i for i, g in enumerate(side) if g == 1]
+        inside = [i for i, g in enumerate(side) if g == -1]
+        for u, x in product(outside, inside):
             (vu, wu, _, tu), (vx, wx, _, tx) = verts[u], verts[x]
             common = tu & tx
             if len(common) < d - 1 or any(common <= t for z, (_, _, _, t) in enumerate(verts)
@@ -792,10 +812,13 @@ def _voronoi_cell(box, offsets, tol):
                 v, w = tuple(a // g for a in v), w // g
             new.append((v, w, p_dot(v, v), common | {j}))
         verts = new
-    verts = sorted(((n, v, min(t) < 2 * d) if w == 1 else (Fraction(n, w * w), tuple(
-        Fraction(a, w) for a in v), min(t) < 2 * d) for v, w, n, t in verts),
-        key=lambda v: v[0], reverse=True)
-    return verts[0][0], verts, not any(v[2] for v in verts)
+    out = []
+    for v, w, n, t in verts:
+        if w != 1:
+            n, v = Fraction(n, w * w), tuple(Fraction(a, w) for a in v)
+        out.append((n, v, min(t) < 2 * d))
+    out.sort(key=lambda v: v[0], reverse=True)
+    return out[0][0], out, not any(v[2] for v in out)
 
 
 def _covering_grid(handle):
@@ -887,9 +910,8 @@ def two_r_chain(handle, x, y):
     _require_member(handle, y)
     if handle.tol.same_point(x, y):
         return Chain(vertices=(x,))
-    params = delone_params(handle)
     bound2 = two_r_bound_sq(handle)
-    two_r = 2 * sfloat(params.R)
+    two_r = 2 * sfloat(delone_params(handle).R)
 
     if handle.mode == "window":
         chain = _bfs_chain(handle, x, y, bound2, corridor=None)
@@ -906,7 +928,7 @@ def two_r_chain(handle, x, y):
     raise ConvergenceError("2R-chain search failed to converge")
 
 
-def _seg_dist_sq_leq(p, a, b, w2_float, tol):
+def _seg_dist_sq_leq(p, a, b, w2_float):
     """dist(p, segment ab)^2 <= w2, decided in float with a safety pad."""
     pf = [sfloat(c) for c in p]
     af = [sfloat(c) for c in a]
@@ -920,11 +942,9 @@ def _seg_dist_sq_leq(p, a, b, w2_float, tol):
 
 
 def _bfs_chain(handle, x, y, bound2, corridor):
-    from collections import deque
     radius_2r = handle.tol.sqrt(bound2)
-    start = x
-    parent = {start: None}
-    queue = deque([start])
+    parent = {x: None}
+    queue = deque([x])
     w2 = corridor[2] ** 2 if corridor else None
     while queue:
         v = queue.popleft()
@@ -936,7 +956,7 @@ def _bfs_chain(handle, x, y, bound2, corridor):
                 continue
             if not radius_lt(radius_2r, d2, handle.tol):
                 continue
-            if corridor and not _seg_dist_sq_leq(p, corridor[0], corridor[1], w2, handle.tol):
+            if corridor and not _seg_dist_sq_leq(p, corridor[0], corridor[1], w2):
                 continue
             nbrs.append(p)
         for p in sorted(nbrs):
@@ -944,10 +964,7 @@ def _bfs_chain(handle, x, y, bound2, corridor):
             queue.append(p)
     if y not in parent:
         return None
-    path = []
-    v = y
-    while v is not None:
-        path.append(v)
-        v = parent[v]
-    path.reverse()
-    return Chain(vertices=tuple(path))
+    path = [y]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return Chain(vertices=tuple(reversed(path)))

@@ -106,6 +106,21 @@ def test_rational_sets_under_a_float_tolerance_scale_their_distances():
         assert all(math.sqrt(dist_sq(p, center)) <= 1.5 + tol.eps_abs for _, p in got)
 
 
+
+@pytest.mark.parametrize("pts, bounds", [
+    ([(F(i, 2), F(j, 2)) for i in range(-6, 7) for j in range(-6, 7)],
+     ((F(-3), F(-3)), (F(3), F(3)))),
+    ([(F(i, 3) + F(j, 7), F(j, 2)) for i in range(-9, 10) for j in range(-6, 7)],
+     ((F(-4), F(-3)), (F(4), F(3)))),
+])
+def test_rational_windows_under_a_float_tolerance_get_the_exact_covering_radius(pts, bounds):
+    # int offsets with a float tolerance clip in floats, not on the int path
+    tol = Tolerance.floating()
+    got = delone_params(build_window(pts, bounds, tol=tol))
+    want = delone_params(build_window(pts, bounds))
+    assert got.R_exactness == want.R_exactness
+    assert abs(got.R - float(want.R)) <= tol.eps_abs
+
 def test_reconstruct_quadratic_field_equals_field_closure():
     handle = triangular_lattice()
     assert handle._scale() is None

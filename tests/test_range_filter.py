@@ -161,6 +161,34 @@ def test_float_collinear_and_strip_windows():
                 assert win.points_in_ball(center, rho) == want
 
 
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_thin_window_keeps_its_cells_wide(exact, monkeypatch):
+    # x = 0..999 with y jittered by 1e-6: the cells must follow the x
+    # spacing, not the thin y extent, or every query scans the whole window
+    if exact:
+        pts = [(F(i), F(i % 2, 10**6)) for i in range(1000)]
+        centers, radius = [pts[0], pts[500], (F(3, 2), F(1, 10**6))], Radical.of(1)
+    else:
+        pts = [(float(i), 1e-6 * (i % 2)) for i in range(1000)]
+        centers, radius = [pts[0], pts[500], (1.5, 1e-6)], 1.0
+    if exact:
+        win = build_window(pts, ((0, 0), (999, F(1, 10**6))))
+    else:
+        win = build_window(pts, ((0.0, 0.0), (999.0, 1e-6)), tol=Tolerance.floating(1e-9))
+    dist, calls = math.dist, []
+    monkeypatch.setattr(math, "dist", lambda p, q: calls.append(p) or dist(p, q))
+    for center in centers:
+        calls.clear()
+        got = win.points_in_ball(center, radius)
+        if exact:
+            want = brute_window(pts, center, radius)
+        else:
+            want = [(dist_sq(p, center), p) for p in pts
+                    if math.sqrt(dist_sq(p, center)) <= radius + win.tol.eps_abs]
+        assert got == want
+        assert len(calls) <= 8  # the points of the two or three cells the reach meets
+
 def test_quadratic_window_ties():
     # points of the triangular lattice at exact distances from the origin,
     # and a point exactly on the sphere of the two-term radius 1 + sqrt(3)
