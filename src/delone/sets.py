@@ -18,7 +18,6 @@ as ints, and clusters carry the integer vectors for classification.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -910,8 +909,9 @@ def two_r_chain(handle, x, y):
     _require_member(handle, y)
     if handle.tol.same_point(x, y):
         return Chain(vertices=(x,))
+    params = delone_params(handle)
     bound2 = two_r_bound_sq(handle)
-    two_r = 2 * sfloat(delone_params(handle).R)
+    two_r = 2 * sfloat(params.R)
 
     if handle.mode == "window":
         chain = _bfs_chain(handle, x, y, bound2, corridor=None)
@@ -928,7 +928,7 @@ def two_r_chain(handle, x, y):
     raise ConvergenceError("2R-chain search failed to converge")
 
 
-def _seg_dist_sq_leq(p, a, b, w2_float):
+def _seg_dist_sq_leq(p, a, b, w2_float, tol):
     """dist(p, segment ab)^2 <= w2, decided in float with a safety pad."""
     pf = [sfloat(c) for c in p]
     af = [sfloat(c) for c in a]
@@ -942,9 +942,11 @@ def _seg_dist_sq_leq(p, a, b, w2_float):
 
 
 def _bfs_chain(handle, x, y, bound2, corridor):
+    from collections import deque
     radius_2r = handle.tol.sqrt(bound2)
-    parent = {x: None}
-    queue = deque([x])
+    start = x
+    parent = {start: None}
+    queue = deque([start])
     w2 = corridor[2] ** 2 if corridor else None
     while queue:
         v = queue.popleft()
@@ -956,7 +958,7 @@ def _bfs_chain(handle, x, y, bound2, corridor):
                 continue
             if not radius_lt(radius_2r, d2, handle.tol):
                 continue
-            if corridor and not _seg_dist_sq_leq(p, corridor[0], corridor[1], w2):
+            if corridor and not _seg_dist_sq_leq(p, corridor[0], corridor[1], w2, handle.tol):
                 continue
             nbrs.append(p)
         for p in sorted(nbrs):
@@ -964,7 +966,10 @@ def _bfs_chain(handle, x, y, bound2, corridor):
             queue.append(p)
     if y not in parent:
         return None
-    path = [y]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return Chain(vertices=tuple(reversed(path)))
+    path = []
+    v = y
+    while v is not None:
+        path.append(v)
+        v = parent[v]
+    path.reverse()
+    return Chain(vertices=tuple(path))
