@@ -25,11 +25,28 @@ from .criteria import (AntipodalReport, CosetDecomposition, CriterionReport,
                        check_crystal_criterion, check_global_antipodality,
                        check_regular_criterion, is_locally_antipodal,
                        reconstruct_from_2R_cluster)
-from .generators import (CrystalSpec, ShiftSequence, ShiftedRowSpec,
-                         gen_coset_union, gen_crystal, gen_lattice,
-                         gen_shifted_rows, honeycomb, square_lattice,
-                         three_coset_fixture, triangular_lattice)
 from .fileio import read_point_set, write_point_set
-from .svg import render_svg
 
 __version__ = "0.1.0"
+
+# Fixture generators and SVG output load on first use: most commands need
+# neither.  The core layers above stay eager, so ``delone.classify`` is the
+# function rather than its submodule.
+_LAZY = dict.fromkeys(("CrystalSpec", "ShiftSequence", "ShiftedRowSpec",
+                       "gen_coset_union", "gen_crystal", "gen_lattice",
+                       "gen_shifted_rows", "honeycomb", "square_lattice",
+                       "three_coset_fixture", "triangular_lattice"), "generators")
+_LAZY["render_svg"] = "svg"
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted([*globals(), *_LAZY])

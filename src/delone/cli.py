@@ -6,7 +6,8 @@ scan cap), 4 precondition violated (e.g. a non-antipodal input where
 antipodality is required, an input a command does not support, a radius
 whose clusters have an infinite symmetry group, a radical comparison the
 exact kernel cannot decide, an antipodal set with no lattice-coset
-decomposition, or a reconstruction that outgrows its point cap).
+decomposition, a reconstruction that outgrows its point cap, or values
+too large for the float filters).
 """
 
 import argparse
@@ -24,14 +25,10 @@ from .criteria import (DecompositionError, NotAntipodalError,
 from .fileio import (PointSetFormatError, Report, atomic_write, file_sha256,
                      format_radius, format_scalar, parse_radius, parse_scalar,
                      read_point_set, write_point_set)
-from .generators import (CrystalSpec, ShiftSequence, ShiftedRowSpec,
-                         gen_coset_union, gen_crystal, gen_lattice,
-                         gen_shifted_rows)
 from .geometry import ConvergenceError, Isometry, Lattice, Tolerance
 from .scalars import ExactComparisonError, Radical, quadext, sfloat
 from .sets import (TruncationError, WindowTooSmallError, build_window,
                    cluster, delone_params)
-from .svg import render_svg
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -107,6 +104,9 @@ def _start_report(cmd, handle, input_path):
 # subcommands
 
 def cmd_generate(args):
+    from .generators import (CrystalSpec, ShiftSequence, ShiftedRowSpec,
+                             gen_coset_union, gen_crystal, gen_lattice,
+                             gen_shifted_rows)
     exact = args.numeric_mode == "exact"
     tol = _tol_from_args(args)
     extent = parse_scalar(args.extent, exact) if args.extent else None
@@ -295,6 +295,7 @@ def _ball_bbox(center, rho, exact):
 
 
 def cmd_plot(args):
+    from .svg import render_svg
     handle = _load(args)
     if handle.dim != 2:
         raise ValueError("plot requires a 2-d point set")
@@ -407,6 +408,9 @@ def main(argv=None):
             InfiniteGroupError, ExactComparisonError, DecompositionError,
             ReconstructionError, ConvergenceError) as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
+        return EXIT_PRECONDITION
+    except OverflowError as exc:
+        sys.stderr.write(f"precondition violated: a value is out of float range ({exc})\n")
         return EXIT_PRECONDITION
 
 

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 import heapq
 import math
+from itertools import product
 
 from .classify import InfiniteGroupError, classify, cluster_group_of
 from .geometry import (Lattice, Tolerance, dist_sq, lattice_from_generators,
                        p_add, p_neg, p_scale, p_sub, point_is_exact, rank)
-from .scalars import Radical, format_point, sfloat
-from .sets import (WindowTooSmallError, _on_grid, _sq, as_radius, cluster,
+from .scalars import Radical, format_point, sfloat, sfloor
+from .sets import (WindowTooSmallError, _on_grid, _reach, _sq, as_radius, cluster,
                    delone_params, distance_spectrum, radius_covers)
 
 __all__ = [
@@ -286,9 +287,7 @@ def is_locally_antipodal(handle):
     flags = []
     first = None
     for x in population:
-        c = cluster(handle, x, two_r)
-        offs = c.offsets()
-        bad = _antipode_violation(offs, tol)
+        bad = _antipode_violation(cluster(handle, x, two_r), tol)
         flags.append((x, bad is None))
         if bad is not None and first is None:
             first = (x, bad)
@@ -298,11 +297,20 @@ def is_locally_antipodal(handle):
                            window_limited=handle.mode == "window")
 
 
-def _antipode_violation(offsets, tol):
-    members = tol.point_set(offsets)
+def _antipode_violation(c, tol):
+    """The first offset of cluster c whose antipode -v is not one of its
+    offsets, or None.  Exact clusters on a grid test their int offsets and
+    lift only the offset reported."""
+    if c.grid is None or not tol.exact:
+        offsets, scale = c.offsets(), None
+        members = tol.point_set(offsets)
+    else:
+        (ic, ipts), scale = c.grid, c.scale
+        offsets = [tuple(a - b for a, b in zip(q, ic)) for q in ipts if q != ic]
+        members = set(offsets)
     for v in offsets:
         if p_neg(v) not in members:
-            return v
+            return v if scale is None else tuple(Fraction(a, scale) for a in v)
     return None
 
 
@@ -344,19 +352,23 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
     y, z with |yz| <= seed.radius, clipped to the closed ball of radius
     rho_max about the seed center.  Points are processed radially outward,
     mirroring the induction along the distance spectrum that makes the
-    closure complete.  A seed with integer coordinates (``grid``) runs the
-    closure on them: 2y - z stays an integer vector, squared distances are
-    ints over scale**2 decided by ``radius_covers``, and the known points
-    are a set of int tuples, lifted to Fractions once at the end.  Other
-    seeds run the same loop on their field or float points.  Returns the
-    reconstructed points as a sorted tuple.  More than ``max_points``
-    points (by default a packing bound from the seed's closest pair) raise
-    ReconstructionError.
+    closure complete.  The known points sit in a table of cells wider than
+    the seed radius (fixed-radius near neighbours: Bentley, Stanat and
+    Williams, IPL 1977), so a popped y is paired only with the known points
+    of its 3^d neighbouring cells, not with all of them.  A seed with
+    integer coordinates (``grid``) runs the closure on them: 2y - z stays an
+    integer vector, squared distances are ints over scale**2 compared with
+    each radius's integer threshold by ``radius_covers``, cells are exact
+    floor divisions by isqrt(T) + 1 for the seed radius's threshold T, and
+    the points are lifted to Fractions once at the end.  Other seeds run the
+    same loop on their field or float points (see :func:`_closure_side`).
+    Returns the reconstructed points as a sorted tuple.  More than
+    ``max_points`` points (by default a packing bound from the seed's
+    closest pair) raise ReconstructionError.
     """
     tol = tol or (Tolerance.exact_mode() if point_is_exact(seed.center)
                   else Tolerance.floating())
-    offs = seed.offsets()
-    bad = _antipode_violation(offs, tol)
+    bad = _antipode_violation(seed, tol)
     if bad is not None:
         raise NotAntipodalError(
             f"seed cluster is not antipodal: offset {bad} has no antipode")
@@ -372,17 +384,35 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
     else:
         (center, points), scale = seed.grid, seed.scale
     scale2 = 1 if scale is None else scale * scale
+    side = _closure_side(pair_radius, radius_max, center, scale, tol)
+    if side is None:  # one cell holds every point
+        around = [()]
+
+        def cell(p):
+            return ()
+    else:
+        around = list(product((-1, 0, 1), repeat=len(center)))
+
+        def cell(p):
+            if scale is None:
+                return tuple(sfloor(a / side) for a in p)
+            return tuple(a // side for a in p)
     todo = []  # heap of (float d2, point) still to invert about
+    table = {}  # cell -> known points in it
     for p in points:
         d2 = _sq(p, center)
         if radius_covers(radius_max, d2, tol, scale2):
             todo.append((sfloat(d2), p))
+            table.setdefault(cell(p), []).append(p)
     known = {p for _, p in todo}
     heapq.heapify(todo)
     while todo:
         y = heapq.heappop(todo)[1]
+        cy = cell(y)
+        near = [z for o in around
+                for z in table.get(tuple(a + b for a, b in zip(cy, o)), ())]
         grew = False
-        for z in list(known):
+        for z in near:
             if z == y or not radius_covers(pair_radius, _sq(y, z), tol, scale2):
                 continue
             for cand in (tuple(2 * a - b for a, b in zip(y, z)),
@@ -392,6 +422,7 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
                 cd2 = _sq(cand, center)
                 if radius_covers(radius_max, cd2, tol, scale2):
                     known.add(cand)
+                    table.setdefault(cell(cand), []).append(cand)
                     heapq.heappush(todo, (sfloat(cd2), cand))
                     grew = True
         if grew and len(known) > cap:
@@ -399,6 +430,36 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
     if scale is None:
         return tuple(sorted(known))
     return tuple(tuple(Fraction(a, scale) for a in p) for p in sorted(known))
+
+
+def _closure_side(pair_radius, radius_max, center, scale, tol):
+    """Side of the closure's cells: more than any coordinate difference of
+    two points that ``radius_covers`` pairs, so paired points sit in
+    neighbouring cells; None for a single cell.
+
+    Integer points take an int side (floor division keys): isqrt(T) + 1
+    for the exact threshold T, else the float reach times the scale, padded.
+    Exact field points take a rational side just above the reach (exact
+    ``sfloor`` keys).  Float points take a float side padded by 1e-9 of the
+    coordinates' magnitude, which every point inside the ball bounds, so
+    rounding in the keys cannot split a pair more than one cell apart.
+    """
+    if scale is not None and tol.exact:
+        t = pair_radius.square_floor(scale * scale)
+        if t is not None:
+            return math.isqrt(t) + 1
+    reach = _reach(pair_radius, tol)
+    if reach is None or not 0 < reach < math.inf:
+        return None
+    reach *= 1 + 1e-9
+    if scale is not None:
+        try:
+            return math.floor(reach * scale) + 1
+        except OverflowError:  # a scale or reach past float range
+            return None
+    if tol.exact:
+        return Fraction(reach)
+    return reach + 1e-9 * (max(map(abs, center)) + float(radius_max) + reach + tol.eps_abs)
 
 
 def _packing_cap(seed, radius_max):

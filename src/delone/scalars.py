@@ -339,7 +339,7 @@ class Radical:
     scalars.  Signs are decided exactly by repeated squaring.
     """
 
-    __slots__ = ("rat", "terms", "_hash", "_band")
+    __slots__ = ("rat", "terms", "_hash", "_band", "_floor2")
 
     def __init__(self, rat=0, terms=()):
         canon_rat, canon_terms = _canonicalize(rat, terms)
@@ -430,6 +430,20 @@ class Radical:
             band = _square_band(self.rat, self.terms)
             object.__setattr__(self, "_band", band)
             return band
+
+    def square_floor(self, k=1):
+        """floor(self**2 * k) for an int k >= 1, so that sqrt(d2 / k) <= self
+        is d2 <= square_floor(k) for every int d2 >= 0; None when self**2 is
+        irrational and its square band is missing or too wide to pin the
+        floor.  Computed on first use and kept for the last k asked."""
+        try:
+            memo = self._floor2
+        except AttributeError:
+            memo = None
+        if memo is None or memo[0] != k:
+            memo = (k, _square_floor(self, k))
+            object.__setattr__(self, "_floor2", memo)
+        return memo[1]
 
     def __eq__(self, other):
         if isinstance(other, Radical) or is_exact_scalar(other):
@@ -617,3 +631,28 @@ def _square_band(rat, terms):
         return None
     lo2, hi2 = lo * lo * (1 - _SLACK), hi * hi * (1 + _SLACK)
     return (lo2, hi2) if lo2 >= _MAG_RANGE[0] ** 2 else None
+
+
+def _square_floor(r, k):
+    """floor(r**2 * k), or -1 when r < 0; see :meth:`Radical.square_floor`.
+    A rational square is floored exactly.  Otherwise the band brackets the
+    floor between two ints, and the exact kernel picks and confirms it:
+    sqrt(t / k) <= r < sqrt((t + 1) / k)."""
+    sq = r.square_scalar()
+    if sq is not None:
+        return sfloor(sq * k) if r.sign() >= 0 else -1
+    band = r.square_band()
+    if band is None:
+        return None
+    try:
+        lo, hi = math.floor(band[0] * k), math.floor(band[1] * k)
+    except OverflowError:
+        return None
+    if hi - lo > 1 or r.cmp_sqrt(Fraction(lo, k)) < 0:
+        return None
+    t = lo
+    while r.cmp_sqrt(Fraction(t + 1, k)) >= 0:
+        if t >= hi:
+            return None
+        t += 1
+    return t

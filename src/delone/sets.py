@@ -74,9 +74,16 @@ def radius_covers(radius, d2, tol, scale2=1):
     """Whether sqrt(d2 / scale2) <= radius (closed-ball membership).
 
     ``scale2`` is the square of a handle's scale when d2 is an int in its
-    units; it is 1 for field scalars and floats.
+    units; it is 1 for field scalars and floats.  In exact mode an int d2
+    is compared with the radius's one integer threshold
+    T = floor(radius**2 * scale2) (``Radical.square_floor``); other d2, and
+    radii whose threshold the band cannot pin, take the per-pair test.
     """
     if tol.exact:
+        if type(d2) is int:
+            t = radius.square_floor(scale2)
+            if t is not None:
+                return d2 <= t
         return _radius_sign(radius, d2, scale2) >= 0
     return math.sqrt(d2 / scale2) <= radius + tol.eps_abs
 
@@ -406,14 +413,18 @@ class PointSetHandle:
                 out.append((d2, keys[i], self.points[i]))
         return scale2, out
 
+    def _index(self):
+        """The window's cell table (:func:`_float_index`), built once."""
+        if "index" not in self._cache:
+            self._cache["index"] = _float_index(self.points)
+        return self._cache["index"]
+
     def _window_candidates(self, center, radius):
         """Indices, in order, of the window points in the index cells that
         meet the box of half-side reach about center (all cells when the box
         has more) within float distance reach; the pad bounds conversion and
         rounding error, so no covered point is dropped."""
-        if "index" not in self._cache:
-            self._cache["index"] = _float_index(self.points)
-        index, reach = self._cache["index"], _reach(radius, self.tol)
+        index, reach = self._index(), _reach(radius, self.tol)
         try:
             fc, cmag = _float_point(center)
         except OverflowError:
@@ -672,34 +683,67 @@ def min_dist_sq(handle):
 
 
 def _min_dist_sq(handle):
+    """Squared distance of the closest pair of distinct points.
+
+    Periodic sets: the shortest lattice vector, then, for each pair of
+    motif points, the lattice offsets that could beat the best so far; on
+    the integer grid (motif and basis times the scale) in exact mode.
+    Windows: the pairs in neighbouring cells of the window's cell table,
+    each decided exactly only when its float distance is within rounding of
+    the least float distance seen.  That minimum is exact once it is
+    provably shorter than the cell side, since no closer pair can straddle
+    a cell; otherwise (or with no table) every pair is scanned exactly.
+    """
     tol = handle.tol
+    grid = handle._grid()
     if handle.mode == "periodic":
         lat = handle.lattice
-        best = min(p_dot(b, b) for b in lat.reduced)
-        for i in range(len(handle.motif)):
-            for j in range(i, len(handle.motif)):
-                v = p_sub(handle.motif[j], handle.motif[i])
-                rad = math.sqrt(sfloat(best)) + 1e-9
-                for k in lat.offsets_in_ball(tuple(-c for c in v), rad):
-                    w = p_add(v, lat.from_coords(k))
-                    if all(tol.is_zero(c) for c in w):
-                        continue
-                    best = min(best, p_dot(w, w))
-        return best
+        on_grid = grid is not None and tol.exact
+        scale2, motif, basis = (grid[0] ** 2, *grid[1:]) if on_grid else (
+            1, handle.motif, lat.reduced)
+        unit = math.isqrt(scale2)
+        best = min(p_dot(b, b) for b in basis)
+        for i in range(len(motif)):
+            for j in range(i, len(motif)):
+                v = p_sub(motif[j], motif[i])
+                rad = math.sqrt(best / scale2) + 1e-9
+                for k in lat.offsets_in_ball(tuple(-c / unit for c in v), rad):
+                    w = tuple(a + sum(ki * b[n] for ki, b in zip(k, basis))
+                              for n, a in enumerate(v))
+                    if not all(tol.is_zero(c) for c in w):
+                        best = min(best, p_dot(w, w))
+        return handle._lift(best, scale2) if on_grid else best
     if len(handle.points) < 2:
         raise ValueError("packing radius needs at least two points")
-    grid = handle._grid()
     pts = handle.points if grid is None else grid[1]
-    best = None
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            dx = q[0] - p[0]
-            if best is not None and dx * dx >= best:
-                break  # points are sorted by first coordinate
-            d2 = dist_sq(p, q)
-            if best is None or d2 < best:
-                best = d2
+    index, best = handle._index(), None
+    if index is not None:
+        mag, origin, side, _, fpts, table = index
+        pad, near = 1e-9 * (side + mag), math.inf  # pad bounds float error
+        for i, j in _near_pairs(table, len(origin)):
+            f = math.dist(fpts[i], fpts[j])
+            if f <= near + 2 * pad:
+                near = min(near, f)
+                d2 = _sq(pts[i], pts[j])
+                if best is None or d2 < best:
+                    best = d2
+        if near + 2 * pad >= side:
+            best = None  # a closer pair may straddle non-neighbouring cells
+    if best is None:
+        best = min(_sq(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
     return best if grid is None else handle._lift(best, grid[0] ** 2)
+
+
+def _near_pairs(table, d):
+    """Index pairs i < j of points in the same or neighbouring cells."""
+    around = list(product((-1, 0, 1), repeat=d))
+    for cell, members in table.items():
+        near = [j for o in around
+                for j in table.get(tuple(a + b for a, b in zip(cell, o)), ())]
+        for i in members:
+            for j in near:
+                if i < j:
+                    yield i, j
 
 
 def _compute_params(handle):

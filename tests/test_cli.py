@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import delone
 from delone.cli import main
 
 
@@ -389,3 +392,82 @@ def test_two_r_chain_non_convergence_exit4(tmp_path, z2_file, monkeypatch, capsy
     err = capsys.readouterr().err
     assert "precondition violated: 2R-chain search failed to converge" in err
     assert "Traceback" not in err
+
+
+def run_module(tmp_path, *argv, code=None):
+    """A fresh interpreter: ``python -m delone.cli ARGV`` or ``python -c CODE``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(delone.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    args = ["-c", code] if code is not None else ["-m", "delone.cli", *argv]
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_values_past_float_range_exit4(tmp_path):
+    # the 4 x 4 Z^2 window scaled by 10**200: squared distances pass the
+    # float range, so float filters overflow; that ends in exit 4, not a traceback
+    from delone import build_window, write_point_set
+
+    s = 10**200
+    win = build_window([(i * s, j * s) for i in range(4) for j in range(4)],
+                       ((0, 0), (3 * s, 3 * s)))
+    write_point_set(win, str(tmp_path / "big.ps"))
+    proc = run_module(tmp_path, "analyze", "big.ps")
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("precondition violated: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_certify_loads_neither_generators_nor_svg(tmp_path, z2_file):
+    proc = run_module(tmp_path, code=(
+        "import sys\n"
+        "from delone.cli import main\n"
+        f"code = main(['certify', {z2_file!r}, '--criterion', 'regular'])\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('delone'))\n"
+        "print(code, ' '.join(loaded))\n"))
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert "delone.generators" not in loaded and "delone.svg" not in loaded
+    assert {"delone.sets", "delone.classify", "delone.criteria"} <= set(loaded)
+
+
+EXPORTS = (
+    "QuadExt Radical quadext ConvergenceError Isometry Lattice Tolerance apply "
+    "compose point_inversion points_equal identity translation Chain Cluster "
+    "DeloneParams DistanceSpectrum PointSetHandle TruncationError "
+    "WindowTooSmallError build_periodic build_window cluster covering_radius "
+    "crop_to_window delone_params distance_spectrum packing_radius two_r_chain "
+    "ClusterClass ClusterGroup ClusterPartition Fingerprint InfiniteGroupError "
+    "NRhoProfile classify cluster_group cluster_group_of clusters_equivalent "
+    "fingerprint group_orders_by_class n_profile AntipodalReport "
+    "CosetDecomposition CriterionReport DecompositionError NotAntipodalError "
+    "ReconstructionError antipodal_lattice_decomposition certify_auto "
+    "check_crystal_criterion check_global_antipodality check_regular_criterion "
+    "is_locally_antipodal reconstruct_from_2R_cluster CrystalSpec ShiftSequence "
+    "ShiftedRowSpec gen_coset_union gen_crystal gen_lattice gen_shifted_rows "
+    "honeycomb square_lattice three_coset_fixture triangular_lattice "
+    "read_point_set write_point_set render_svg").split()
+
+
+def test_package_exports_every_name(tmp_path):
+    # generators and svg load on first use of one of their names
+    proc = run_module(tmp_path, code=(
+        "import sys, types\n"
+        "import delone\n"
+        "lazy = [m for m in ('delone.generators', 'delone.svg') if m in sys.modules]\n"
+        f"missing = [n for n in {EXPORTS!r} if n not in dir(delone)"
+        " or getattr(delone, n, None) is None]\n"
+        "from delone import three_coset_fixture, render_svg\n"
+        "from delone.classify import classify\n"
+        "print(lazy, missing, delone.classify is classify,"
+        " isinstance(delone.classify, types.ModuleType))\n"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "[]", "True", "False"]
+
+
+def test_unknown_package_names_raise_attribute_error():
+    with pytest.raises(AttributeError):
+        delone.no_such_name  # noqa: B018

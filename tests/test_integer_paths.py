@@ -1,25 +1,32 @@
 """Integer-grid paths against brute-force field oracles.
 
-Reconstruction runs its inversion closure on a seed's integer vectors, and
-the window translation test of the coset decomposition on a window's
-integer points, bounds and margin.  Each answer must equal a computation
-kept here that works on the points themselves (Fractions, Q(sqrt 3) or
-floats) and decides every radius exactly from its square.  Rational sets
-under a float tolerance, and the points that error messages print, are
-checked here too.
+Reconstruction runs its inversion closure on a seed's integer vectors in
+a table of neighbour cells, exact radius tests on ints compare with one
+integer threshold per radius, and the window translation test of the
+coset decomposition runs on a window's integer points, bounds and margin.
+Each answer must equal a computation kept here that works on the points
+themselves (Fractions, Q(sqrt 3) or floats) and decides every radius
+exactly from its square.  Rational sets under a float tolerance, and the
+points that error messages print, are checked here too.
 """
 
+import heapq
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from delone.criteria import (_window_translations, antipodal_lattice_decomposition,
+from delone import criteria
+from delone.criteria import (ReconstructionError, _window_translations,
+                             antipodal_lattice_decomposition,
                              reconstruct_from_2R_cluster)
 from delone.generators import three_coset_fixture, triangular_lattice
 from delone.geometry import Tolerance, dist_sq
 from delone.scalars import Radical, format_point, quadext, ssign
-from delone.sets import _on_grid, build_periodic, build_window, cluster, delone_params
+from delone.sets import (_on_grid, _radius_sign, as_radius, build_periodic, build_window,
+                         cluster, delone_params, radius_covers)
 
 
 def covers_exactly(radius):
@@ -144,6 +151,261 @@ def test_reconstruct_float_equals_float_closure():
                    lambda d2: math.sqrt(d2) <= 3.0 + eps)
     assert list(got) == want
     assert len(want) == 81  # the hand count of the bench oracle at rho 3
+
+
+# -- neighbour-cell closure against the generation-wise closure -------------------
+
+def all_pairs_closure(seed, rho_max, pair_covers, ball_covers, cap):
+    """The inversion closure as a heap of points radially outward, each popped
+    point paired with every known point: the number of points after each
+    popped point, and so where a cap is exceeded, follow from this order."""
+    todo = [(float(dist_sq(p, seed.center)), p) for p in seed.points
+            if ball_covers(dist_sq(p, seed.center))]
+    known = {p for _, p in todo}
+    heapq.heapify(todo)
+    while todo:
+        y = heapq.heappop(todo)[1]
+        grew = False
+        for z in list(known):
+            if z == y or not pair_covers(dist_sq(y, z)):
+                continue
+            for c in (tuple(2 * a - b for a, b in zip(y, z)),
+                      tuple(2 * b - a for a, b in zip(y, z))):
+                if c not in known and ball_covers(dist_sq(c, seed.center)):
+                    known.add(c)
+                    heapq.heappush(todo, (float(dist_sq(c, seed.center)), c))
+                    grew = True
+        if grew and len(known) > cap:
+            return None
+    return sorted(known)
+
+
+def float_covers(radius, tol):
+    """d2 -> |d| <= radius + eps_abs, in floats."""
+    return lambda d2: math.sqrt(d2) <= float(radius) + tol.eps_abs
+
+
+def covers_by_kernel(radius):
+    """d2 -> |d| <= radius for a radius with an irrational square."""
+    return lambda d2: radius.cmp(Radical.sqrt(d2)) >= 0
+
+
+small_fractions = st.fractions(min_value=F(3, 4), max_value=F(3, 2), max_denominator=4)
+shifts = st.fractions(min_value=-1, max_value=1, max_denominator=12)
+
+
+@st.composite
+def antipodal_seeds(draw, kind):
+    """(handle, seed centre): a lattice with one, two or three of the cosets
+    t + {0, b1/2, b2/2}, so every point is a centre of symmetry."""
+    halves = draw(st.sampled_from(((0,), (0, 1), (0, 2), (0, 1, 2), (0, 3))))
+    if kind == "float":
+        # dyadic coordinates: 2y - z stays exact in floats, as the closure's
+        # exact set of known points needs
+        dyadic = st.sampled_from((F(3, 4), F(1), F(5, 4), F(3, 2)))
+        t = (draw(st.sampled_from((0, F(1, 8), F(-3, 16)))), draw(st.sampled_from((0, F(5, 8)))))
+        basis = ((draw(dyadic), F(0)), (draw(st.sampled_from((0, F(1, 4), F(-1, 2)))),
+                                        draw(dyadic)))
+    elif kind == "quadratic":
+        t = (draw(shifts), draw(shifts))
+        basis = ((F(1), F(0)), (F(1, 2), quadext(0, F(1, 2), 3)))
+    else:
+        t = (draw(shifts), draw(shifts))
+        basis = ((draw(small_fractions), F(0)),
+                 (draw(st.fractions(min_value=-1, max_value=1, max_denominator=3)),
+                  draw(small_fractions)))
+    b1, b2 = basis
+    half = {0: (0, 0), 1: tuple(c / 2 for c in b1), 2: tuple(c / 2 for c in b2),
+            3: tuple((c + e) / 2 for c, e in zip(b1, b2))}
+    motif = [tuple(a + b for a, b in zip(t, half[h])) for h in halves]
+    tol = None
+    if kind == "float":
+        basis = tuple(tuple(map(float, b)) for b in basis)
+        motif = [tuple(map(float, m)) for m in motif]
+    elif kind == "float-tolerance":
+        tol = Tolerance.floating()
+    return build_periodic(basis, motif, tol=tol), motif[0]
+
+
+@pytest.mark.parametrize("kind", ["rational", "quadratic", "float", "float-tolerance"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_neighbour_cell_closure_equals_generation_wise_closure(kind, data):
+    # rational seeds run on the integer grid, Q(sqrt 3) seeds on exact
+    # rational cells, float seeds and rational seeds under a float tolerance
+    # on padded cells
+    handle, center = data.draw(antipodal_seeds(kind))
+    rho_max = data.draw(st.sampled_from((F(1), F(2), F(5, 2), Radical(1, ((1, 2),)))))
+    tol = handle.tol
+    seed = cluster(handle, center, delone_params(handle).R * 2)
+    assert (seed.grid is not None) == (handle._scale() is not None)
+    if not tol.exact:
+        rho_max = float(rho_max)
+        pair, ball = float_covers(seed.radius, tol), float_covers(rho_max, tol)
+    elif isinstance(rho_max, Radical):
+        pair, ball = covers_exactly(seed.radius), covers_by_kernel(rho_max)
+    else:
+        pair, ball = covers_exactly(seed.radius), covers_exactly(Radical.of(rho_max))
+    want = closure(seed, rho_max, pair, ball)
+    got = reconstruct_from_2R_cluster(seed, rho_max, tol=tol)
+    assert list(got) == want
+
+
+@pytest.mark.parametrize("make, center", [
+    (three_coset_fixture, (F(0), F(0))),
+    (triangular_lattice, (F(0), F(0))),
+    (lambda: build_periodic(((1.0, 0.0), (0.0, 1.0)), [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5)]),
+     (0.0, 0.0)),
+])
+def test_closure_tests_only_neighbour_cells(make, center, monkeypatch):
+    # each popped point meets the known points of its 3^d neighbouring
+    # cells: a bounded number of radius tests per point, where pairing with
+    # every known point would test about n / 2 per point (164 on the fixture)
+    handle = make()
+    seed = cluster(handle, center, delone_params(handle).R * 2)
+    calls = []
+    real = criteria.radius_covers
+    monkeypatch.setattr(criteria, "radius_covers", lambda *a: calls.append(a) or real(*a))
+    got = reconstruct_from_2R_cluster(seed, 6, tol=handle.tol)
+    assert len(got) == len(handle.points_in_ball(center, as_radius(6, handle.tol)))
+    assert len(calls) < 60 * len(got)
+
+
+@pytest.mark.parametrize("name", sorted(RATIONAL))
+def test_cap_fires_where_the_all_pairs_closure_exceeds_it(name):
+    basis, motif, center = RATIONAL[name]
+    handle = build_periodic(basis, motif)
+    seed = cluster(handle, center, delone_params(handle).R * 2)
+    rho_max = F(5, 2)
+    pair, ball = covers_exactly(seed.radius), covers_exactly(Radical.of(rho_max))
+    full = reconstruct_from_2R_cluster(seed, rho_max, tol=handle.tol)
+    fired = 0
+    for cap in range(len(seed.points), len(full) + 1):
+        want = all_pairs_closure(seed, rho_max, pair, ball, cap)
+        if want is None:
+            fired += 1
+            with pytest.raises(ReconstructionError):
+                reconstruct_from_2R_cluster(seed, rho_max, tol=handle.tol, max_points=cap)
+        else:
+            got = reconstruct_from_2R_cluster(seed, rho_max, tol=handle.tol, max_points=cap)
+            assert list(got) == want
+    assert 0 < fired < len(full) - len(seed.points) + 1
+
+
+# -- antipodality on integer offsets ------------------------------------------------
+
+def fraction_antipodality(handle):
+    """(flags, first violation) of local antipodality, on Fraction offsets."""
+    two_r = delone_params(handle).R * 2
+    flags, first = [], None
+    for x in sorted(handle.population(two_r)):
+        pts = sorted(p for _, p in handle.points_in_ball(x, two_r) if p != x)
+        offs = [tuple(a - b for a, b in zip(p, x)) for p in pts]
+        bad = next((v for v in offs if tuple(-a for a in v) not in set(offs)), None)
+        flags.append((x, bad is None))
+        if bad is not None and first is None:
+            first = (x, bad)
+    return tuple(flags), first
+
+
+@pytest.mark.parametrize("t", [(F(0), F(0)), (F(3, 10), F(7, 10))])
+@pytest.mark.parametrize("drop", [None, 0, 1, 2, 3])
+def test_antipodality_on_int_offsets_equals_fraction_test(t, drop):
+    # the fixture window with one point near its centre deleted: the points
+    # around the hole lose antipodes, the rest keep them
+    base = three_coset_fixture(extent=F(3))
+    pts = sorted(tuple(a + b for a, b in zip(p, t)) for p in base.points)
+    lo, hi = (tuple(a + b for a, b in zip(bound, t)) for bound in base.bounds)
+    middle = sorted(pts, key=lambda p: dist_sq(p, tuple((a + b) / 2 for a, b in zip(lo, hi))))
+    if drop is not None:
+        pts.remove(middle[drop])
+    handle = build_window(pts, (lo, hi))
+    assert handle._scale() is not None
+    report = criteria.is_locally_antipodal(handle)
+    flags, first = fraction_antipodality(handle)
+    assert report.flags == flags
+    assert report.first_violation == first
+    assert report.all_antipodal == (drop is None)
+    if first is not None:
+        assert all(type(c) is F for c in first[1])
+
+
+# -- one integer threshold per radius -----------------------------------------------
+
+SCALES = (1, 2, 10, 840)
+
+
+@st.composite
+def threshold_cases(draw):
+    """(radius, k = scale**2): rational, single-sqrt and two-term radii
+    (rho0 + 2R), and radii whose square times k is an int (exact ties)."""
+    scale = draw(st.sampled_from(SCALES))
+    k = scale * scale
+    q = draw(st.fractions(min_value=0, max_value=9, max_denominator=60))
+    m = draw(st.sampled_from((2, 3, F(1, 2), F(13, 50), F(7, 3))))
+    a = draw(st.integers(min_value=0, max_value=10**6))
+    kind = draw(st.sampled_from(("rational", "sqrt", "two-term", "tie", "tie-sqrt")))
+    if kind == "rational":
+        return Radical.of(q), k
+    if kind == "sqrt":
+        return Radical.sqrt(q * m), k
+    if kind == "two-term":
+        c = draw(st.fractions(min_value=F(1, 10), max_value=3, max_denominator=10))
+        return Radical(q, ((c, m),)), k
+    if kind == "tie":
+        return Radical.of(F(a, scale)), k  # radius**2 k = a**2
+    return Radical.sqrt(F(a, k)), k  # radius**2 k = a
+
+
+@settings(max_examples=300, deadline=None)
+@given(threshold_cases())
+def test_integer_threshold_agrees_with_the_exact_sign(case):
+    radius, k = case
+    t = radius.square_floor(k)
+    if radius.square_scalar() is not None:
+        assert t is not None
+    assume(t is not None)
+    assert radius.square_floor(k) == t  # kept on the radius
+    for d2 in range(max(t - 2, 0), t + 3):
+        assert (d2 <= t) == (_radius_sign(radius, d2, k) >= 0)
+        assert (d2 <= t) == (radius.cmp(Radical.sqrt(F(d2, k))) >= 0)
+
+
+def test_integer_threshold_ties_and_fallbacks():
+    # exactly on the sphere: r**2 k is the int T itself
+    assert Radical.sqrt(F(13, 50)).square_floor(100) == 26
+    assert Radical.of(F(3, 10)).square_floor(100) == 9
+    # a two-term radius rho0 + 2R = 1/2 + 2 sqrt(1/2) in units of 1/10:
+    # its square 9/4 + sqrt(2) = 3.664... times 100
+    r = F(1, 2) + Radical.sqrt(F(1, 2)) * 2
+    assert r.square_floor(100) == 366
+    assert r.cmp(Radical.sqrt(F(366, 100))) > 0 > r.cmp(Radical.sqrt(F(367, 100)))
+    # no band (far past float range) or a band wider than one unit: no threshold
+    assert Radical(0, ((1, F(10**400)), (1, 2))).square_floor(1) is None
+    wide = Radical(10**9, ((1, 2),))
+    assert wide.square_floor(10**12) is None
+    # and radius_covers then keeps the per-pair test
+    tol, t = Tolerance.exact_mode(), (10**18 + 2 * 10**9 * 2**0.5 + 2) * 10**12
+    for d2 in (int(t * (1 - 1e-9)), int(t * (1 + 1e-9))):
+        assert radius_covers(wide, d2, tol, 10**12) == (_radius_sign(wide, d2, 10**12) >= 0)
+    # a negative radius covers nothing
+    assert Radical.of(F(-1, 2)).square_floor(4) == -1
+    # the cache holds the last scale asked; a new one recomputes
+    r = Radical.sqrt(2)
+    assert r.square_floor(1) == 2 and r.square_floor(100) == 200 and r.square_floor(1) == 2
+
+
+def test_radius_covers_uses_the_threshold_for_int_distances(monkeypatch):
+    tol = Tolerance.exact_mode()
+    r = Radical(F(1, 2), ((2, F(1, 2)),))
+    assert radius_covers(r, 3, tol, 4) == (_radius_sign(r, 3, 4) >= 0)
+    calls = []
+    monkeypatch.setattr("delone.sets._radius_sign", lambda *a: calls.append(a) or 0)
+    for d2 in range(40):
+        radius_covers(r, d2, tol, 4)
+    assert calls == []  # every int d2 compared with the threshold alone
+    radius_covers(r, F(3, 4), tol)  # a Fraction d2 keeps the per-pair test
+    assert len(calls) == 1
 
 
 # -- window translation test ----------------------------------------------------

@@ -7,6 +7,8 @@ must equal a brute-force scan that decides each point with the exact
 radical kernel (``Radical.cmp``), which the float filter never enters.
 Periodic queries with a centre on the set's integer grid run on the motif
 and basis times its scale; centres off it run on the points themselves.
+The closest pair of a window comes from the same cell hash and must equal
+an all-pairs scan.
 """
 
 import math
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from delone.geometry import Tolerance, dist_sq
 from delone.scalars import Radical, quadext
-from delone.sets import build_periodic, build_window, radius_covers
+from delone.sets import _min_dist_sq, build_periodic, build_window, radius_covers
 
 coords = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 small = st.fractions(min_value=0, max_value=3, max_denominator=9)
@@ -373,3 +375,71 @@ def test_covers_decides_ties_exactly(monkeypatch):
 @pytest.mark.parametrize("radius", [Radical.sqrt(2), Radical(1, ((2, 3),))])
 def test_band_is_computed_once(radius):
     assert radius.square_band() is radius.square_band()
+
+
+# -- closest pair -------------------------------------------------------------------
+
+def brute_min_dist_sq(points):
+    return min(dist_sq(p, q) for i, p in enumerate(points) for q in points[i + 1:])
+
+
+def check_min_dist(win):
+    assert _min_dist_sq(win) == brute_min_dist_sq(win.points)
+
+
+def test_closest_pair_on_degenerate_windows():
+    collinear = [(F(i, 3), F(1, 2)) for i in range(-12, 13)]
+    strip = [(F(i, 5) + (F(1, 20) if j % 2 else 0), F(j)) for i in range(6) for j in range(41)]
+    thin = [(F(i), F(i % 2, 10**6)) for i in range(200)]
+    one_cell = [(F(0), F(0)), (F(1), F(1)), (F(1), F(0))]
+    two = [(F(0), F(0)), (F(7, 3), F(0))]
+    for pts in (collinear, strip, thin, one_cell, two):
+        lo = tuple(min(p[k] for p in pts) for k in range(2))
+        hi = tuple(max(p[k] for p in pts) for k in range(2))
+        check_min_dist(build_window(pts, (lo, hi)))
+    assert len(build_window(one_cell, ((0, 0), (1, 1)))._index()[5]) == 1
+
+
+@pytest.mark.parametrize("xs", [
+    [F(17 * 10**307) + i for i in range(4)],
+    [s * F(17 * 10**307) + i for s in (-1, 1) for i in range(2)],
+    [F(10**309) + i for i in range(4)],
+])
+def test_closest_pair_near_float_overflow(xs):
+    pts = [(x, F(j, 2)) for x in xs for j in range(3)]
+    check_min_dist(build_window(pts, ((min(xs), F(0)), (max(xs), F(1)))))
+
+
+def test_closest_pair_whose_float_copies_are_cells_apart():
+    # at 2**66 floats are 16384 apart: p and q, 2 apart, round to floats
+    # 16384 apart, five cells of side 6553.6 away from each other, while
+    # runs of points 3 apart collapse onto one float each.  Only the exact
+    # fallback finds p, q: the neighbouring cells offer pairs 3 apart
+    base = 2**66
+    p = base + 16384 + 8191
+    xs = [base + 3 * k for k in range(9)] + [base + 65536 - 3 * k for k in range(9)]
+    pts = [(F(x), F(0)) for x in xs + [p, p + 2]]
+    win = build_window(pts, ((F(base), F(0)), (F(base + 65536), F(0))))
+    _, _, side, _, fpts, _ = win._index()
+    i, j = win.points.index(pts[-2]), win.points.index(pts[-1])
+    assert side < 8192 and math.dist(fpts[i], fpts[j]) > 2 * side
+    assert _min_dist_sq(win) == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_windows())
+def test_closest_pair_of_random_windows(case):
+    pts, bounds, _, _ = case
+    check_min_dist(build_window(pts, bounds))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)), min_size=2,
+                max_size=40, unique=True))
+def test_closest_pair_of_random_float_windows(pts):
+    assume(all(max(abs(p[0] - q[0]), abs(p[1] - q[1])) > 1e-6
+               for i, p in enumerate(pts) for q in pts[i + 1:]))
+    lo = (min(p[0] for p in pts), min(p[1] for p in pts))
+    hi = (max(p[0] for p in pts), max(p[1] for p in pts))
+    win = build_window(pts, (lo, hi), tol=Tolerance.floating(1e-9))
+    check_min_dist(win)
