@@ -699,15 +699,14 @@ def _min_dist_sq(handle):
     if handle.mode == "periodic":
         lat = handle.lattice
         on_grid = grid is not None and tol.exact
-        scale2, motif, basis = (grid[0] ** 2, *grid[1:]) if on_grid else (
-            1, handle.motif, lat.reduced)
-        unit = math.isqrt(scale2)
+        scale, motif, basis = grid if on_grid else (1, handle.motif, lat.reduced)
+        scale2 = scale * scale
         best = min(p_dot(b, b) for b in basis)
         for i in range(len(motif)):
             for j in range(i, len(motif)):
                 v = p_sub(motif[j], motif[i])
                 rad = math.sqrt(best / scale2) + 1e-9
-                for k in lat.offsets_in_ball(tuple(-c / unit for c in v), rad):
+                for k in lat.offsets_in_ball(tuple(-c / scale for c in v), rad):
                     w = tuple(a + sum(ki * b[n] for ki, b in zip(k, basis))
                               for n, a in enumerate(v))
                     if not all(tol.is_zero(c) for c in w):
