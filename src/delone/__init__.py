@@ -4,6 +4,8 @@ antipodality, reconstruction from a single 2R-cluster, and decomposition
 into lattice cosets.
 """
 
+from types import ModuleType as _ModuleType
+
 from .scalars import QuadExt, Radical, quadext
 from .geometry import (ConvergenceError, Isometry, Lattice, Tolerance, apply,
                        compose, point_inversion, points_equal, identity,
@@ -37,6 +39,11 @@ _LAZY = dict.fromkeys(("CrystalSpec", "ShiftSequence", "ShiftedRowSpec",
                        "gen_shifted_rows", "honeycomb", "square_lattice",
                        "three_coset_fixture", "triangular_lattice"), "generators")
 _LAZY["render_svg"] = "svg"
+
+# A star import copies only the names listed here; the lazy ones among them
+# it fetches through ``__getattr__``.
+__all__ = sorted([n for n, v in globals().items() if not n.startswith("_")
+                  and not isinstance(v, _ModuleType)] + [*_LAZY])
 
 
 def __getattr__(name):

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 import heapq
 import math
-from itertools import product
 
 from .classify import InfiniteGroupError, classify, cluster_group_of
 from .geometry import (Lattice, Tolerance, dist_sq, lattice_from_generators,
                        p_add, p_neg, p_scale, p_sub, point_is_exact, rank)
 from .scalars import Radical, format_point, sfloat, sfloor
-from .sets import (WindowTooSmallError, _on_grid, _reach, _sq, as_radius, cluster,
-                   delone_params, distance_spectrum, radius_covers)
+from .sets import (WindowTooSmallError, _neighbours, _on_grid, _reach, _sq,
+                   as_radius, cluster, delone_params, distance_spectrum,
+                   radius_covers)
 
 __all__ = [
     "CriterionReport",
@@ -359,8 +359,8 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
     integer coordinates (``grid``) runs the closure on them: 2y - z stays an
     integer vector, squared distances are ints over scale**2 compared with
     each radius's integer threshold by ``radius_covers``, cells are exact
-    floor divisions by isqrt(T) + 1 for the seed radius's threshold T, and
-    the points are lifted to Fractions once at the end.  Other seeds run the
+    floor divisions by an int side above the seed radius times the scale,
+    and the points are lifted to Fractions once at the end.  Other seeds run the
     same loop on their field or float points (see :func:`_closure_side`).
     Returns the reconstructed points as a sorted tuple.  More than
     ``max_points`` points (by default a packing bound from the seed's
@@ -385,18 +385,14 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
         (center, points), scale = seed.grid, seed.scale
     scale2 = 1 if scale is None else scale * scale
     side = _closure_side(pair_radius, radius_max, center, scale, tol)
-    if side is None:  # one cell holds every point
-        around = [()]
 
-        def cell(p):
+    def cell(p):
+        if side is None:  # one cell holds every point
             return ()
-    else:
-        around = list(product((-1, 0, 1), repeat=len(center)))
+        if scale is None:
+            return tuple(sfloor(a / side) for a in p)
+        return tuple(a // side for a in p)
 
-        def cell(p):
-            if scale is None:
-                return tuple(sfloor(a / side) for a in p)
-            return tuple(a // side for a in p)
     todo = []  # heap of (float d2, point) still to invert about
     table = {}  # cell -> known points in it
     for p in points:
@@ -408,11 +404,8 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
     heapq.heapify(todo)
     while todo:
         y = heapq.heappop(todo)[1]
-        cy = cell(y)
-        near = [z for o in around
-                for z in table.get(tuple(a + b for a, b in zip(cy, o)), ())]
         grew = False
-        for z in near:
+        for z in _neighbours(table, cell(y)):
             if z == y or not radius_covers(pair_radius, _sq(y, z), tol, scale2):
                 continue
             for cand in (tuple(2 * a - b for a, b in zip(y, z)),
@@ -437,17 +430,13 @@ def _closure_side(pair_radius, radius_max, center, scale, tol):
     two points that ``radius_covers`` pairs, so paired points sit in
     neighbouring cells; None for a single cell.
 
-    Integer points take an int side (floor division keys): isqrt(T) + 1
-    for the exact threshold T, else the float reach times the scale, padded.
-    Exact field points take a rational side just above the reach (exact
+    Integer points take an int side (floor division keys): the float reach
+    times the scale, padded, which exceeds isqrt(T) for the exact threshold
+    T.  Exact field points take a rational side just above the reach (exact
     ``sfloor`` keys).  Float points take a float side padded by 1e-9 of the
     coordinates' magnitude, which every point inside the ball bounds, so
     rounding in the keys cannot split a pair more than one cell apart.
     """
-    if scale is not None and tol.exact:
-        t = pair_radius.square_floor(scale * scale)
-        if t is not None:
-            return math.isqrt(t) + 1
     reach = _reach(pair_radius, tol)
     if reach is None or not 0 < reach < math.inf:
         return None

@@ -719,7 +719,7 @@ def _min_dist_sq(handle):
     if index is not None:
         mag, origin, side, _, fpts, table = index
         pad, near = 1e-9 * (side + mag), math.inf  # pad bounds float error
-        for i, j in _near_pairs(table, len(origin)):
+        for i, j in _near_pairs(table):
             f = math.dist(fpts[i], fpts[j])
             if f <= near + 2 * pad:
                 near = min(near, f)
@@ -733,16 +733,21 @@ def _min_dist_sq(handle):
     return best if grid is None else handle._lift(best, grid[0] ** 2)
 
 
-def _near_pairs(table, d):
+def _near_pairs(table):
     """Index pairs i < j of points in the same or neighbouring cells."""
-    around = list(product((-1, 0, 1), repeat=d))
     for cell, members in table.items():
-        near = [j for o in around
-                for j in table.get(tuple(a + b for a, b in zip(cell, o)), ())]
+        near = _neighbours(table, cell)
         for i in members:
             for j in near:
                 if i < j:
                     yield i, j
+
+
+def _neighbours(table, cell):
+    """The members of the 3^d cells of a uniform cell hash around ``cell``;
+    the empty key () is a table of one cell."""
+    return [m for o in product((-1, 0, 1), repeat=len(cell))
+            for m in table.get(tuple(a + b for a, b in zip(cell, o)), ())]
 
 
 def _compute_params(handle):

@@ -468,6 +468,21 @@ def test_package_exports_every_name(tmp_path):
     assert proc.stdout.split() == ["[]", "[]", "True", "False"]
 
 
+def test_star_import_brings_every_name(tmp_path):
+    # a star import reads __all__, never __getattr__ or __dir__, so the lazy
+    # names must be listed there; a bare import still loads neither module
+    proc = run_module(tmp_path, code=(
+        "import sys\n"
+        "import delone\n"
+        "lazy = [m for m in ('delone.generators', 'delone.svg') if m in sys.modules]\n"
+        "from delone import *\n"
+        "square_lattice(); three_coset_fixture(); render_svg\n"
+        f"missing = [n for n in {EXPORTS!r} if n not in globals()]\n"
+        "print(lazy, missing)\n"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "[]"]
+
+
 def test_unknown_package_names_raise_attribute_error():
     with pytest.raises(AttributeError):
         delone.no_such_name  # noqa: B018
