@@ -361,7 +361,9 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
     each radius's integer threshold by ``radius_covers``, cells are exact
     floor divisions by an int side above the seed radius times the scale,
     and the points are lifted to Fractions once at the end.  Other seeds run the
-    same loop on their field or float points (see :func:`_closure_side`).
+    same loop on their field or float points (see :func:`_closure_side`); a
+    float candidate is known when a known point of its neighbouring cells is
+    the same point within eps_abs, since 2y - z rounds.
     Returns the reconstructed points as a sorted tuple.  More than
     ``max_points`` points (by default a packing bound from the seed's
     closest pair) raise ReconstructionError.
@@ -385,6 +387,7 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
         (center, points), scale = seed.grid, seed.scale
     scale2 = 1 if scale is None else scale * scale
     side = _closure_side(pair_radius, radius_max, center, scale, tol)
+    fuzzy = scale is None and not tol.exact  # float 2y - z rounds: match within eps_abs
 
     def cell(p):
         if side is None:  # one cell holds every point
@@ -410,7 +413,8 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
                 continue
             for cand in (tuple(2 * a - b for a, b in zip(y, z)),
                          tuple(2 * b - a for a, b in zip(y, z))):
-                if cand in known:
+                if cand in known or fuzzy and any(
+                        tol.same_point(cand, k) for k in _neighbours(table, cell(cand))):
                     continue
                 cd2 = _sq(cand, center)
                 if radius_covers(radius_max, cd2, tol, scale2):

@@ -6,8 +6,9 @@ from a larger set; statistics at radius rho are only offered for points
 whose rho-ball stays inside the trusted region (bounds inset by the
 validity margin), because a truncated set is not Delone near its edge.
 
-The covering radius R comes from exact Voronoi cells of the sites (d <= 3),
-clipped one bisector at a time; no external geometry library is used.
+The covering radius R comes from exact Voronoi cells of the sites, in any
+dimension, clipped one bisector at a time; no external geometry library is
+used.
 
 When every coordinate is rational, a handle has a ``scale``: the least
 common denominator of its coordinates, which turns each point into an
@@ -660,12 +661,12 @@ def packing_radius(handle):
 def covering_radius(handle):
     """R = sup over space of the distance to the nearest set point.
 
-    For d <= 3, R^2 is the largest squared distance from a site to a vertex
-    of its Voronoi cell, clipped on ints for a handle with a scale and in
-    its own field (or floats) otherwise: exact for periodic sets; window
-    handles yield a lower-bound estimate from the cells' vertices whose
-    empty balls fit in the trusted region (see DeloneParams.R_exactness).
-    Float windows with d >= 4 get a grid estimate; exact ones raise.
+    R^2 is the largest squared distance from a site to a vertex of its
+    Voronoi cell, in any dimension, clipped on ints for a handle with a
+    scale and in its own field (or floats) otherwise: exact for periodic
+    sets; window handles yield a lower-bound estimate from the cells'
+    vertices whose empty balls fit in the trusted region (see
+    DeloneParams.R_exactness).
     """
     return delone_params(handle).R
 
@@ -758,8 +759,8 @@ def _compute_params(handle):
 
 
 def _covering(handle):
-    """(R, flag) for d <= 3: R^2 is the largest squared distance from a site
-    to a vertex of its Voronoi cell (Conway-Sloane, SPLAG, ch. 2).
+    """(R, flag) in any dimension: R^2 is the largest squared distance from a
+    site to a vertex of its Voronoi cell (Conway-Sloane, SPLAG, ch. 2).
 
     Periodic cells start from a box wider than the bound (1/2) sum |b_i| on
     R, so the motif's cells give R exactly.  Window cells start from the
@@ -768,8 +769,6 @@ def _covering(handle):
     to its neighbors (ints on the handle's grid), so sites share it.
     """
     tol, d = handle.tol, handle.dim
-    if d > 3:
-        return _covering_grid(handle)
     grid = handle._grid()
     scale = grid[0] if grid else 1
     if handle.mode == "periodic":
@@ -866,27 +865,6 @@ def _voronoi_cell(box, offsets, tol):
         out.append((n, v, min(t) < 2 * d))
     out.sort(key=lambda v: v[0], reverse=True)
     return out[0][0], out, not any(v[2] for v in out)
-
-
-def _covering_grid(handle):
-    """Grid-sampled lower bound for d >= 4 float windows (flagged
-    estimate); exact mode has no certified value to give."""
-    if handle.tol.exact:
-        raise NotImplementedError("exact covering radii need d <= 3")
-    if handle.mode != "window":
-        raise NotImplementedError("d >= 4 covering radii only for windows")
-    lo, hi = handle.bounds
-    r = math.sqrt(sfloat(min_dist_sq(handle))) / 2
-    step = max(r / 2, 1e-6)
-    axes = [
-        [sfloat(l) + step * i for i in range(int((sfloat(h) - sfloat(l)) / step) + 1)]
-        for l, h in zip(lo, hi)]
-    coords = [[sfloat(c) for c in p] for p in handle.points]
-    best = 0.0
-    for g in product(*axes):
-        dmin = min(sum((a - b) ** 2 for a, b in zip(g, c)) for c in coords)
-        best = max(best, dmin)
-    return math.sqrt(best), "grid-estimate"
 
 
 def two_r_bound_sq(handle):

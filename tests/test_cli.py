@@ -124,6 +124,19 @@ def test_reconstruct_roundtrip(tmp_path, capsys):
     assert (tmp_path / "rec.ps").exists()
 
 
+def test_reconstruct_non_dyadic_float_seed(tmp_path, capsys):
+    # float tenths: the closure must merge rounded copies of one point
+    assert run(tmp_path, "--numeric-mode", "float", "generate", "crystal",
+               "--basis", "1,0;0,1", "--motif", "0.1,0.1;0.6,0.1;0.1,0.6",
+               "--out", "f.ps") == 0
+    capsys.readouterr()
+    assert run(tmp_path, "reconstruct", "f.ps", "--center", "0.1,0.1",
+               "--rho-max", "3", "--compare", "f.ps") == 0
+    out = capsys.readouterr().out
+    assert "reconstructed_points = 81\n" in out
+    assert "match = true\n" in out
+
+
 def test_reconstruct_non_antipodal_exit4(tmp_path):
     hc = tmp_path / "hc.ps"
     hc.write_text("\n".join([
@@ -313,18 +326,27 @@ def test_decomposition_error_exit4(tmp_path, monkeypatch, capsys):
     assert "precondition violated: half-vectors" in capsys.readouterr().err
 
 
-def test_exact_4d_window_exit4(tmp_path, capsys):
-    # the d >= 4 covering radius is a float grid estimate, never exact
-    assert run(tmp_path, "generate", "lattice", "--basis",
-               "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1", "--extent", "1",
-               "--out", "z4.ps") == 0
+def test_4d_sets_get_their_voronoi_covering_radius(tmp_path, capsys):
+    # every dimension runs the one Voronoi clip: Z^4 has R = 1 exactly, and
+    # the extent-1 window has no vertex whose empty ball fits inside it
+    basis = "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"
+    assert run(tmp_path, "generate", "lattice", "--basis", basis, "--out", "z4.ps") == 0
+    assert run(tmp_path, "generate", "lattice", "--basis", basis, "--extent", "1",
+               "--out", "w4.ps") == 0
     capsys.readouterr()
-    assert run(tmp_path, "analyze", "z4.ps") == 4
-    assert run(tmp_path, "certify", "z4.ps", "--criterion", "regular") == 4
+    assert run(tmp_path, "analyze", "z4.ps", "--rho", "1") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "R = 1" in out and "R_exactness = exact" in out
+    # one class, its group the 2^4 4! symmetries of the cross-polytope
+    assert out[out.index("[classes]") + 1:] == ["class members M", "1 1 384"]
+    assert run(tmp_path, "analyze", "w4.ps") == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("precondition violated: exact covering radii") == 2
-    assert "Traceback" not in captured.err
+    assert ("warning = window too small, partial report: no Voronoi vertex fits "
+            "inside the trusted window") in captured.out.splitlines()
+    assert run(tmp_path, "certify", "w4.ps", "--criterion", "regular") == 3
+    captured2 = capsys.readouterr()
+    assert captured2.err == "inconclusive: no Voronoi vertex fits inside the trusted window\n"
+    assert "Traceback" not in captured.err + captured2.err
 
 
 def test_report_files_deterministic(tmp_path, z2_file):

@@ -36,6 +36,18 @@ Z3 = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
 O3 = (F(0), F(0), F(0))
 
 
+def unit_basis(d):
+    return tuple(tuple(F(int(i == j)) for j in range(d)) for i in range(d))
+
+
+def d_n_basis(d):
+    """D_n, the integer vectors with even sum: its simple roots e_i - e_(i+1)
+    and e_(n-1) + e_n."""
+    e = unit_basis(d)
+    return tuple(tuple(a - b for a, b in zip(e[i], e[i + 1])) for i in range(d - 1)) + (
+        tuple(a + b for a, b in zip(e[-2], e[-1])),)
+
+
 @pytest.mark.parametrize("name, handle, r2", [
     # the center of a unit square is sqrt(1/2) from its corners
     ("Z^2", square_lattice(), F(1, 2)),
@@ -52,10 +64,28 @@ O3 = (F(0), F(0), F(0))
     ("Z^3", build_periodic(Z3, [O3]), F(3, 4)),
     # bcc: the tetrahedral hole (1/2, 1/4, 0) is sqrt(1/4 + 1/16) from its corners
     ("bcc", build_periodic(Z3, [O3, (F(1, 2),) * 3]), F(5, 16)),
+    # Z^n: the center of the unit cube, sqrt(n)/2 from its corners
+    ("Z^4", build_periodic(unit_basis(4), [(F(0),) * 4]), F(1)),
+    ("Z^5", build_periodic(unit_basis(5), [(F(0),) * 5]), F(5, 4)),
+    # D_n for n >= 4: the deep hole (1/2, ..., 1/2) is sqrt(n)/2 from the
+    # lattice (Conway-Sloane, SPLAG, ch. 4)
+    ("D4", build_periodic(d_n_basis(4), [(F(0),) * 4]), F(1)),
+    ("D5", build_periodic(d_n_basis(5), [(F(0),) * 5]), F(5, 4)),
+    # a box with sides 1, 2, 1/2, 3: half its diagonal, (1 + 4 + 1/4 + 9) / 4
+    ("box 1 x 2 x 1/2 x 3", build_periodic(
+        tuple(tuple(F(s) if i == j else F(0) for j in range(4))
+              for i, s in enumerate((1, 2, F(1, 2), 3))), [(F(0),) * 4]), F(57, 16)),
 ])
 def test_hand_derived_periodic(name, handle, r2):
     params = delone_params(handle)
     assert params.R == Radical.sqrt(r2), name
+    assert params.R_exactness == "exact"
+
+
+def test_float_periodic_z4():
+    handle = build_periodic(tuple(tuple(map(float, b)) for b in unit_basis(4)), [(0.0,) * 4])
+    params = delone_params(handle)
+    assert abs(params.R - 1.0) <= handle.tol.eps_abs
     assert params.R_exactness == "exact"
 
 
@@ -230,11 +260,11 @@ def test_periodic_against_scipy(d, trials):
         assert delone_params(handle).R == Radical.sqrt(want), (basis, handle.motif)
 
 
-@pytest.mark.parametrize("d, trials", [(2, 8), (3, 2)])
+@pytest.mark.parametrize("d, trials", [(2, 8), (3, 2), (4, 1)])
 def test_windows_against_scipy(d, trials):
     rng = random.Random(1018 + d)
     for _ in range(trials):
-        n = 45 if d == 2 else 60
+        n = {2: 45, 3: 60, 4: 120}[d]
         pts = list({tuple(_random_rational(rng, 0, 4, 3) for _ in range(d))
                     for _ in range(n)})
         margin = F(rng.randint(0, 2), 2)

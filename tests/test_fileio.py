@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from delone.fileio import (PointSetFormatError, Report, format_radius,
@@ -122,3 +122,44 @@ def test_report_deterministic(tmp_path):
     Report("demo").kv("x", 1).write(str(p1))
     Report("demo").kv("x", 1).write(str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+VALID_FILES = (
+    "dim = 2\nmode = periodic\nnumeric = exact\n[basis]\n1 0\n1/2 1/2*sqrt(3)\n"
+    "[motif]\n0 0\n",
+    "dim = 2\nmode = periodic\nnumeric = float\neps_abs = 1e-09\n[basis]\n1.0 0.0\n"
+    "0.0 1.0\n[motif]\n0.1 0.1\n0.6 0.1\n",
+    "# delone point set v1\ndim = 2\nmode = window\nnumeric = exact\nmargin = 1/2\n"
+    "[bounds]\n-1 -1\n1 1\n[points]\n-1 -1\n-1 0\n0 0\n1/2 1\n1 -1/3\n",
+    "dim = 1\nmode = window\nnumeric = float\n[bounds]\n0.0\n2.5\n[points]\n"
+    "0.0\n1.25\n2.5\n",
+)
+
+# (position as a fraction of the text, character or None for a deletion)
+EDITS = st.lists(st.tuples(st.floats(0, 1), st.one_of(
+    st.none(), st.sampled_from("0123456789/+-*.()e=[] \n#sqrt"), st.characters())),
+    min_size=1, max_size=6)
+
+
+def test_valid_files_parse(tmp_path):
+    path = tmp_path / "set.ps"
+    for text in VALID_FILES:
+        path.write_text(text, encoding="utf-8")
+        read_point_set(str(path))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(VALID_FILES), EDITS)
+def test_mutated_files_fail_only_with_usage_errors(tmp_path, text, edits):
+    # characters inserted and deleted anywhere: the reader returns a handle
+    # or raises what the CLI maps to exit 2, never anything else
+    for where, char in edits:
+        i = min(int(where * len(text)), len(text))
+        text = text[:i] + text[i + 1:] if char is None else text[:i] + char + text[i:]
+    path = tmp_path / "set.ps"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))  # a lone surrogate is not UTF-8
+    try:
+        read_point_set(str(path))
+    except (PointSetFormatError, ValueError):
+        pass

@@ -153,6 +153,24 @@ def test_reconstruct_float_equals_float_closure():
     assert len(want) == 81  # the hand count of the bench oracle at rho 3
 
 
+def test_reconstruct_non_dyadic_float_seed_merges_rounded_candidates():
+    # 2y - z of tenths rounds differently along different chains, so exact
+    # membership would keep near-duplicates until the packing cap fires
+    handle = build_periodic(((1.0, 0.0), (0.0, 1.0)), [(0.1, 0.1), (0.6, 0.1), (0.1, 0.6)])
+    eps = handle.tol.eps_abs
+    center = (0.1, 0.1)
+    seed = cluster(handle, center, 2 * delone_params(handle).R)
+    got = reconstruct_from_2R_cluster(seed, 3.0, tol=handle.tol)
+    want = [p for _, p in handle.points_in_ball(center, 3.0)]
+    assert len(got) == len(want) == 81
+
+    def near(p, pts):
+        return sum(max(abs(a - b) for a, b in zip(p, q)) <= eps for q in pts)
+
+    assert all(near(p, want) == 1 for p in got)
+    assert all(near(q, got) == 1 for q in want)
+
+
 # -- neighbour-cell closure against the generation-wise closure -------------------
 
 def all_pairs_closure(seed, rho_max, pair_covers, ball_covers, cap):
