@@ -41,8 +41,8 @@ makes the center-fixing group infinite and ``cluster_group`` raises.
    apart here.
 A crystal has at most as many distinct offset sets as motif points, so
 step 1 settles almost every cluster of a window.  Float mode has no exact
-keys: it matches fingerprints with a tolerance against every
-representative, then synthesizes.
+keys: every cluster goes to step 3 against every representative, so a
+class is decided by a witness in both modes.
 """
 
 import math
@@ -51,9 +51,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .geometry import (ORTHO_EPS, Isometry, Tolerance, apply, compose, fdiv,
-                       identity, mat_identity, mat_mul, mat_solve,
-                       orthogonal_complement, p_add, p_dot, p_sub, rank)
+from .geometry import (ORTHO_EPS, Isometry, Tolerance, apply, fdiv, identity,
+                       mat_identity, mat_mul, mat_solve, orthogonal_complement,
+                       p_add, p_dot, p_sub, rank)
 from .scalars import Radical, field_sqrt, quadext, sfloat
 from .sets import Cluster, _sq, as_radius, cluster, distance_spectrum
 
@@ -88,8 +88,8 @@ class Fingerprint:
     cluster cut from a handle with a scale (all clusters of one handle
     share it), or field scalars when ``scale`` is None; either way they
     hash and compare exactly.  Float entries are matched with a tolerance
-    by :func:`fingerprints_match`, which float :func:`classify` runs before
-    synthesis.  Exact classify buckets by the radial key instead (the first
+    by :func:`fingerprints_match`.  :func:`classify` compares no
+    fingerprints: it buckets exact clusters by the radial key (the first
     component of every entry, sorted), and witness synthesis builds only the
     rows it compares.
     """
@@ -133,12 +133,6 @@ def _rows_match(row1, row2, tol):
     return len(row1) == len(row2) and all(map(_matcher(tol), row1, row2))
 
 
-def _entries_match(e1, e2, tol):
-    if tol.exact:
-        return e1 == e2
-    return _matcher(tol)(e1[0], e2[0]) and _rows_match(e1[1], e2[1], tol)
-
-
 def fingerprints_match(f1, f2, tol):
     if len(f1) != len(f2):
         return False
@@ -146,17 +140,19 @@ def fingerprints_match(f1, f2, tol):
         if f1.scale != f2.scale:
             return _in_field(f1.data, f1.scale) == _in_field(f2.data, f2.scale)
         return f1.data == f2.data
-    return all(_entries_match(a, b, tol) for a, b in zip(f1.data, f2.data))
+    same = _matcher(tol)
+    return all(same(a[0], b[0]) and _rows_match(a[1], b[1], tol)
+               for a, b in zip(f1.data, f2.data))
 
 
 # ---------------------------------------------------------------------------
 # witness synthesis
 
-def _greedy_frame(offsets, tol):
+def _greedy_frame(offsets):
     """Independent offsets preferring small distance shells; sorted input."""
     frame = []
     for v in offsets:
-        if rank(frame + [v], exact=tol.exact) > len(frame):
+        if rank(frame + [v]) > len(frame):
             frame.append(v)
             if len(frame) == len(v):
                 break
@@ -229,8 +225,7 @@ def _gram_ok(frame, images, v, t, tol):
 def _solve_map(frame_rows, image_rows, tol):
     """Row-major orthogonal matrix O with O @ f_i = t_i, or None."""
     cols = mat_solve(tuple(frame_rows),
-                     tuple(tuple(r[k] for r in image_rows) for k in range(len(frame_rows[0]))),
-                     exact=tol.exact)
+                     tuple(tuple(r[k] for r in image_rows) for k in range(len(frame_rows[0]))))
     if cols is None:
         return None
     o = tuple(cols)  # column k of O^T is row k of O
@@ -330,10 +325,10 @@ def _witness_linear_parts(c1, c2, tol, want_all):
             raise InfiniteGroupError(
                 f"a single-point cluster in {d}-d has stabilizer O({d})")
         return
-    frame = _greedy_frame(vecs1, tol)
+    frame = _greedy_frame(vecs1)
     s = len(frame)
     comp1 = orthogonal_complement(frame, d) if s < d else []
-    spans_parallel = s == d or rank(frame + vecs2, exact=tol.exact) == s
+    spans_parallel = s == d or rank(frame + vecs2) == s
     comp_image_choices = None
     if s < d:
         if spans_parallel:
@@ -395,8 +390,7 @@ def clusters_equivalent(c1, c2, tol=None):
 
     Radii must agree.  The witness may reverse orientation (det -1); for
     rank-deficient clusters one canonical completion is returned out of the
-    continuum of valid witnesses.  Synthesis alone decides; callers that
-    compare fingerprints first (as :func:`classify` does) only save work.
+    continuum of valid witnesses.  Synthesis alone decides, in both modes.
     """
     tol = tol or Tolerance.exact_mode()
     if not tol.is_zero(c1.radius - c2.radius):
@@ -554,7 +548,7 @@ def classify(handle, rho, points=None):
     radius = as_radius(rho, handle.tol)
     population = sorted(handle.population(radius)) if points is None else points
     tol = handle.tol
-    classes = []      # [representative, members, witnesses, fingerprint (float)]
+    classes = []      # [representative, members, witnesses]
     translates = {}   # translation key -> (class, center, its witness)
     buckets = {}      # radial key -> classes (exact); one bucket (float)
     for x in population:
@@ -566,16 +560,14 @@ def classify(handle, rho, points=None):
             # compose(translation(x - c0), w0), without the identity product
             witness = Isometry(w0.linear, p_add(w0.shift, p_sub(x, c0)))
         else:
-            fx = None if tol.exact else fingerprint(cx)
             bucket = buckets.setdefault(_radial_key(cx) if tol.exact else None, [])
             for cls in bucket:
-                if tol.exact or fingerprints_match(cls[3], fx, tol):
-                    witness = clusters_equivalent(cls[0], cx, tol)
-                    if witness is not None:
-                        break
+                witness = clusters_equivalent(cls[0], cx, tol)
+                if witness is not None:
+                    break
             else:
                 witness = identity(handle.dim)
-                cls = [cx, [], [], fx]
+                cls = [cx, [], []]
                 classes.append(cls)
                 bucket.append(cls)
             if key is not None:
@@ -585,7 +577,7 @@ def classify(handle, rho, points=None):
     return ClusterPartition(
         rho=radius, tol=tol,
         classes=tuple(ClusterClass(representative=rc, members=tuple(ms), witnesses=tuple(ws))
-                      for rc, ms, ws, _ in classes))
+                      for rc, ms, ws in classes))
 
 
 @dataclass(frozen=True)
@@ -630,9 +622,9 @@ def group_orders_by_class(partition):
     """Per-class group order M_i, verified at a sampled member by conjugation.
 
     Groups of equivalent clusters are conjugate, so the order computed at
-    the representative must recur at any member; the check conjugates the
-    representative group by the member's witness and verifies it maps the
-    member cluster onto itself.
+    the representative must recur at any member.  For the member reached by
+    the witness w, each w g w^-1 must map w(C) onto itself; as w g w^-1 (w p)
+    = w g p, every w(g(p)) with p in C is looked up in w(C).
     """
     tol = partition.tol
     out = []
@@ -640,13 +632,11 @@ def group_orders_by_class(partition):
         group = cluster_group_of(cl.representative, tol)
         if len(cl.members) > 1:
             w = cl.witnesses[1]
-            member_pts = [apply(w, p) for p in cl.representative.points]
-            members = tol.point_set(member_pts)
-            w_inv = w.inverse()
+            points = cl.representative.points
+            members = tol.point_set([apply(w, p) for p in points])
             for g in group.elements:
-                conj = compose(w, compose(g, w_inv))
-                for p in member_pts:
-                    if apply(conj, p) not in members:
+                for p in points:
+                    if apply(w, apply(g, p)) not in members:
                         raise AssertionError(
                             "conjugated group element does not preserve the member cluster")
         out.append((idx, group.order))

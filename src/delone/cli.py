@@ -108,6 +108,14 @@ def cmd_generate(args):
                              gen_coset_union, gen_crystal, gen_lattice,
                              gen_shifted_rows)
     exact = args.numeric_mode == "exact"
+    needs = {"lattice": ("basis",), "coset-union": ("basis", "half_vectors"),
+             "crystal": ("basis", "motif"), "shifted-rows": ("seq",)}[args.family]
+    if any(getattr(args, flag) is None for flag in needs):
+        raise ValueError(f"generate {args.family} needs --"
+                         + " and --".join(needs).replace("_", "-"))
+    if args.family == "shifted-rows" and not exact:
+        raise ValueError("shifted-rows generation is exact-only; for float rows pass the points "
+                         "of gen_shifted_rows to build_window(..., tol=Tolerance.floating())")
     tol = _tol_from_args(args)
     extent = parse_scalar(args.extent, exact) if args.extent else None
     if args.family == "lattice":
@@ -135,9 +143,6 @@ def cmd_generate(args):
             sequence=ShiftSequence.parse(args.seq),
             extent=parse_scalar(args.extent or "3", True))
         handle = gen_shifted_rows(spec)
-        if not exact:
-            raise ValueError("shifted-rows generation is exact-only; "
-                             "write the file and reload in float mode if needed")
     write_point_set(handle, args.out)
     sys.stdout.write(f"wrote {args.out} ({handle.mode}, d={handle.dim})\n")
     return EXIT_OK

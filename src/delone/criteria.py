@@ -599,7 +599,7 @@ def _max_lattice_window(handle):
     passing = _window_translations(handle, cands)
     if not passing:
         raise WindowTooSmallError("window too small to confirm lattice invariance")
-    if rank(passing, exact=tol.exact) < handle.dim:
+    if rank(passing) < handle.dim:
         raise WindowTooSmallError("invariant translations do not span the space")
     if not tol.exact:
         raise NotImplementedError("window decomposition requires exact coordinates")

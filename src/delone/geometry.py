@@ -5,6 +5,9 @@ Fractions (or QuadExt elements of one quadratic field); in floating mode
 they are Python floats and all predicates compare against an absolute
 tolerance ``eps_abs``.
 
+Matrix routines take no mode: :func:`_nonzero` decides zero by the scalar's
+type, exactly for field scalars and against ``FLOAT_ZERO`` for floats.
+
 An isometry is stored as an orthogonal linear part plus a shift,
 ``g(p) = linear @ p + shift``.  Matrices are row-major tuples of tuples.
 """
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .scalars import Radical, is_exact_scalar, sfloat, ssign
+from .scalars import Radical, is_exact_scalar, sfloat
 
 __all__ = [
     "ConvergenceError",
@@ -35,6 +38,8 @@ __all__ = [
 
 # a posteriori orthogonality bound for synthesized linear parts (float mode)
 ORTHO_EPS = 1e-9
+# a float pivot, residual or determinant at most this large counts as zero
+FLOAT_ZERO = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -213,8 +218,11 @@ def mat_t(m):
     return tuple(zip(*m))
 
 
-def _pivot_size(x):
-    return abs(sfloat(x))
+def _nonzero(x):
+    """x != 0, exactly for field scalars (a QuadExt is never 0)."""
+    if isinstance(x, float):
+        return abs(x) > FLOAT_ZERO
+    return x != 0
 
 
 def fdiv(a, b):
@@ -226,11 +234,11 @@ def fdiv(a, b):
     return a / b
 
 
-def mat_solve(a, rhs_cols, exact=True):
+def mat_solve(a, rhs_cols):
     """Solve ``a @ X = rhs`` for the matrix X; rhs given as columns.
 
     Returns the solution as a tuple of columns, or None if ``a`` is
-    singular (exactly singular in exact mode, tiny pivot in float mode).
+    singular (no pivot passes :func:`_nonzero`).
     """
     n = len(a)
     aug = [list(a[i]) + [col[i] for col in rhs_cols] for i in range(n)]
@@ -239,9 +247,8 @@ def mat_solve(a, rhs_cols, exact=True):
         best = 0.0
         for r in range(col, n):
             v = aug[r][col]
-            nz = (ssign(v) != 0) if exact else (abs(v) > 1e-13)
-            if nz and (_pivot_size(v) > best):
-                piv, best = r, _pivot_size(v)
+            if _nonzero(v) and abs(sfloat(v)) > best:
+                piv, best = r, abs(sfloat(v))
         if piv is None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
@@ -250,7 +257,7 @@ def mat_solve(a, rhs_cols, exact=True):
             if r == col:
                 continue
             f = aug[r][col]
-            if (ssign(f) == 0) if exact else f == 0:
+            if f == 0:
                 continue
             fi = fdiv(f, prow[col])
             row = aug[r]
@@ -262,24 +269,23 @@ def mat_solve(a, rhs_cols, exact=True):
     return tuple(xs)
 
 
-def mat_inv(m, exact=True):
+def mat_inv(m):
     d = len(m)
     eye = [tuple(Fraction(int(i == j)) for i in range(d)) for j in range(d)]
-    cols = mat_solve(m, eye, exact=exact)
+    cols = mat_solve(m, eye)
     if cols is None:
         return None
     return mat_t(cols)
 
 
-def mat_det(m, exact=True):
+def mat_det(m):
     n = len(m)
     a = [list(r) for r in m]
-    det = Fraction(1) if exact else 1.0
+    det = Fraction(1)
     for col in range(n):
         piv = None
         for r in range(col, n):
-            nz = (ssign(a[r][col]) != 0) if exact else abs(a[r][col]) > 1e-13
-            if nz:
+            if _nonzero(a[r][col]):
                 piv = r
                 break
         if piv is None:
@@ -290,14 +296,14 @@ def mat_det(m, exact=True):
         det = det * a[col][col]
         for r in range(col + 1, n):
             f = fdiv(a[r][col], a[col][col])
-            if (ssign(f) == 0) if exact else f == 0:
+            if f == 0:
                 continue
             for j in range(col, n):
                 a[r][j] = a[r][j] - f * a[col][j]
     return det
 
 
-def rank(vectors, exact=True):
+def rank(vectors):
     """Rank of a list of d-vectors over the field."""
     if not vectors:
         return 0
@@ -307,8 +313,7 @@ def rank(vectors, exact=True):
     for col in range(d):
         piv = None
         for i in range(r, len(rows)):
-            nz = (ssign(rows[i][col]) != 0) if exact else abs(rows[i][col]) > 1e-10
-            if nz:
+            if _nonzero(rows[i][col]):
                 piv = i
                 break
         if piv is None:
@@ -318,7 +323,7 @@ def rank(vectors, exact=True):
             if i == r:
                 continue
             f = fdiv(rows[i][col], rows[r][col])
-            if (ssign(f) == 0) if exact else f == 0:
+            if f == 0:
                 continue
             for j in range(d):
                 rows[i][j] = rows[i][j] - f * rows[r][j]
@@ -345,12 +350,12 @@ def orthogonal_complement(vectors, d):
     span = []
     for v in vectors:
         w = project_out(v, span)
-        if any(ssign(c) != 0 for c in w):
+        if any(map(_nonzero, w)):
             span.append(w)
     for i in range(d):
         e = tuple(Fraction(int(j == i)) for j in range(d))
         w = project_out(e, span + basis)
-        if any(ssign(c) != 0 for c in w):
+        if any(map(_nonzero, w)):
             basis.append(w)
     return basis
 
@@ -380,8 +385,8 @@ class Isometry:
         lt = mat_t(self.linear)
         return Isometry(lt, p_neg(mat_vec(lt, self.shift)))
 
-    def det(self, exact=True):
-        return mat_det(self.linear, exact=exact)
+    def det(self):
+        return mat_det(self.linear)
 
     def is_orthogonal(self, tol):
         q = mat_mul(mat_t(self.linear), self.linear)
@@ -442,7 +447,7 @@ def _snearest(x):
     return sfloor(x + Fraction(1, 2))
 
 
-def lll_reduce(basis, exact=True, delta=Fraction(3, 4)):
+def lll_reduce(basis, delta=Fraction(3, 4)):
     """Lenstra-Lenstra-Lovasz reduction of a full-rank basis (rows)."""
     b = [list(v) for v in basis]
     n = len(b)
@@ -476,8 +481,7 @@ def lll_reduce(basis, exact=True, delta=Fraction(3, 4)):
                 star, mu = gso()
         lhs = sum(x * x for x in star[k])
         rhs = (delta - mu[k][k - 1] * mu[k][k - 1]) * sum(x * x for x in star[k - 1])
-        ge = (ssign(lhs - rhs) >= 0) if exact else lhs >= rhs
-        if ge:
+        if lhs >= rhs:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
@@ -500,14 +504,14 @@ class Lattice:
         if any(len(v) != d for v in basis):
             raise ValueError("lattice basis must be square (d vectors of length d)")
         self.exact = all(point_is_exact(v) for v in basis)
-        det = mat_det(basis, exact=self.exact)
-        if (ssign(det) == 0) if self.exact else abs(det) < 1e-12:
+        det = mat_det(basis)
+        if not _nonzero(det):
             raise ValueError("degenerate lattice basis")
         self.basis = basis
         self.dim = d
         self.det = det
-        self.reduced = lll_reduce(basis, exact=self.exact)
-        self._inv = mat_inv(self.reduced, exact=self.exact)  # columns of B^-1
+        self.reduced = lll_reduce(basis)
+        self._inv = mat_inv(self.reduced)  # columns of B^-1
         self._inv_float = [[sfloat(x) for x in row] for row in self._inv]
 
     def coords(self, v):
@@ -558,17 +562,17 @@ class Lattice:
         return f"Lattice({self.basis!r})"
 
 
-def lattice_from_generators(vectors, exact=True):
+def lattice_from_generators(vectors):
     """The lattice generated by an arbitrary set of (rational) vectors.
 
     Uses integer HNF on a common-denominator scaling; requires full rank.
     Only supported in exact mode with Fraction entries.
     """
-    vecs = [v for v in vectors if any(ssign(c) != 0 for c in v)]
+    vecs = [v for v in vectors if any(map(_nonzero, v))]
     if not vecs:
         raise ValueError("no nonzero generators")
     d = len(vecs[0])
-    if rank(vecs, exact=True) < d:
+    if rank(vecs) < d:
         raise ValueError("generators do not span the space")
     den = 1
     for v in vecs:

@@ -19,7 +19,7 @@ def _first_frame(offsets):
     d = len(offsets[0])
     frame = []
     for v in offsets:
-        if rank(frame + [v], exact=True) > len(frame):
+        if rank(frame + [v]) > len(frame):
             frame.append(v)
             if len(frame) == d:
                 return frame
@@ -47,8 +47,7 @@ def brute_force_linear_maps(offs_a, offs_b):
     def recurse(i, images):
         if i == d:
             cols = mat_solve(tuple(frame),
-                             tuple(tuple(r[k] for r in images) for k in range(d)),
-                             exact=True)
+                             tuple(tuple(r[k] for r in images) for k in range(d)))
             if cols is None:
                 return
             o = tuple(cols)

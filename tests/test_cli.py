@@ -367,6 +367,27 @@ def test_shifted_rows_certify_violated(tmp_path, capsys):
     assert "[witness_classes]" in out
 
 
+@pytest.mark.parametrize("extent", [None, "9/4", "2.25"])
+def test_float_shifted_rows_generation_exit2(tmp_path, capsys, extent):
+    # the family is checked before any argument is parsed or any point built
+    argv = ["--numeric-mode", "float", "generate", "shifted-rows", "--seq", "RLLRLR",
+            "--out", "rows.ps"] + (["--extent", extent] if extent else [])
+    assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err == (
+        "error: shifted-rows generation is exact-only; for float rows pass the "
+        "points of gen_shifted_rows to build_window(..., tol=Tolerance.floating())\n")
+    assert not (tmp_path / "rows.ps").exists()
+
+
+@pytest.mark.parametrize("family,flags", [("lattice", "--basis"),
+                                          ("coset-union", "--basis and --half-vectors"),
+                                          ("crystal", "--basis and --motif"),
+                                          ("shifted-rows", "--seq")])
+def test_generate_without_its_point_lists_exit2(tmp_path, capsys, family, flags):
+    assert run(tmp_path, "generate", family, "--out", "set.ps") == 2
+    assert capsys.readouterr().err == f"error: generate {family} needs {flags}\n"
+
+
 def test_float_mode_cli(tmp_path, capsys):
     f = tmp_path / "fz2.ps"
     lines = ["dim = 2", "mode = window", "numeric = float", "margin = 0.0",

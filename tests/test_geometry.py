@@ -109,7 +109,7 @@ def test_lattice_membership_and_reduction():
     assert not lat.contains((F(1, 2), F(0)), TOL)
     assert lat.reduce_point((F(7, 2), F(-1, 4))) == (F(1, 2), F(3, 4))
     skew = Lattice(((F(1), F(0)), (F(7), F(1))))
-    assert abs(mat_det(skew.reduced, True)) == 1
+    assert abs(mat_det(skew.reduced)) == 1
     assert max(abs(float(x)) for row in skew.reduced for x in row) <= 1.0
 
 
