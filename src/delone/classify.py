@@ -13,16 +13,17 @@ for the offsets at a frame vector's distance from the center.  A cluster of
 n points thus costs O(k n) distances for k candidate images, not n^2.
 
 Clusters cut from a rational set share its grid scale, so synthesis runs
-on their int offsets (grid point minus grid center): scaling leaves the
+on their int ``keys`` (grid point minus grid center): scaling leaves the
 linear part of an isometry unchanged.  The bijection check writes a
 candidate as M / q with integer M and q and looks each image M v / q up in
 a dict from offset to index, rejecting the candidate at the first image
 that q does not divide or that is not an offset; it returns the
-permutation of offset indices.  Q(sqrt 3) clusters and clusters of
-different scales run the same lookup on field offsets.  When the offsets
-span R^d a linear map is fixed by that permutation, so a cluster group is
-checked closed under composition and inverse on its permutations; the
-matrices are multiplied only for rank-deficient clusters and in float mode.
+permutation of offset indices.  Q(sqrt 3) clusters, clusters of different
+scales and float clusters run the same lookup on field offsets.  A cluster
+group is a permutation group in both numeric modes: each element is fixed
+by its permutation of the offsets, with two more slots for n and -n when
+the cluster is one dimension short, so closure is checked on permutations
+by composing every reached element with greedily picked generators.
 
 Degenerate clusters (offsets spanning fewer than d dimensions) get their
 frame completed with orthogonal-complement vectors.  A rank deficit of one
@@ -30,12 +31,12 @@ contributes a +-1 choice on the normal line; a deficit of two or more
 makes the center-fixing group infinite and ``cluster_group`` raises.
 
 ``classify`` decides each cluster in this order (exact mode):
-1. its translation key, the offsets from its center: a cluster whose key
-   was seen before is a translate of that earlier cluster, so it joins the
-   same class with the translation composed onto the earlier witness;
-2. its radial key, the sorted squared distances from its center (ints on
-   the grid, or field scalars): a dict key that picks the representatives
-   it can be equivalent to;
+1. its ``keys`` as a translation key: a cluster whose keys were seen
+   before is a translate of that earlier cluster, so it joins the same
+   class with the translation composed onto the earlier witness;
+2. its radial key, the sorted squared lengths of its keys (ints on the
+   grid, or field scalars): a dict key that picks the representatives it
+   can be equivalent to;
 3. witness synthesis against those representatives, which alone decides,
    so clusters with equal radial keys that are not equivalent are told
    apart here.
@@ -52,7 +53,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .geometry import (ORTHO_EPS, Isometry, Tolerance, apply, fdiv, identity,
-                       mat_identity, mat_mul, mat_solve, orthogonal_complement,
+                       mat_identity, mat_solve, orthogonal_complement,
                        p_add, p_dot, p_sub, rank)
 from .scalars import Radical, field_sqrt, quadext, sfloat
 from .sets import Cluster, _sq, as_radius, cluster, distance_spectrum
@@ -163,47 +164,22 @@ class _Offsets:
     """A cluster's offsets from its center, sorted by length then by
     coordinates, with their distance data built on first use.
 
-    With ``integer`` set the offsets are the int vectors ``grid point - grid
-    center``: scaling does not change the linear part of an isometry, so
-    synthesis runs on ints.  Otherwise they are field offsets (or floats).
-    ``index.get(v)`` is the position of offset v (see
-    :meth:`Tolerance.point_set`).  ``norm(v)`` is the squared distance
-    from the center to the point at offset v and ``row(v)`` the sorted
-    squared distances from that point to every cluster point: ints in units
-    of ``1/scale**2`` on a grid, field scalars otherwise, or field scalars
-    throughout when ``in_field`` is set (rows of clusters in different units
-    compare only that way).
+    The vectors are a cluster's ``keys`` when both clusters of a comparison
+    share a scale, otherwise its field (or float) offsets.  ``index.get(v)``
+    is the position of offset v (see :meth:`Tolerance.point_set`) and
+    ``row(v)`` the sorted |v - w|^2 over the offsets w plus |v|^2: the
+    squared distances from the point at v to every cluster point.
     """
 
-    def __init__(self, c, tol, integer, in_field):
-        self.center, self.points = c.grid or (c.center, c.points)
-        own = [q for q in self.points if q != self.center]
-        if integer:
-            vecs = [tuple(a - b for a, b in zip(q, self.center)) for q in own]
-            order = sorted(range(len(vecs)),
-                           key=lambda k: (sum(a * a for a in vecs[k]), vecs[k]))
-        else:
-            vecs = c.offsets()
-            order = sorted(range(len(vecs)),
-                           key=lambda k: (sfloat(p_dot(vecs[k], vecs[k])),
-                                          tuple(map(sfloat, vecs[k]))))
-        self.vectors = [vecs[k] for k in order]
-        self.own = {vecs[k]: own[k] for k in order}
+    def __init__(self, vecs, tol):
+        self.vectors = sorted(vecs, key=lambda v: (sfloat(p_dot(v, v)), tuple(map(sfloat, v))))
         self.index = tol.point_set(self.vectors)
-        self.scale2 = c.scale * c.scale if in_field and c.scale is not None else None
         self.rows = {}
-
-    def _lift(self, d2):
-        return d2 if self.scale2 is None else Fraction(d2, self.scale2)
-
-    def norm(self, v):
-        return self._lift(_sq(self.own[v], self.center))
 
     def row(self, v):
         r = self.rows.get(v)
         if r is None:
-            p = self.own[v]
-            r = self.rows[v] = tuple(map(self._lift, sorted(_sq(p, q) for q in self.points)))
+            r = self.rows[v] = tuple(sorted([p_dot(v, v)] + [_sq(v, w) for w in self.vectors]))
         return r
 
 
@@ -298,32 +274,31 @@ def _witness_linear_parts(c1, c2, tol, want_all):
     """Orthogonal linear parts mapping the offsets of c1 onto those of c2.
 
     Yields pairs (o, perm) in a deterministic order: o is a row-major
-    matrix and perm, when the offsets span R^d, the permutation of offset
-    positions that o induces (a linear map is fixed by its action on a
-    spanning set, so perm determines o); perm is None otherwise.  Clusters
-    with one grid scale are matched on int offsets, with int distance data;
-    other exact clusters (Q(sqrt 3) coordinates, or different scales) on
-    field offsets.  Either way every candidate o is solved from a frame, is
-    checked orthogonal, and must biject the offsets (:func:`_permutation`).
+    matrix and perm the permutation of offset positions that o induces,
+    with two more slots, for n and -n on the normal line, when the cluster
+    is one dimension short, and the slots of +1 and -1 for a lone center in
+    1-d.  For c2 is c1, perm thus fixes o.  Clusters of one scale are
+    matched on their ``keys`` (ints on a grid), others on field offsets.
+    Every candidate o is solved from a frame (distinct frame images, or
+    normal choices, give distinct maps), is checked orthogonal, and must
+    biject the offsets (:func:`_permutation`).
     """
     if c1.size != c2.size:
         return
     d = c1.dim
-    integer = c1.grid is not None and c2.grid is not None and c1.scale == c2.scale
-    # rows in different units compare only as field scalars
-    in_field = c1.scale != c2.scale
-    offs1 = _Offsets(c1, tol, integer, in_field)
-    offs2 = offs1 if c2 is c1 else _Offsets(c2, tol, integer, in_field)
+    # one scale: int keys; rows in different units compare only in the field
+    shared = c1.scale == c2.scale
+    integer = shared and c1.scale is not None
+    offs1 = _Offsets(c1.keys if shared else c1.offsets(), tol)
+    offs2 = offs1 if c2 is c1 else _Offsets(c2.keys if shared else c2.offsets(), tol)
     vecs1, vecs2 = offs1.vectors, offs2.vectors
     if not vecs1:
-        if not want_all:
-            yield mat_identity(d), None  # canonical witness: plain translation
-        elif d == 1:
-            yield mat_identity(d), None
-            yield ((Fraction(-1),),), None
-        else:
+        if want_all and d > 1:
             raise InfiniteGroupError(
                 f"a single-point cluster in {d}-d has stabilizer O({d})")
+        yield mat_identity(d), (0, 1)  # canonical witness: plain translation
+        if want_all:
+            yield ((Fraction(-1),),), (1, 0)
         return
     frame = _greedy_frame(vecs1)
     s = len(frame)
@@ -349,10 +324,10 @@ def _witness_linear_parts(c1, c2, tol, want_all):
     # center, then with its row (built only for those); computed here, so
     # the recursive closure below holds no row tables
     same = _matcher(tol)
-    norms2 = [offs2.norm(t) for t in vecs2]
+    norms2 = [p_dot(t, t) for t in vecs2]
     candidates = []
     for v in frame:
-        n1, row1 = offs1.norm(v), offs1.row(v)
+        n1, row1 = p_dot(v, v), offs1.row(v)
         candidates.append([t for t, n in zip(vecs2, norms2)
                            if same(n, n1) and _rows_match(offs2.row(t), row1, tol)])
 
@@ -366,21 +341,18 @@ def _witness_linear_parts(c1, c2, tol, want_all):
             if _gram_ok(frame[:i], images, frame[i], t, tol):
                 yield from assignments(i + 1, images + [t])
 
-    seen = set()
     for images in assignments(0, []):
-        comp_choices = comp_image_choices or [[]]
-        for comp_imgs in comp_choices:
+        for j, comp_imgs in enumerate(comp_image_choices or [[]]):
             o = _solve_map(frame + comp1, images + list(comp_imgs), tol)
             if o is None:
                 continue
             perm = _permutation(o, vecs1, offs2.index, integer)
             if perm is None:
                 continue
-            key = o if tol.exact else tuple(tuple(round(x, 9) for x in row) for row in o)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield o, (perm if s == d else None)
+            if d - s == 1:
+                m = len(vecs1)
+                perm += (m + j, m + 1 - j)  # the slots of n and -n
+            yield o, perm
             if not want_all:
                 return
 
@@ -404,31 +376,48 @@ def clusters_equivalent(c1, c2, tol=None):
     return None
 
 
-def _check_permutation_closure(perms):
-    """Raise AssertionError unless the permutations (tuples of images) are
-    closed under inverse and composition."""
+def _check_closure(perms):
+    """Raise AssertionError unless the permutations (tuples of images) form
+    a group.
+
+    The identity must be a member.  Generators are picked greedily (each
+    member not reached yet), and every reached member is composed with every
+    generator; each product must be a member.  Every member is then a
+    product of generators and the reached set is closed under composing with
+    them, so the members are closed under composition, and a finite set of
+    permutations closed under composition is a group.  That takes about
+    |G| log2 |G| products, not |G|^2.
+    """
     members = set(perms)
-    for p in perms:
-        inverse = [0] * len(p)
-        for i, j in enumerate(p):
-            inverse[j] = i
-        if tuple(inverse) not in members:
-            raise AssertionError("cluster group not closed under inverse")
-    for p in perms:
-        for q in perms:
-            if tuple(map(p.__getitem__, q)) not in members:  # q first, then p
-                raise AssertionError("cluster group not closed under composition")
+    identity = tuple(range(len(perms[0]))) if perms else None
+    if identity not in members:
+        raise AssertionError("cluster group not closed under composition: no identity")
+    reached, generators = {identity}, []
+    for g in perms:
+        if g in reached:
+            continue
+        generators.append(g)
+        # members reached before meet only g; new ones meet every generator
+        todo = [(r, (g,)) for r in reached]
+        while todo:
+            r, by = todo.pop()
+            for h in by:
+                rh = tuple(map(r.__getitem__, h))  # h first, then r
+                if rh not in members:
+                    raise AssertionError("cluster group not closed under composition")
+                if rh not in reached:
+                    reached.add(rh)
+                    todo.append((rh, generators))
 
 
 def cluster_group_of(c, tol=None):
     """The full finite group of center-fixing self-maps of a cluster.
 
     Elements are the witnesses of :func:`_witness_linear_parts` from the
-    cluster to itself.  Closure under inverse and composition is checked
-    on their permutations of the offsets when the offsets span R^d (each
-    element is then fixed by its permutation, and elements compose as their
-    permutations do); rank-deficient clusters and float mode check the
-    matrices (:meth:`ClusterGroup.verify_closure`).
+    cluster to itself.  Each is fixed by its permutation of the offsets
+    (with the normal-line slots of a cluster one dimension short), and
+    elements compose as their permutations do, so closure is checked on the
+    permutations (:func:`_check_closure`) in both numeric modes.
     """
     tol = tol or Tolerance.exact_mode()
     elements, perms = [], []
@@ -437,13 +426,8 @@ def cluster_group_of(c, tol=None):
                                       for i in range(c.dim)))
         elements.append(Isometry(o, shift))
         perms.append(perm)
-    group = ClusterGroup(center=c.center, rho=c.radius, elements=tuple(elements),
-                         tol=tol)
-    if tol.exact and None not in perms:
-        _check_permutation_closure(perms)
-    else:
-        group.verify_closure()
-    return group
+    _check_closure(perms)
+    return ClusterGroup(center=c.center, rho=c.radius, elements=tuple(elements), tol=tol)
 
 
 def cluster_group(handle, x, rho):
@@ -478,15 +462,6 @@ class ClusterGroup:
                 return True
         return False
 
-    def verify_closure(self):
-        for g in self.elements:
-            if not self.contains_linear(g.inverse().linear):
-                raise AssertionError("cluster group not closed under inverse")
-        for g in self.elements:
-            for h in self.elements:
-                if not self.contains_linear(mat_mul(g.linear, h.linear)):
-                    raise AssertionError("cluster group not closed under composition")
-
     def equals(self, other):
         """Element-wise equality of two groups at the same center."""
         if self.order != other.order:
@@ -520,20 +495,10 @@ class ClusterPartition:
         return len(self.classes)
 
 
-def _translation_key(c):
-    """The offsets of a cluster from its center, flattened: clusters of
-    one handle with equal keys are translates of each other."""
-    if c.grid is None:
-        return c.offsets()
-    ic, ipts = c.grid
-    return tuple(a - b for q in ipts for a, b in zip(q, ic))
-
-
 def _radial_key(c):
-    """The sorted squared distances from a cluster's center to its points:
-    ints over scale**2 on a grid, otherwise field scalars."""
-    center, points = c.grid or (c.center, c.points)
-    return tuple(sorted(_sq(p, center) for p in points))
+    """The sorted squared lengths of a cluster's keys: ints over scale**2 on
+    a grid, otherwise field scalars."""
+    return tuple(sorted(p_dot(v, v) for v in c.keys))
 
 
 def classify(handle, rho, points=None):
@@ -553,7 +518,7 @@ def classify(handle, rho, points=None):
     buckets = {}      # radial key -> classes (exact); one bucket (float)
     for x in population:
         cx = cluster(handle, x, radius)
-        key = _translation_key(cx) if tol.exact else None
+        key = cx.keys if tol.exact else None
         hit = None if key is None else translates.get(key)
         if hit is not None:
             cls, c0, w0 = hit

@@ -299,18 +299,12 @@ def is_locally_antipodal(handle):
 
 def _antipode_violation(c, tol):
     """The first offset of cluster c whose antipode -v is not one of its
-    offsets, or None.  Exact clusters on a grid test their int offsets and
-    lift only the offset reported."""
-    if c.grid is None or not tol.exact:
-        offsets, scale = c.offsets(), None
-        members = tol.point_set(offsets)
-    else:
-        (ic, ipts), scale = c.grid, c.scale
-        offsets = [tuple(a - b for a, b in zip(q, ic)) for q in ipts if q != ic]
-        members = set(offsets)
-    for v in offsets:
+    offsets, or None.  The test runs on the cluster's keys (int vectors on
+    a grid); only the offset reported is lifted."""
+    members = tol.point_set(c.keys)
+    for v in c.keys:
         if p_neg(v) not in members:
-            return v if scale is None else tuple(Fraction(a, scale) for a in v)
+            return v if c.scale is None else tuple(Fraction(a, c.scale) for a in v)
     return None
 
 

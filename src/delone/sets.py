@@ -226,6 +226,8 @@ class Cluster:
     Clusters cut from a handle with a scale carry it, with the points and
     the center times the scale as int tuples (``grid``).  All clusters of
     one handle share its scale, so their integer data compare directly.
+    ``keys`` are the offsets from the center in the cluster's own units:
+    int vectors on a grid, the field (or float) offsets otherwise.
     """
 
     center: tuple
@@ -242,13 +244,20 @@ class Cluster:
     def size(self):
         return len(self.points)
 
+    @cached_property
+    def keys(self):
+        """Offsets from the center in points order, center excluded: int
+        vectors (grid point minus grid center) on a grid, otherwise
+        :meth:`offsets`."""
+        center, points = self.grid or (self.center, self.points)
+        return tuple(tuple(a - b for a, b in zip(p, center)) for p in points if p != center)
+
     def offsets(self):
-        """Points relative to the center (center excluded)."""
-        if self.grid is None:
-            return tuple(p_sub(p, self.center) for p in self.points if p != self.center)
-        ic, ipts = self.grid
-        return tuple(tuple(Fraction(a - b, self.scale) for a, b in zip(q, ic))
-                     for q in ipts if q != ic)
+        """Points relative to the center (center excluded): the keys, lifted
+        to Fractions on a grid."""
+        if self.scale is None:
+            return self.keys
+        return tuple(tuple(Fraction(a, self.scale) for a in v) for v in self.keys)
 
     @cached_property
     def distance_rows(self):

@@ -10,7 +10,7 @@ trying every intersection of d facets rather than by clipping.
 from fractions import Fraction
 from itertools import combinations
 
-from delone.geometry import Isometry, mat_solve, p_dot, p_sub, rank
+from delone.geometry import Isometry, mat_mul, mat_solve, p_dot, p_sub, rank
 from delone.scalars import sfloat, ssign
 
 
@@ -78,6 +78,33 @@ def brute_force_group_order(c):
     """Order of the center-fixing group of a full-rank cluster."""
     offs = list(c.offsets())
     return len(brute_force_linear_maps(offs, offs))
+
+
+def check_matrix_closure(group):
+    """Raise AssertionError unless the group's linear parts are closed under
+    inverse and under every pairwise product, multiplied as matrices."""
+    for g in group.elements:
+        if not group.contains_linear(g.inverse().linear):
+            raise AssertionError("cluster group not closed under inverse")
+    for g in group.elements:
+        for h in group.elements:
+            if not group.contains_linear(mat_mul(g.linear, h.linear)):
+                raise AssertionError("cluster group not closed under composition")
+
+
+def is_permutation_group(perms):
+    """Whether the permutations (tuples of images) hold the identity, every
+    inverse and every pairwise composition."""
+    members = set(perms)
+    if not perms or tuple(range(len(perms[0]))) not in members:
+        return False
+    for p in perms:
+        inverse = [0] * len(p)
+        for i, j in enumerate(p):
+            inverse[j] = i
+        if tuple(inverse) not in members:
+            return False
+    return all(tuple(p[i] for i in q) in members for p in perms for q in perms)
 
 
 def window_isometries(handle, x, y):

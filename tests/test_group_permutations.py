@@ -1,30 +1,33 @@
 """Witness synthesis on integer offsets and group closure by permutations.
 
 Clusters cut from a rational set carry the set's integer grid, so
-synthesis runs on int offsets and a group whose offsets span R^d is checked
-closed on its permutations of them.  A cluster rebuilt from its points
-alone (no scale, no grid) takes the field path: Fraction offsets and the
-matrix closure.  Both paths must give the same groups and the same
-equivalence verdicts, and full-rank groups must match a brute-force
-oracle that shares no code with synthesis.
+synthesis runs on their int keys.  A cluster rebuilt from its points alone
+(no scale, no grid) takes the field path on Fraction offsets, and a float
+copy the float path.  Every cluster group, in both numeric modes, is
+checked closed on its permutations of the offsets (with two normal-line
+slots for a cluster one dimension short), by composing reached elements
+with greedily picked generators.  The paths must give the same groups and
+the same equivalence verdicts, full-rank groups must match a brute-force
+oracle that shares no code with synthesis, and the generator closure must
+accept exactly the sets a pairwise oracle accepts.
 """
 
-import importlib
 import math
+from itertools import compress, product
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delone.classify import (_check_permutation_closure, _permutation,
-                             _witness_linear_parts, cluster_group_of,
-                             clusters_equivalent)
+from delone.classify import (_check_closure, _permutation, _witness_linear_parts,
+                             cluster_group_of, clusters_equivalent)
 from delone.generators import CrystalSpec, gen_crystal
 from delone.geometry import Isometry, Lattice, Tolerance, rank
-from delone.sets import Cluster, cluster, distance_spectrum
+from delone.scalars import sfloat
+from delone.sets import Cluster, build_window, cluster, distance_spectrum
 
-from oracles import brute_force_linear_maps
+from oracles import brute_force_linear_maps, is_permutation_group
 
 TOL = Tolerance.exact_mode()
 ORIGIN = (F(0), F(0))
@@ -40,6 +43,15 @@ LATTICES = (
 def _on_field_path(c):
     """The same cluster without scale or grid."""
     return Cluster(center=c.center, radius=c.radius, points=c.points)
+
+
+def _in_floats(c):
+    """The same cluster in float coordinates."""
+    def f(p):
+        return tuple(map(float, p))
+
+    return Cluster(center=f(c.center), radius=sfloat(c.radius),
+                   points=tuple(map(f, c.points)))
 
 
 def _linear_parts(group):
@@ -107,30 +119,76 @@ def test_integer_bijection_check_matches_field_arithmetic(rows, offs):
     assert _permutation(o, offs, index, True) == _permutation(o, offs, index, False)
 
 
-def test_permutation_closure_rejects_a_dropped_element(z2):
-    c = cluster(z2, ORIGIN, 2)
-    pairs = list(_witness_linear_parts(c, c, TOL, want_all=True))
-    perms = [perm for _, perm in pairs]
-    assert len(perms) == 8 and None not in perms
-    _check_permutation_closure(perms)
+def _perms(c, tol):
+    return [perm for _, perm in _witness_linear_parts(c, c, tol, want_all=True)]
+
+
+def _assert_closed_but_not_without_any_element(perms):
+    _check_closure(perms)
     for k in range(len(perms)):
         with pytest.raises(AssertionError, match="not closed under"):
-            _check_permutation_closure(perms[:k] + perms[k + 1:])
+            _check_closure(perms[:k] + perms[k + 1:])
 
 
-def test_collinear_cluster_uses_the_matrix_closure(monkeypatch):
+def test_permutation_closure_rejects_a_dropped_element(z2):
+    perms = _perms(cluster(z2, ORIGIN, 2), TOL)
+    assert len(perms) == 8
+    _assert_closed_but_not_without_any_element(perms)
+
+
+def test_closure_check_matches_the_pairwise_oracle_on_every_subset(z2):
+    perms = _perms(cluster(z2, ORIGIN, 2), TOL)
+    accepted = 0
+    for keep in product((False, True), repeat=len(perms)):
+        subset = list(compress(perms, keep))
+        expected = is_permutation_group(subset)
+        if expected:
+            _check_closure(subset)
+            accepted += 1
+        else:
+            with pytest.raises(AssertionError):
+                _check_closure(subset)
+    # the subgroups of D4: trivial, five of order 2, three of order 4, D4
+    assert accepted == 10
+
+
+def test_collinear_cluster_has_normal_line_slots():
     # a row of the (1/5) x 1 rectangular lattice: three collinear points
     handle = gen_crystal(CrystalSpec(lattice=Lattice(((F(1, 5), F(0)), (F(0), F(1)))),
                                      generators=(), motif=(ORIGIN,)))
     c = cluster(handle, ORIGIN, F(1, 5))
     assert c.grid is not None and c.size == 3
-    pairs = list(_witness_linear_parts(c, c, TOL, want_all=True))
-    assert len(pairs) == 4 and all(perm is None for _, perm in pairs)
-
-    def no_permutations(perms):
-        raise AssertionError("a rank-deficient group reached the permutation closure")
-
-    # the package rebinds the name ``delone.classify`` to the function
-    monkeypatch.setattr(importlib.import_module("delone.classify"),
-                        "_check_permutation_closure", no_permutations)
+    perms = _perms(c, TOL)
+    # two offsets, then the slots of n and -n on the normal line
+    assert sorted(perms) == [(0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3), (1, 0, 3, 2)]
+    _assert_closed_but_not_without_any_element(perms)
     assert cluster_group_of(c, TOL).order == 4
+
+
+def test_float_window_group_closes_on_permutations():
+    ftol = Tolerance.floating()
+    pts = [(float(i), float(j)) for i in range(-3, 4) for j in range(-3, 4)]
+    win = build_window(pts, ((-3.0, -3.0), (3.0, 3.0)), tol=ftol)
+    perms = _perms(cluster(win, (0.0, 0.0), 1.5), ftol)
+    assert len(perms) == 8
+    _assert_closed_but_not_without_any_element(perms)
+
+
+def test_closure_of_no_elements_raises():
+    with pytest.raises(AssertionError):
+        _check_closure([])
+
+
+@settings(max_examples=30, deadline=None)
+@given(crystals())
+def test_no_permutation_is_yielded_twice(case):
+    handle, shell = case
+    x = sorted(handle.motif)[0]
+    spectrum = distance_spectrum(handle, x, 2).distances
+    c = cluster(handle, x, spectrum[min(shell, len(spectrum) - 1)])
+    if c.size == 1:
+        return  # a lone center has an infinite group in 2-d
+    order = cluster_group_of(c, TOL).order
+    for cx, tol in ((c, TOL), (_in_floats(c), Tolerance.floating())):
+        perms = _perms(cx, tol)
+        assert len(set(perms)) == len(perms) == order

@@ -17,6 +17,8 @@ from delone.geometry import Isometry, Lattice, mat_mul, mat_t
 from delone.scalars import Radical, sfloat, ssign
 from delone.sets import cluster, delone_params, two_r_bound_sq, two_r_chain
 
+from oracles import check_matrix_closure
+
 ROT90 = Isometry(((F(0), F(-1)), (F(1), F(0))), (F(0), F(0)))
 MIRROR = Isometry(((F(1), F(0)), (F(0), F(-1))), (F(0), F(0)))
 
@@ -87,7 +89,7 @@ def test_randomized_structural_suite():
         g_small = cluster_group_of(small, handle.tol)
         assert g_big.is_subgroup_of(g_small)
         assert g_small.order % g_big.order == 0
-        g_big.verify_closure()
+        check_matrix_closure(g_big)
         trials += 1
 
         # property 3: witness isometries are orthogonal to 1e-9
