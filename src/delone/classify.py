@@ -30,20 +30,21 @@ frame completed with orthogonal-complement vectors.  A rank deficit of one
 contributes a +-1 choice on the normal line; a deficit of two or more
 makes the center-fixing group infinite and ``cluster_group`` raises.
 
-``classify`` decides each cluster in this order (exact mode):
-1. its ``keys`` as a translation key: a cluster whose keys were seen
-   before is a translate of that earlier cluster, so it joins the same
-   class with the translation composed onto the earlier witness;
+``classify`` decides each cluster in this order:
+1. its ``keys`` as a translation key, through the tolerance's
+   ``offset_map``: a cluster whose keys were seen before (exactly, or
+   vector by vector within eps_abs in float mode) is a translate of that
+   earlier cluster, so it joins the same class with the translation
+   composed onto the earlier witness;
 2. its radial key, the sorted squared lengths of its keys (ints on the
    grid, or field scalars): a dict key that picks the representatives it
-   can be equivalent to;
+   can be equivalent to (exact mode; float clusters share one bucket);
 3. witness synthesis against those representatives, which alone decides,
    so clusters with equal radial keys that are not equivalent are told
    apart here.
 A crystal has at most as many distinct offset sets as motif points, so
-step 1 settles almost every cluster of a window.  Float mode has no exact
-keys: every cluster goes to step 3 against every representative, so a
-class is decided by a witness in both modes.
+step 1 settles almost every cluster of a window in both modes, and every
+class is decided by a witness.
 """
 
 import math
@@ -514,12 +515,11 @@ def classify(handle, rho, points=None):
     population = sorted(handle.population(radius)) if points is None else points
     tol = handle.tol
     classes = []      # [representative, members, witnesses]
-    translates = {}   # translation key -> (class, center, its witness)
-    buckets = {}      # radial key -> classes (exact); one bucket (float)
+    translates = tol.offset_map()  # keys -> (class, center, its witness)
+    buckets = {}      # radial key -> classes (exact); one bucket (float misses)
     for x in population:
         cx = cluster(handle, x, radius)
-        key = cx.keys if tol.exact else None
-        hit = None if key is None else translates.get(key)
+        hit = translates.get(cx.keys)
         if hit is not None:
             cls, c0, w0 = hit
             # compose(translation(x - c0), w0), without the identity product
@@ -535,8 +535,7 @@ def classify(handle, rho, points=None):
                 cls = [cx, [], []]
                 classes.append(cls)
                 bucket.append(cls)
-            if key is not None:
-                translates[key] = (cls, x, witness)
+            translates[cx.keys] = (cls, x, witness)
         cls[1].append(x)
         cls[2].append(witness)
     return ClusterPartition(

@@ -367,7 +367,8 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
     bad = _antipode_violation(seed, tol)
     if bad is not None:
         raise NotAntipodalError(
-            f"seed cluster is not antipodal: offset {bad} has no antipode")
+            f"seed cluster is not antipodal: offset {format_point(bad, tol.exact)} "
+            "has no antipode")
     radius_max = as_radius(rho_max, tol)
     pair_radius = as_radius(seed.radius, tol)
     if max_points is None:

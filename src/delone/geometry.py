@@ -106,6 +106,14 @@ class Tolerance:
             return {p: i for i, p in enumerate(points)}
         return _FloatGrid(points, self.eps_abs)
 
+    def offset_map(self):
+        """Mapping from tuples of offset vectors: a dict (exact), or one
+        whose ``get`` finds a stored tuple each of whose vectors is
+        :meth:`same_point` as one of the query's (floating)."""
+        if self.exact:
+            return {}
+        return _FloatOffsetMap(self.eps_abs)
+
     def radius_at_least(self, rho_f):
         """A radius guaranteed to be >= the float rho_f."""
         if self.exact:
@@ -151,6 +159,36 @@ class _FloatGrid:
 
     def __contains__(self, p):
         return self.get(p) is not None
+
+
+class _FloatOffsetMap:
+    """Dict-like map from tuples of float vectors in floating mode.
+
+    A tuple is keyed by its vectors rounded to cells of a power-of-two side
+    near 1024 eps and sorted, so dyadic coordinates fall mid-cell.  A key hit
+    counts only if, with both tuples sorted by key, every vector is within
+    eps of its partner; a tuple straddling a cell edge misses, which costs
+    the caller only the work it does without a map."""
+
+    def __init__(self, eps):
+        self.eps = eps
+        self.side = 2.0 ** round(math.log2(1024 * eps))
+        self.map = {}
+
+    def _sorted(self, vectors):
+        keyed = sorted((tuple(round(c / self.side) for c in v), v) for v in vectors)
+        return tuple(k for k, _ in keyed), [v for _, v in keyed]
+
+    def get(self, vectors):
+        key, vs = self._sorted(vectors)
+        for stored, value in self.map.get(key, ()):
+            if all(abs(a - b) <= self.eps for u, w in zip(vs, stored) for a, b in zip(u, w)):
+                return value
+        return None
+
+    def __setitem__(self, vectors, value):
+        key, vs = self._sorted(vectors)
+        self.map.setdefault(key, []).append((vs, value))
 
 
 def _check_dims(p, q):

@@ -775,7 +775,10 @@ def _covering(handle):
     R, so the motif's cells give R exactly.  Window cells start from the
     trusted region, and a vertex counts when its empty ball fits there
     (``hosts_ball``).  A cell clear of its box depends only on the offsets
-    to its neighbors (ints on the handle's grid), so sites share it.
+    to its neighbors (ints on the handle's grid), so sites share it through
+    the tolerance's ``offset_map``, float sites whose offsets agree within
+    eps_abs too.  A query stops when it reaches the cell's need to within
+    float jitter: need carries 1e-6 of slack over twice the cell's reach.
     """
     tol, d = handle.tol, handle.dim
     grid = handle._grid()
@@ -787,7 +790,7 @@ def _covering(handle):
         lo, hi, margin = (-h,) * d, (h,) * d, 0
     else:
         lo, hi, margin = grid[2] if grid else (*handle.bounds, handle.margin)
-    cells, best = {}, None
+    cells, best = tol.offset_map(), None
     rho_f = 2 * math.sqrt(sfloat(min_dist_sq(handle)))
     for x in handle.interior_points(as_radius(0, tol)):
         base = _on_grid(x, scale) if grid else x
@@ -799,7 +802,7 @@ def _covering(handle):
             offsets = tuple(o for o in (p_sub(k, base) for _, k, _ in hits) if any(o))
             cell = cells.get(offsets) or _voronoi_cell(box, offsets, tol)
             need = 2.000001 * math.sqrt(sfloat(cell[0])) / scale  # slack for rounding
-            if need <= rho_f:
+            if need <= rho_f * 1.0000004:  # within jitter; need has 1e-6 slack
                 break
             rho_f = min(need, 2 * rho_f)  # a cell cut only by its box reaches far
         rho_f = need  # the next site starts from this cell's reach

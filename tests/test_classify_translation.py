@@ -3,10 +3,11 @@ their center, and buckets the rest by their radial key, the sorted squared
 distances from the center.  Both are shortcuts, so they are checked two
 ways:
 
-- against a reference scan, written here, that matches every cluster's
-  fingerprint against every representative and then synthesizes a witness
-  (the loop classify ran before it had keys), class by class and member by
-  member, witnesses included;
+- against a reference scan, written here, that synthesizes a witness from
+  every representative to every cluster until one exists (the loop classify
+  runs without its keys), class by class and member by member, witnesses
+  included; no fingerprint prefilter, whose sorted float entries pair by
+  noise on jittered inputs and reject equivalent clusters;
 - against an oracle that shares none of classify's code: each cluster is
   cut by a brute-force exact scan of the set, and every witness must map
   the representative's cluster onto the member's.
@@ -78,21 +79,18 @@ def reference_classify(handle, rho):
     """[(representative center, members, witnesses)] by a plain scan."""
     tol = handle.tol
     radius = as_radius(rho, tol)
-    reps = []   # (cluster, fingerprint, members, witnesses)
+    reps = []   # (cluster, members, witnesses)
     for x in sorted(handle.population(radius)):
         cx = cluster(handle, x, radius)
-        fx = fingerprint(cx)
-        for rc, rf, members, witnesses in reps:
-            if not fingerprints_match(rf, fx, tol):
-                continue
+        for rc, members, witnesses in reps:
             w = clusters_equivalent(rc, cx, tol)
             if w is not None:
                 members.append(x)
                 witnesses.append(w)
                 break
         else:
-            reps.append((cx, fx, [x], [identity(handle.dim)]))
-    return [(rc.center, tuple(ms), tuple(ws)) for rc, _, ms, ws in reps]
+            reps.append((cx, [x], [identity(handle.dim)]))
+    return [(rc.center, tuple(ms), tuple(ws)) for rc, ms, ws in reps]
 
 
 @pytest.mark.parametrize("name, build, radii", CASES, ids=[c[0] for c in CASES])

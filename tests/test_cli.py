@@ -187,6 +187,20 @@ def test_decompose_non_antipodal_prints_file_scalars(tmp_path, capsys):
                             "antipodal at (0, 0)\n")
 
 
+def test_reconstruct_non_antipodal_seed_prints_file_scalars(tmp_path, capsys):
+    # the sixfold orbit of (1/3, 0) mod the triangular lattice: its seed
+    # cluster is not antipodal
+    assert run(tmp_path, "generate", "crystal", "--basis", "1,0;1/2,1/2*sqrt(3)",
+               "--rotation", "6", "--motif", "1/3,0", "--out", "t6.ps") == 0
+    capsys.readouterr()
+    assert run(tmp_path, "reconstruct", "t6.ps", "--center", "1/3,0",
+               "--rho-max", "3") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(-2/3, 0)" in captured.err
+    assert "Fraction(" not in captured.err
+
+
 def test_boundary_message_prints_file_scalars(tmp_path, capsys):
     # a center whose 2R-ball leaves the fixture window of extent 4
     assert run(tmp_path, "generate", "coset-union", "--basis", "1,0;0,1",
