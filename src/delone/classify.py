@@ -49,13 +49,12 @@ class is decided by a witness.
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .geometry import (ORTHO_EPS, Isometry, Tolerance, apply, fdiv, identity,
-                       mat_identity, mat_solve, orthogonal_complement,
-                       p_add, p_dot, p_sub, rank)
+from .geometry import (ORTHO_EPS, Isometry, Record, Tolerance, apply, fdiv,
+                       identity, mat_identity, mat_solve,
+                       orthogonal_complement, p_add, p_dot, p_sub, rank)
 from .scalars import Radical, field_sqrt, quadext, sfloat
 from .sets import Cluster, _sq, as_radius, cluster, distance_spectrum
 
@@ -80,8 +79,7 @@ class InfiniteGroupError(Exception):
     """The cluster's center-fixing symmetry group is not finite."""
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(Record):
     """Isometry-invariant cluster summary, quadratic in the cluster size.
 
     One entry per cluster point: squared distance from the center plus the
@@ -436,8 +434,7 @@ def cluster_group(handle, x, rho):
     return cluster_group_of(cluster(handle, x, rho), handle.tol)
 
 
-@dataclass(frozen=True)
-class ClusterGroup:
+class ClusterGroup(Record):
     """Center-fixing isometries mapping a cluster onto itself."""
 
     center: tuple
@@ -476,15 +473,13 @@ class ClusterGroup:
 # ---------------------------------------------------------------------------
 # the partition X_1 .. X_N(rho)
 
-@dataclass(frozen=True)
-class ClusterClass:
+class ClusterClass(Record):
     representative: Cluster
     members: tuple      # member center points, lexicographic; rep first
     witnesses: tuple    # per member, isometry sending representative to it
 
 
-@dataclass(frozen=True)
-class ClusterPartition:
+class ClusterPartition(Record):
     """Equivalence classes of rho-clusters over the classified population."""
 
     rho: object
@@ -544,8 +539,7 @@ def classify(handle, rho, points=None):
                       for rc, ms, ws in classes))
 
 
-@dataclass(frozen=True)
-class NRhoProfile:
+class NRhoProfile(Record):
     """The cluster counting function N(rho) sampled at its breakpoints.
 
     Values are right-continuous: value[i] holds on [breakpoints[i],

@@ -15,14 +15,14 @@ Window-mode verdicts never claim the global theorems: reports carry a
 ``window_limited`` flag and callers label them satisfied-on-window.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 import heapq
 import math
 
 from .classify import InfiniteGroupError, classify, cluster_group_of
-from .geometry import (Lattice, Tolerance, dist_sq, lattice_from_generators,
-                       p_add, p_neg, p_scale, p_sub, point_is_exact, rank)
+from .geometry import (Lattice, Record, Tolerance, dist_sq,
+                       lattice_from_generators, p_add, p_neg, p_scale, p_sub,
+                       point_is_exact, rank)
 from .scalars import Radical, format_point, sfloat, sfloor
 from .sets import (WindowTooSmallError, _neighbours, _on_grid, _reach, _sq,
                    as_radius, cluster, delone_params, distance_spectrum,
@@ -58,8 +58,7 @@ class ReconstructionError(RuntimeError):
     2R-cluster, or the cap is too small."""
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Record):
     criterion: str              # "regular" | "crystal"
     verdict: str                # "satisfied" | "violated" | "inconclusive-window"
     rho0: object
@@ -269,8 +268,7 @@ def certify_auto(handle, criterion, cap_mult=6, group_mode="representative"):
 # ---------------------------------------------------------------------------
 # antipodality
 
-@dataclass(frozen=True)
-class AntipodalReport:
+class AntipodalReport(Record):
     """Per-point local antipodality flags over the tested population."""
 
     flags: tuple                 # (point, bool) rows
@@ -468,8 +466,7 @@ def _packing_cap(seed, radius_max):
 # ---------------------------------------------------------------------------
 # lattice-coset decomposition
 
-@dataclass(frozen=True)
-class CosetDecomposition:
+class CosetDecomposition(Record):
     """X = union of (base + half_vectors[i]/2 + lattice), disjointly."""
 
     base_point: tuple

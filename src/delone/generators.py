@@ -3,11 +3,10 @@ crystallographic orbits, and the shifted-row family whose generic members
 have identical b-clusters everywhere yet are not regular systems.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import (Lattice, Tolerance, apply, fdiv, mat_vec, p_scale,
-                       p_sub)
+from .geometry import (Lattice, Record, Tolerance, apply, fdiv, mat_vec,
+                       p_scale, p_sub)
 from .scalars import is_exact_scalar, quadext, ssign
 from .sets import build_periodic, build_window, crop_to_window
 
@@ -26,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ShiftSequence:
+class ShiftSequence(Record):
     """Finite word over {L, R} encoding couple-to-couple shifts."""
 
     letters: tuple
@@ -46,8 +44,7 @@ class ShiftSequence:
         return "".join(self.letters)
 
 
-@dataclass(frozen=True)
-class ShiftedRowSpec:
+class ShiftedRowSpec(Record):
     """Parameters of the shifted-row construction.
 
     Rows with horizontal spacing ``a`` sit at heights i*b and move in
@@ -71,8 +68,7 @@ class ShiftedRowSpec:
             raise ValueError("extent must be positive")
 
 
-@dataclass(frozen=True)
-class CrystalSpec:
+class CrystalSpec(Record):
     """A lattice, point-group generators, and motif points to orbit."""
 
     lattice: Lattice

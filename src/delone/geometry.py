@@ -13,7 +13,6 @@ An isometry is stored as an orthogonal linear part plus a shift,
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -46,8 +45,67 @@ class ConvergenceError(RuntimeError):
     """An iterative search ran past its iteration bound without an answer."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Record:
+    """Immutable record: a subclass's fields are its own annotations, in
+    order, and a class attribute of a field's name is its default.
+
+    Fields are given by position or keyword; ``__post_init__`` runs when
+    the class defines one.  Instances compare and hash by the fields named
+    in the ``compare`` class keyword (all fields by default), and never
+    equal an instance of another class.  Assignment and ``del`` raise
+    AttributeError; ``cached_property`` writes the instance ``__dict__``
+    and still caches.  Building a class generates no code and imports
+    nothing, which keeps the start of every CLI run short.
+    """
+
+    def __init_subclass__(cls, compare=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        cls._fields = tuple(cls.__annotations__)
+        cls._compare = cls._fields if compare is None else tuple(compare)
+        cls._defaults = {n: own[n] for n in cls._fields if n in own}
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for f in kwargs:
+            if f in values or f not in fields:
+                raise TypeError(f"{name}() got {'a repeated' if f in values else 'an unknown'}"
+                                f" field {f!r}")
+        values.update(kwargs)
+        missing = [f for f in fields if f not in values and f not in self._defaults]
+        if missing:
+            raise TypeError(f"{name}() is missing fields {missing}")
+        self.__dict__.update(self._defaults)
+        self.__dict__.update(values)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self):
+        return tuple([self.__dict__[f] for f in self._compare])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._compare)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Tolerance(Record):
     """Numeric regime: exact field arithmetic or floats with eps_abs.
 
     Every predicate whose exact and float forms differ is a method here, so
@@ -401,8 +459,7 @@ def orthogonal_complement(vectors, d):
 # ---------------------------------------------------------------------------
 # isometries
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(Record):
     """Affine map ``p -> linear @ p + shift`` with orthogonal linear part."""
 
     linear: tuple

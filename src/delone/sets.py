@@ -19,13 +19,12 @@ as ints, and clusters carry the integer vectors for classification.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
 
-from .geometry import (ConvergenceError, Lattice, Tolerance, dist_sq, fdiv,
-                       p_add, p_dot, p_sub, point_is_exact)
+from .geometry import (ConvergenceError, Lattice, Record, Tolerance, dist_sq,
+                       fdiv, p_add, p_dot, p_sub, point_is_exact)
 from .scalars import QuadExt, Radical, format_point, is_exact_scalar, sfloat, ssign
 
 __all__ = [
@@ -205,8 +204,7 @@ def _sq(p, q):
     return s
 
 
-@dataclass(frozen=True)
-class DeloneParams:
+class DeloneParams(Record):
     """Packing radius r and covering radius R with exactness flags."""
 
     r: object
@@ -219,8 +217,7 @@ class DeloneParams:
             raise ValueError("packing radius must be positive")
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(Record, compare=("center", "radius", "points")):
     """A center point together with all set points within a closed radius.
 
     Clusters cut from a handle with a scale carry it, with the points and
@@ -233,8 +230,8 @@ class Cluster:
     center: tuple
     radius: object
     points: tuple  # lexicographically sorted, includes the center
-    scale: int = field(default=None, compare=False, repr=False)
-    grid: tuple = field(default=None, compare=False, repr=False)  # (center, points)
+    scale: int = None
+    grid: tuple = None  # (center, points)
 
     @property
     def dim(self):
@@ -282,8 +279,7 @@ class Cluster:
                      for p, row in zip(points, table))
 
 
-@dataclass(frozen=True)
-class DistanceSpectrum:
+class DistanceSpectrum(Record):
     """Sorted distinct distances from a center to other set points."""
 
     center: tuple
@@ -292,8 +288,7 @@ class DistanceSpectrum:
     dist_sqs: tuple = ()      # the squared distances the roots come from
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(Record):
     """Point sequence with consecutive gaps < 2R linking two set points."""
 
     vertices: tuple
