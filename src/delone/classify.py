@@ -110,8 +110,29 @@ def _in_field(rows, scale):
                  for d, row in rows)
 
 
+def _distance_rows(c):
+    """Per point, in points order: (d2 to the center, sorted row of d2 to
+    every cluster point); ints in units of 1/scale**2 on a grid, otherwise
+    field scalars or floats.  Equal values share one object."""
+    center, points = c.grid or (c.center, c.points)
+    memo = {}
+
+    def d2(p, q):
+        v = _sq(p, q)
+        return memo.setdefault(v, v)
+
+    n = len(points)
+    table = [[None] * n for _ in range(n)]
+    for i in range(n):
+        pi, ti = points[i], table[i]
+        ti[i] = d2(pi, pi)
+        for j in range(i + 1, n):
+            ti[j] = table[j][i] = d2(pi, points[j])
+    return tuple((d2(p, center), tuple(sorted(row))) for p, row in zip(points, table))
+
+
 def fingerprint(c):
-    return Fingerprint(data=tuple(sorted(c.distance_rows)), scale=c.scale)
+    return Fingerprint(data=tuple(sorted(_distance_rows(c))), scale=c.scale)
 
 
 def _matcher(tol):

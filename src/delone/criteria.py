@@ -187,8 +187,8 @@ def _scan_candidates(handle, reps, limit_radius, cap):
         if not tol.le(shifted, 0):
             out.append(shifted)
     dedup = []
-    for v in sorted(out, key=sfloat):
-        if not dedup or not tol.is_zero(v - dedup[-1]):
+    for v in sorted(out, key=sfloat):  # compare, not subtract: the float filter decides most
+        if not dedup or not tol.same_point((v,), (dedup[-1],)):
             dedup.append(v)
     return dedup
 

@@ -8,15 +8,20 @@ tolerance ``eps_abs``.
 Matrix routines take no mode: :func:`_nonzero` decides zero by the scalar's
 type, exactly for field scalars and against ``FLOAT_ZERO`` for floats.
 
+Hash grids over float copies of points live here too: the float point set
+and offset map of the tolerance, and the uniform cell table that indexes a
+window's points for range queries (:func:`_float_index`).
+
 An isometry is stored as an orthogonal linear part plus a shift,
 ``g(p) = linear @ p + shift``.  Matrices are row-major tuples of tuples.
 """
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from operator import mul
 
-from .scalars import Radical, is_exact_scalar, sfloat
+from .scalars import QuadExt, Radical, is_exact_scalar, sfloat
 
 __all__ = [
     "ConvergenceError",
@@ -193,24 +198,32 @@ class Tolerance(Record):
         return out
 
 
+def _cell_side(eps):
+    """A power of two near 1024 eps: a cell of this side, centred on a
+    multiple of it, holds a point's whole eps-box almost always, and dyadic
+    coordinates fall mid-cell."""
+    return 2.0 ** round(math.log2(1024 * eps))
+
+
 class _FloatGrid:
     """Hash grid for approximate point membership in floating mode; ``get``
-    gives the input position of a point within eps, or None."""
+    gives the input position of a point within eps, or None.  A lookup
+    probes the cells that the box of half-side 2 eps about the point meets
+    (the pad covers rounding in the eps test), almost always one."""
 
     def __init__(self, points, eps):
         self.eps = eps
-        self.cell = max(4 * eps, 1e-12)
+        self.side = _cell_side(eps)
         self.map = {}
         for i, p in enumerate(points):
-            self.map.setdefault(self._key(p), []).append((p, i))
-
-    def _key(self, p):
-        return tuple(int(math.floor(c / self.cell)) for c in p)
+            key = tuple(round(c / self.side) for c in p)
+            self.map.setdefault(key, []).append((p, i))
 
     def get(self, p):
-        base = self._key(p)
-        for off in product((-1, 0, 1), repeat=len(p)):
-            for q, i in self.map.get(tuple(a + b for a, b in zip(base, off)), ()):
+        pad, side = 2 * self.eps, self.side
+        ranges = [range(round((c - pad) / side), round((c + pad) / side) + 1) for c in p]
+        for cell in product(*ranges):
+            for q, i in self.map.get(cell, ()):
                 if all(abs(a - b) <= self.eps for a, b in zip(p, q)):
                     return i
         return None
@@ -222,15 +235,15 @@ class _FloatGrid:
 class _FloatOffsetMap:
     """Dict-like map from tuples of float vectors in floating mode.
 
-    A tuple is keyed by its vectors rounded to cells of a power-of-two side
-    near 1024 eps and sorted, so dyadic coordinates fall mid-cell.  A key hit
-    counts only if, with both tuples sorted by key, every vector is within
-    eps of its partner; a tuple straddling a cell edge misses, which costs
-    the caller only the work it does without a map."""
+    A tuple is keyed by its vectors rounded to cells of side
+    :func:`_cell_side` and sorted.  A key hit counts only if, with both
+    tuples sorted by key, every vector is within eps of its partner; a tuple
+    straddling a cell edge misses, which costs the caller only the work it
+    does without a map."""
 
     def __init__(self, eps):
         self.eps = eps
-        self.side = 2.0 ** round(math.log2(1024 * eps))
+        self.side = _cell_side(eps)
         self.map = {}
 
     def _sorted(self, vectors):
@@ -247,6 +260,44 @@ class _FloatOffsetMap:
     def __setitem__(self, vectors, value):
         key, vs = self._sorted(vectors)
         self.map.setdefault(key, []).append((vs, value))
+
+
+def _float_index(points):
+    """A uniform cell hash over float copies of the points (Bentley, Stanat
+    and Williams, IPL 1977), side the largest 2 (e_1 ... e_k / n)^(1/k) over
+    the widest extents e_i: (magnitude bound, origin, side, cells per axis,
+    copies, {cell: indices}); None if a conversion overflows, an extent or
+    the side is not finite, or every extent is 0."""
+    try:
+        fpts, mag = zip(*map(_float_point, points))
+    except OverflowError:
+        return None
+    columns = list(zip(*fpts))
+    origin = [min(col) for col in columns]
+    ext = [max(col) - a for col, a in zip(columns, origin)]
+    wide = sorted(filter(None, ext), reverse=True)
+    side = 0.0
+    for k in range(1, len(wide) + 1):  # thinner extents fit in one cell and would shrink it
+        side = max(side, 2 * (math.prod(wide[:k]) / len(fpts)) ** (1 / k))
+    if not all(map(math.isfinite, chain(mag, ext, (side,)))) or side <= 0:
+        return None
+    table = {}
+    for i, q in enumerate(fpts):
+        cell = tuple(int((a - b) / side) for a, b in zip(q, origin))
+        table.setdefault(cell, []).append(i)
+    return max(mag), origin, side, [int(e / side) + 1 for e in ext], fpts, table
+
+
+def _float_point(p):
+    """(float copy of p, bound on its parts' magnitudes); a + b*sqrt(d)
+    converts with error relative to |a| + |b|*sqrt(d), not to its value."""
+    out = tuple(map(float, p))  # float(x) of a float x is x itself
+    mag = 0.0
+    for c, x in zip(p, out):
+        if isinstance(c, QuadExt):
+            x = abs(float(c.a)) + abs(float(c.b)) * math.sqrt(c.d)
+        mag = max(mag, abs(x))
+    return out, mag
 
 
 def _check_dims(p, q):
@@ -274,7 +325,7 @@ def p_scale(p, k):
 
 def p_dot(p, q):
     _check_dims(p, q)
-    return sum(a * b for a, b in zip(p, q))
+    return sum(map(mul, p, q))
 
 
 def dist_sq(p, q):

@@ -336,10 +336,11 @@ class Radical:
     ``rat``, the coefficients and the radicands are field scalars from one
     field (Fraction or a single Q(sqrt(d))).  Instances are immutable,
     totally ordered and support addition, subtraction and scaling by field
-    scalars.  Signs are decided exactly by repeated squaring.
+    scalars.  Signs are decided exactly by repeated squaring; comparisons
+    first try a certified float interval (:meth:`interval`).
     """
 
-    __slots__ = ("rat", "terms", "_hash", "_band", "_floor2")
+    __slots__ = ("rat", "terms", "_hash", "_interval", "_band", "_floor2")
 
     def __init__(self, rat=0, terms=()):
         canon_rat, canon_terms = _canonicalize(rat, terms)
@@ -348,6 +349,10 @@ class Radical:
 
     def __setattr__(self, *a):
         raise AttributeError("Radical is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild from the value; cached slots are not carried
+        return Radical, (self.rat, self.terms)
 
     @staticmethod
     def of(x):
@@ -379,7 +384,11 @@ class Radical:
         return (-self) + other
 
     def __neg__(self):
-        return Radical(-self.rat, tuple((-c, m) for c, m in self.terms))
+        # negation keeps the canonical form, so it skips _canonicalize
+        neg = object.__new__(Radical)
+        _set_attr(neg, "rat", -self.rat)
+        _set_attr(neg, "terms", tuple((-c, m) for c, m in self.terms))
+        return neg
 
     def __mul__(self, k):
         if not is_exact_scalar(k):
@@ -397,9 +406,18 @@ class Radical:
         return _sign_sum(self.rat, self.terms)
 
     def cmp(self, other):
-        """Sign of self - other; other may be a Radical or field scalar."""
+        """Sign of self - other; other may be a Radical or field scalar.
+
+        Disjoint float intervals (:meth:`interval`) decide it; ties, near-ties
+        and values without an interval go to the exact kernel."""
         if is_exact_scalar(other):
             other = Radical.of(other)
+        a, b = self.interval(), other.interval()
+        if a is not None and b is not None:
+            if a[1] < b[0]:
+                return -1
+            if a[0] > b[1]:
+                return 1
         return (self - other).sign()
 
     def cmp_sqrt(self, d2):
@@ -415,19 +433,33 @@ class Radical:
             return c * c * m
         return None
 
+    def interval(self):
+        """Floats (lo, hi) with lo <= self <= hi, or None.
+
+        The value plus or minus _SLACK times the sum of the parts' absolute
+        values; None unless every part is rational in the normal float range
+        and that sum lies in _MAG_RANGE.  Zero has the interval (0.0, 0.0).
+        Computed once per instance.
+        """
+        try:
+            return self._interval
+        except AttributeError:
+            iv = _interval(self.rat, self.terms)
+            object.__setattr__(self, "_interval", iv)
+            return iv
+
     def square_band(self):
         """Floats (lo2, hi2) with lo2 < self**2 < hi2, or None.
 
         A rational d2 with ``float(d2) < lo2`` is certainly below self**2
         and one with ``float(d2) > hi2`` certainly above, so closed-ball
         tests need the exact kernel only inside the band.  None unless
-        self is positive with rational parts in the normal float range.
-        Computed once per instance.
+        :meth:`interval` exists and is positive.  Computed once per instance.
         """
         try:
             return self._band
         except AttributeError:
-            band = _square_band(self.rat, self.terms)
+            band = _square_band(self.interval())
             object.__setattr__(self, "_band", band)
             return band
 
@@ -593,8 +625,9 @@ def _sign_sum(u, terms):
     return diff_sign if sa > 0 else -diff_sign
 
 
-# Float filter for radical comparisons (Shewchuk-style: decide in floats
-# under a rigorous error bound, fall back to the exact kernel otherwise).
+# Float filter for radical comparisons and ball tests (Shewchuk-style:
+# decide in floats under a rigorous error bound, fall back to the exact
+# kernel otherwise).
 # A part converted from a rational in the normal range errs by at most
 # 2**-53 relative; products, roots and sums of a few such parts err by
 # under 2**-48 of the sum of their absolute values, far below _SLACK.
@@ -615,7 +648,7 @@ def _normal_float(q):
     return f if abs(f) >= sys.float_info.min else None
 
 
-def _square_band(rat, terms):
+def _interval(rat, terms):
     value = magnitude = 0.0
     for c, m in ((rat, 1),) + terms:
         fc, fm = _normal_float(c), _normal_float(m)
@@ -624,11 +657,15 @@ def _square_band(rat, terms):
         t = fc * math.sqrt(fm)
         value += t
         magnitude += abs(t)
-    if not _MAG_RANGE[0] <= magnitude <= _MAG_RANGE[1]:
+    if not (_MAG_RANGE[0] <= magnitude <= _MAG_RANGE[1] or (rat == 0 and not terms)):
         return None
-    lo, hi = value - _SLACK * magnitude, value + _SLACK * magnitude
-    if lo <= 0:
+    return value - _SLACK * magnitude, value + _SLACK * magnitude
+
+
+def _square_band(iv):
+    if iv is None or iv[0] <= 0:
         return None
+    lo, hi = iv
     lo2, hi2 = lo * lo * (1 - _SLACK), hi * hi * (1 + _SLACK)
     return (lo2, hi2) if lo2 >= _MAG_RANGE[0] ** 2 else None
 

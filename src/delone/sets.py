@@ -19,13 +19,14 @@ as ints, and clusters carry the integer vectors for classification.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
 
-from .geometry import (ConvergenceError, Lattice, Record, Tolerance, dist_sq,
-                       fdiv, p_add, p_dot, p_sub, point_is_exact)
-from .scalars import QuadExt, Radical, format_point, is_exact_scalar, sfloat, ssign
+from .geometry import (ConvergenceError, Lattice, Record, Tolerance, _float_index,
+                       _float_point, dist_sq, fdiv, p_add, p_dot, p_sub, point_is_exact)
+from .scalars import Radical, format_point, is_exact_scalar, sfloat, ssign
 
 __all__ = [
     "PointSetHandle",
@@ -77,7 +78,11 @@ def radius_covers(radius, d2, tol, scale2=1):
     units; it is 1 for field scalars and floats.  In exact mode an int d2
     is compared with the radius's one integer threshold
     T = floor(radius**2 * scale2) (``Radical.square_floor``); other d2, and
-    radii whose threshold the band cannot pin, take the per-pair test.
+    radii whose threshold the band cannot pin, take the per-pair test, in
+    floats outside the radius's square band and exactly inside it.  Radii
+    compare with each other through the same float filter
+    (``Radical.cmp``), and window Voronoi vertices are tested on ints, so
+    the exact kernel sees only near-ties.
     """
     if tol.exact:
         if type(d2) is int:
@@ -122,49 +127,13 @@ def _radius_sign(radius, d2, scale2=1):
 
 def _reach(radius, tol):
     """A float at least the distance of every point radius_covers accepts,
-    or None when floats cannot bound it."""
+    or None when floats cannot bound it; a rational radius is its float."""
     if not tol.exact:
         return float(radius) + tol.eps_abs
+    if isinstance(radius, Fraction):
+        return float(radius)
     band = radius.square_band()
     return None if band is None else math.sqrt(band[1])
-
-
-def _float_index(points):
-    """A uniform cell hash over float copies of the points (Bentley, Stanat
-    and Williams, IPL 1977), side the largest 2 (e_1 ... e_k / n)^(1/k) over
-    the widest extents e_i: (magnitude bound, origin, side, cells per axis,
-    copies, {cell: indices}); None if a conversion overflows, an extent or
-    the side is not finite, or every extent is 0."""
-    try:
-        fpts, mag = zip(*map(_float_point, points))
-    except OverflowError:
-        return None
-    columns = list(zip(*fpts))
-    origin = [min(col) for col in columns]
-    ext = [max(col) - a for col, a in zip(columns, origin)]
-    wide = sorted(filter(None, ext), reverse=True)
-    side = 0.0
-    for k in range(1, len(wide) + 1):  # thinner extents fit in one cell and would shrink it
-        side = max(side, 2 * (math.prod(wide[:k]) / len(fpts)) ** (1 / k))
-    if not all(map(math.isfinite, chain(mag, ext, (side,)))) or side <= 0:
-        return None
-    table = {}
-    for i, q in enumerate(fpts):
-        cell = tuple(int((a - b) / side) for a, b in zip(q, origin))
-        table.setdefault(cell, []).append(i)
-    return max(mag), origin, side, [int(e / side) + 1 for e in ext], fpts, table
-
-
-def _float_point(p):
-    """(float copy of p, bound on its parts' magnitudes); a + b*sqrt(d)
-    converts with error relative to |a| + |b|*sqrt(d), not to its value."""
-    out = tuple(map(float, p))  # float(x) of a float x is x itself
-    mag = 0.0
-    for c, x in zip(p, out):
-        if isinstance(c, QuadExt):
-            x = abs(float(c.a)) + abs(float(c.b)) * math.sqrt(c.d)
-        mag = max(mag, abs(x))
-    return out, mag
 
 
 def _common_denominator(coords):
@@ -255,28 +224,6 @@ class Cluster(Record, compare=("center", "radius", "points")):
         if self.scale is None:
             return self.keys
         return tuple(tuple(Fraction(a, self.scale) for a in v) for v in self.keys)
-
-    @cached_property
-    def distance_rows(self):
-        """Per point, in points order: (d2 to the center, sorted row of d2
-        to every cluster point); ints in units of 1/scale**2 on a grid,
-        otherwise field scalars or floats.  Equal values share one object."""
-        center, points = self.grid or (self.center, self.points)
-        memo = {}
-
-        def d2(p, q):
-            v = _sq(p, q)
-            return memo.setdefault(v, v)
-
-        n = len(points)
-        table = [[None] * n for _ in range(n)]
-        for i in range(n):
-            pi, ti = points[i], table[i]
-            ti[i] = d2(pi, pi)
-            for j in range(i + 1, n):
-                ti[j] = table[j][i] = d2(pi, points[j])
-        return tuple((d2(p, center), tuple(sorted(row)))
-                     for p, row in zip(points, table))
 
 
 class DistanceSpectrum(Record):
@@ -390,7 +337,10 @@ class PointSetHandle:
         On a handle with a scale, and a center on its grid, d2 * scale2 is
         an int and key the point's integer vector; otherwise scale2 = 1 and
         key is p.  Keys order like the points.  A periodic hit is built as
-        its key, and only a hit is lifted to Fractions.
+        its key, and only a hit is lifted to Fractions.  An exact window
+        query about a grid center compares each int d2 with the radius's
+        one threshold T = floor(radius**2 * scale2); there the radius may
+        also be a rational, whose T is floored directly.
         """
         tol = self.tol
         grid = self._grid()
@@ -412,9 +362,13 @@ class PointSetHandle:
                                     tuple(Fraction(a, scale) for a in key)))
             return scale2, out
         keys = self.points if ic is None else grid[1]
+        t = None
+        if ic is not None and tol.exact:
+            t = (radius.numerator ** 2 * scale2 // radius.denominator ** 2
+                 if isinstance(radius, Fraction) else radius.square_floor(scale2))
         for i in self._window_candidates(center, radius):
             d2 = _sq(keys[i], c)
-            if radius_covers(radius, d2, tol, scale2):
+            if d2 <= t if t is not None else radius_covers(radius, d2, tol, scale2):
                 out.append((d2, keys[i], self.points[i]))
         return scale2, out
 
@@ -458,11 +412,12 @@ class PointSetHandle:
     def _nearby(self, center, radius):
         """neighborhood as (d2, key, p) triples, keys as in :meth:`_ball`.
 
-        The cache holds the hits sorted by float d2, so the answer is a
-        prefix: hits below the radius's float band are in, the first hit
-        above it ends the scan, and only hits inside the band are tested
-        exactly.  Irrational d2 have no certified float order and are all
-        tested exactly.
+        The cache holds the hits sorted by float d2.  For rational d2 two
+        bisects on those floats cut the answer at the radius's square band:
+        hits below it are in, hits above it out, and only hits inside it
+        are tested exactly.  Irrational d2 have no certified float order and
+        are all tested exactly.  A float radius takes the prefix whose
+        float root is within eps_abs of it, by one bisect.
         """
         key = ("nbhd", center)
         rho_f = sfloat(radius)
@@ -480,15 +435,12 @@ class PointSetHandle:
             self._cache[key] = hit
         _, scale2, triples, fl, raw, rational = hit
         tol = self.tol
-        band = radius.square_band() if tol.exact and rational else None
-        hi2 = band[1] if band else math.inf
-        out = []
-        for t, f, d2 in zip(triples, fl, raw):
-            if radius_covers(radius, d2, tol, scale2):
-                out.append(t)
-            elif f > hi2 or not tol.exact:
-                break  # float covers is monotone in d2, so no later pair is in
-        return out
+        if not tol.exact:  # float covers is monotone in d2: a prefix
+            return triples[:bisect_right(fl, radius + tol.eps_abs, key=math.sqrt)]
+        band = radius.square_band() if rational else None
+        i, j = (bisect_left(fl, band[0]), bisect_right(fl, band[1])) if band else (0, len(fl))
+        return triples[:i] + [t for t, d2 in zip(triples[i:j], raw[i:j])
+                              if radius_covers(radius, d2, tol, scale2)]
 
     def points_in_box(self, lo, hi):
         """All set points inside the closed axis-aligned box [lo, hi]."""
@@ -496,7 +448,7 @@ class PointSetHandle:
             return [p for p in self.points if _in_box(p, lo, hi, self.tol)]
         corner_radius = math.sqrt(sum((sfloat(a) - sfloat(b)) ** 2
                                       for a, b in zip(lo, hi))) / 2 + 1e-9
-        center = tuple(_half(a + b) for a, b in zip(lo, hi))
+        center = tuple(fdiv(a + b, 2) for a, b in zip(lo, hi))
         out = []
         for m in self.motif:
             v = p_sub(center, m)
@@ -512,9 +464,7 @@ class PointSetHandle:
         """Distance from p to the trusted-region boundary (window mode)."""
         if self.mode != "window":
             raise ValueError("boundary distance is a window-mode notion")
-        lo, hi = self.bounds
-        raw = min(v for a, l, h in zip(p, lo, hi) for v in (a - l, h - a))
-        return raw - self.margin
+        return _inset(p, *self.bounds, self.margin)
 
     def hosts_ball(self, p, radius):
         """Whether the closed radius-ball about p lies in the trusted region
@@ -524,8 +474,7 @@ class PointSetHandle:
         grid = self._grid() if isinstance(radius, Radical) else None
         ip = None if grid is None else _on_grid(p, grid[0])
         if ip is not None:
-            lo, hi, margin = grid[2]
-            bd = min(min(a - l, h - a) for a, l, h in zip(ip, lo, hi)) - margin
+            bd = _inset(ip, *grid[2])
             return bd >= 0 and _radius_sign(radius, bd * bd, grid[0] ** 2) <= 0
         bd = self.boundary_distance(p)
         if not (isinstance(radius, Radical) and isinstance(bd, (int, Fraction))):
@@ -547,9 +496,13 @@ class PointSetHandle:
         return pts
 
     def capacity(self):
-        """Largest radius for which some interior point exists."""
+        """Largest radius for which some interior point exists; on ints when
+        the window has a scale."""
         if self.mode == "periodic":
             return None
+        grid = self._grid()
+        if grid:
+            return Fraction(max(_inset(k, *grid[2]) for k in grid[1]), grid[0])
         return max(self.boundary_distance(p) for p in self.points)
 
     def __repr__(self):
@@ -558,8 +511,9 @@ class PointSetHandle:
         return f"<window set d={self.dim} n={len(self.points)}>"
 
 
-def _half(x):
-    return x / 2 if not isinstance(x, int) else Fraction(x, 2)
+def _inset(p, lo, hi, margin):
+    """Distance from p to the boundary of the box [lo, hi] inset by margin."""
+    return min(min(a - l, h - a) for a, l, h in zip(p, lo, hi)) - margin
 
 
 def _in_box(p, lo, hi, tol):
@@ -768,32 +722,41 @@ def _covering(handle):
 
     Periodic cells start from a box wider than the bound (1/2) sum |b_i| on
     R, so the motif's cells give R exactly.  Window cells start from the
-    trusted region, and a vertex counts when its empty ball fits there
-    (``hosts_ball``).  A cell clear of its box depends only on the offsets
-    to its neighbors (ints on the handle's grid), so sites share it through
-    the tolerance's ``offset_map``, float sites whose offsets agree within
-    eps_abs too.  A query stops when it reaches the cell's need to within
-    float jitter: need carries 1e-6 of slack over twice the cell's reach.
+    trusted region, and a vertex counts when its empty ball fits there.  On
+    an exact window with a scale the whole loop runs in grid units: sites
+    and vertices are tested against the region on ints and Fractions
+    (bd >= 0 and bd^2 >= r2), and queries take a rational radius, so no
+    Radical is built; other windows test a vertex by ``hosts_ball``.  A
+    cell clear of its box depends only on the offsets to its neighbors
+    (ints on the handle's grid), so sites share it through the tolerance's
+    ``offset_map``, float sites whose offsets agree within eps_abs too.  A
+    query stops when it reaches the cell's need to within float jitter:
+    need carries 1e-6 of slack over twice the cell's reach.
     """
     tol, d = handle.tol, handle.dim
     grid = handle._grid()
     scale = grid[0] if grid else 1
+    ints = grid is not None and tol.exact and handle.mode == "window"
     if handle.mode == "periodic":
         h = Fraction(math.ceil(sum(math.sqrt(sfloat(p_dot(b, b)))
                                    for b in handle.lattice.reduced)) + 1, 2) * scale
         h = h if tol.exact else float(h)
         lo, hi, margin = (-h,) * d, (h,) * d, 0
+        sites = handle.motif
     else:
         lo, hi, margin = grid[2] if grid else (*handle.bounds, handle.margin)
+        sites = ([p for p, k in zip(handle.points, grid[1]) if _inset(k, lo, hi, margin) >= 0]
+                 if ints else handle.interior_points(as_radius(0, tol)))
     cells, best = tol.offset_map(), None
     rho_f = 2 * math.sqrt(sfloat(min_dist_sq(handle)))
-    for x in handle.interior_points(as_radius(0, tol)):
+    for x in sites:
         base = _on_grid(x, scale) if grid else x
         at = (0,) * d if handle.mode == "periodic" else base
         box = [tuple(a + m - c for a, c in zip(b, at)) for b, m in ((lo, margin), (hi, -margin))]
         while True:  # widen the query until no site beyond it can cut the cell
-            hits = sorted(handle._ball(x, tol.radius_at_least(rho_f))[1],
-                          key=lambda t: sfloat(t[0]))
+            # as tol.radius_at_least(rho_f), without building a Radical on ints
+            radius = Fraction(rho_f) + Fraction(1, 1024) if ints else tol.radius_at_least(rho_f)
+            hits = sorted(handle._ball(x, radius)[1], key=lambda t: sfloat(t[0]))
             offsets = tuple(o for o in (p_sub(k, base) for _, k, _ in hits) if any(o))
             cell = cells.get(offsets) or _voronoi_cell(box, offsets, tol)
             need = 2.000001 * math.sqrt(sfloat(cell[0])) / scale  # slack for rounding
@@ -806,9 +769,15 @@ def _covering(handle):
         for r2, c, on_box in cell[1]:
             if best is not None and r2 <= best:
                 break
-            if not on_box and (handle.mode == "periodic" or handle.hosts_ball(
+            if on_box:
+                continue
+            if ints:
+                bd = _inset(p_add(base, c), lo, hi, margin)
+                if bd >= 0 and bd * bd >= r2:
+                    best = r2
+            elif handle.mode == "periodic" or handle.hosts_ball(
                     tuple(a + fdiv(b, scale) for a, b in zip(x, c)),
-                    tol.sqrt(fdiv(r2, scale * scale)))):
+                    tol.sqrt(fdiv(r2, scale * scale))):
                 best = r2
     if best is None:
         raise WindowTooSmallError("no Voronoi vertex fits inside the trusted window")

@@ -212,3 +212,30 @@ def brute_force_voronoi_vertices(box, offsets):
         if all(ssign(s) <= 0 for s in slack):
             out[c] = any(s == 0 for s in slack[:2 * d])
     return out
+
+
+def brute_force_window_r2(points, bounds, margin):
+    """R^2 of a window as the covering radius defines it, by brute force:
+    the largest |c|^2 over sites x of the trusted region (the bounds inset
+    by margin) and vertices x + c of x's Voronoi cell against every other
+    point, clipped to that region, where x + c is off the region's faces
+    and the closed ball of radius |c| about it fits inside; None when no
+    vertex fits.  Cells come from :func:`brute_force_voronoi_vertices`."""
+    lo = [a + margin for a in bounds[0]]
+    hi = [b - margin for b in bounds[1]]
+
+    def inset(p):
+        return min(min(a - l, h - a) for a, l, h in zip(p, lo, hi))
+
+    best = None
+    for x in points:
+        if inset(x) < 0:
+            continue
+        box = (tuple(l - a for l, a in zip(lo, x)), tuple(h - a for h, a in zip(hi, x)))
+        offsets = [p_sub(p, x) for p in points if p != x]
+        for c, on_box in brute_force_voronoi_vertices(box, offsets).items():
+            r2 = p_dot(c, c)
+            bd = inset(tuple(a + b for a, b in zip(x, c)))
+            if not on_box and bd >= 0 and bd * bd >= r2 and (best is None or r2 > best):
+                best = r2
+    return best

@@ -4,7 +4,9 @@ Voronoi cell, in both numeric modes.
 
 A float key hit must never hand back the value of a tuple that is not the
 query's within eps_abs, vector by vector, whatever cells the vectors round
-into; a miss only costs the caller the work it does without a map.
+into; a miss only costs the caller the work it does without a map.  The
+float point set (``Tolerance.point_set``) uses cells of the same side and
+probes only those its padded eps-box meets.
 """
 
 import random
@@ -71,3 +73,34 @@ def test_straddling_tuples_never_return_a_wrong_value():
             partners = sorted(stored[got])
             assert all(FLOAT.same_point(u, w) for u, w in zip(sorted(q), partners))
     assert hits > 0
+
+
+class _CountingDict(dict):
+    def __init__(self, *a):
+        super().__init__(*a)
+        self.probes = 0
+
+    def get(self, *a):
+        self.probes += 1
+        return super().get(*a)
+
+
+def test_float_point_set_probes_the_cells_its_eps_box_meets():
+    # Tolerance.point_set in float mode shares the offset map's cell side:
+    # a lookup probes one cell, or two per axis whose padded eps-box
+    # straddles a cell edge, and finds a stored point within eps either way
+    rng = random.Random(5)
+    side = FLOAT.offset_map().side
+    edge = 7 * side + side / 2  # round() puts the cell edge here
+    stored = [(0.3 + 1e-11, 0.7), (edge + 0.4 * EPS, 0.25), (1.0, edge - 0.4 * EPS)]
+    grid = FLOAT.point_set(stored)
+    grid.map = _CountingDict(grid.map)
+    for _ in range(50):
+        for i, p in enumerate(stored):
+            q = tuple(c + rng.uniform(-EPS, EPS) / 2 for c in p)
+            assert grid.get(q) == i
+    grid.map.probes = 0
+    assert grid.get((0.3, 0.7)) == 0 and grid.map.probes == 1
+    assert grid.get((edge - 0.4 * EPS, 0.25)) == 1 and grid.map.probes <= 3
+    assert grid.get((edge + 2 * EPS, 0.25)) is None
+    assert (0.3, 0.7 + 2 * EPS) not in grid

@@ -4,12 +4,15 @@ Every record class is checked for: construction by position, keyword and
 default; TypeError on a missing, unknown or repeated field; AttributeError
 on assignment and ``del``; equal hashes for equal values, and no equality
 with a record of another class.  ``Cluster`` compares without its scale
-and grid, cached properties still cache, and the ``__post_init__`` checks
+and grid, cached properties still cache, every record survives copy,
+deepcopy and pickle, and the ``__post_init__`` checks
 that no other test reaches still reject bad input (the float eps is
 checked in test_tolerance.py, the empty shift sequence in
 test_generators.py).
 """
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -134,6 +137,17 @@ def test_cached_properties_still_cache():
     assert group._linear_parts is group._linear_parts
     assert vars(group)["_linear_parts"] is group._linear_parts
 
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_copy_deepcopy_and_pickle_round_trip(cls):
+    # DeloneParams and DistanceSpectrum hold Radicals, which rebuild from
+    # their value (Radical.__reduce__); a Lattice compares by identity, so
+    # clones are compared by repr
+    record = cls(*_row(cls)[1])
+    assert copy.copy(record) == record
+    for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(clone) is cls and repr(clone) == repr(record)
 
 def test_post_init_checks_reject_bad_input():
     with pytest.raises(ValueError, match="unknown numeric mode"):

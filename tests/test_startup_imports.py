@@ -18,7 +18,9 @@ def test_cli_generators_and_svg_import_neither_dataclasses_nor_inspect():
     code = ("import sys\n"
             "import delone.cli, delone.generators, delone.svg\n"
             "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    # -B: the child's environment drops PYTHONDONTWRITEBYTECODE, and bytecode
+    # written into src would let later CLI runs skip compiling the package
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
                           env={"PYTHONPATH": str(SRC)}, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
