@@ -24,7 +24,7 @@ from .geometry import (Lattice, Record, Tolerance, dist_sq,
                        lattice_from_generators, p_add, p_neg, p_scale, p_sub,
                        point_is_exact, rank)
 from .scalars import Radical, format_point, sfloat, sfloor
-from .sets import (WindowTooSmallError, _neighbours, _on_grid, _reach, _sq,
+from .sets import (WindowTooSmallError, _inset, _neighbours, _on_grid, _reach, _sq,
                    as_radius, cluster, delone_params, distance_spectrum,
                    radius_covers)
 
@@ -222,13 +222,13 @@ def certify_auto(handle, criterion, cap_mult=6, group_mode="representative"):
         return CriterionReport(criterion=criterion, verdict="inconclusive-window",
                                rho0=limit, window_limited=True, notes=(str(exc),))
     reps = [cl.representative.center for cl in part_limit.classes]
-    candidates = [c for c in _scan_candidates(handle, reps, limit, cap)
-                  if tol.le(c + two_r, limit)]
+    top = limit - two_r
+    candidates = [c for c in _scan_candidates(handle, reps, limit, cap) if tol.le(c, top)]
     regular = criterion == "regular"
     if regular and part_limit.n > 1:
         # N >= 2 somewhere disproves regularity; anchor rho0 so that
         # rho0 + 2R is exactly the radius where the split was seen
-        rho0 = limit - two_r
+        rho0 = top
         if rho0 < 0:
             return CriterionReport(
                 criterion="regular", verdict="violated", rho0=limit,
@@ -320,10 +320,7 @@ def check_global_antipodality(handle, x):
             if not handle.contains(p_sub(p_scale(x, 2), m)):
                 return False
         return True
-    lo, hi = handle.bounds
-    margin = handle.margin
-    half = min(v for a, l, h in zip(x, lo, hi)
-               for v in (a - (l + margin), (h - margin) - a))
+    half = handle.boundary_distance(x)
     if not handle.tol.ge(half, 0):
         return True  # empty symmetric window: vacuous
     w_lo = tuple(a - half for a in x)
@@ -624,11 +621,10 @@ def _translation_fits_window(points, members, box, t, tol):
     """Whether each of p + t, p - t that lies in the trusted region of
     ``box`` = (lo, hi, margin) is in ``members``, for some such point at
     all (both directions of X + t = X)."""
-    lo, hi, margin = box
     checked = False
     for p in points:
         for q in (tuple(a + b for a, b in zip(p, t)), tuple(a - b for a, b in zip(p, t))):
-            if tol.ge(min(min(a - l, h - a) for a, l, h in zip(q, lo, hi)) - margin, 0):
+            if tol.ge(_inset(q, *box), 0):
                 if q not in members:
                     return False
                 checked = True

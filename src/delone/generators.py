@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .geometry import (Lattice, Record, Tolerance, apply, fdiv, mat_vec,
                        p_scale, p_sub)
-from .scalars import is_exact_scalar, quadext, ssign
+from .scalars import is_exact_scalar, quadext, sfloor, ssign
 from .sets import build_periodic, build_window, crop_to_window
 
 __all__ = [
@@ -23,6 +23,8 @@ __all__ = [
     "honeycomb",
     "three_coset_fixture",
 ]
+
+ORBIT_CAP = 512  # orbit points per cell before the generators count as non-crystallographic
 
 
 class ShiftSequence(Record):
@@ -131,7 +133,7 @@ def gen_coset_union(lattice, half_vectors, extent=None, tol=None):
     return crop_to_window(handle, box[0], box[1])
 
 
-def gen_crystal(spec, extent=None, orbit_cap=512, tol=None):
+def gen_crystal(spec, extent=None, tol=None):
     """Periodic handle whose motif is the orbit of spec.motif under the
     point-group generators, reduced modulo the lattice."""
     lat = spec.lattice
@@ -151,9 +153,9 @@ def gen_crystal(spec, extent=None, orbit_cap=512, tol=None):
             continue
         seen.add(key)
         orbit.append(p)
-        if len(orbit) > orbit_cap:
+        if len(orbit) > ORBIT_CAP:
             raise ValueError(
-                f"orbit exceeded {orbit_cap} points per cell; generators are "
+                f"orbit exceeded {ORBIT_CAP} points per cell; generators are "
                 "not crystallographic for this lattice")
         for g in spec.generators:
             queue.append(lat.reduce_point(apply(g, p)))
@@ -190,7 +192,6 @@ def gen_shifted_rows(spec):
 
 
 def _ifloor(x):
-    from .scalars import sfloor
     return int(sfloor(x))
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import chain, product
 from operator import mul
 
-from .scalars import QuadExt, Radical, is_exact_scalar, sfloat
+from .scalars import QuadExt, Radical, is_exact_scalar, sfloat, sfloor
 
 __all__ = [
     "ConvergenceError",
@@ -589,7 +589,6 @@ def point_inversion(x):
 def _snearest(x):
     if isinstance(x, float):
         return math.floor(x + 0.5)
-    from .scalars import sfloor
     return sfloor(x + Fraction(1, 2))
 
 
@@ -678,7 +677,6 @@ class Lattice:
 
     def reduce_point(self, p):
         """Canonical representative of p modulo the lattice, in [0,1)^d cell."""
-        from .scalars import sfloor
         ks = self.coords(p)
         if self.exact:
             fl = tuple(sfloor(k) for k in ks)
@@ -689,7 +687,9 @@ class Lattice:
     def offsets_in_ball(self, v, rho_float):
         """Integer tuples k such that |k @ reduced - v| <= rho can hold.
 
-        A conservative float box; callers re-test membership exactly.
+        A conservative float box.  Its one caller is the periodic branch of
+        ``PointSetHandle._ball``, which re-tests membership exactly; box
+        queries and the closest pair filter that query's hits.
         """
         d = self.dim
         vf = [sfloat(x) for x in v]

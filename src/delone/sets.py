@@ -20,6 +20,7 @@ as ints, and clusters carry the integer vectors for classification.
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
@@ -334,19 +335,25 @@ class PointSetHandle:
     def _ball(self, center, radius):
         """points_in_ball as (scale2, [(d2 * scale2, key, p)]).
 
-        On a handle with a scale, and a center on its grid, d2 * scale2 is
-        an int and key the point's integer vector; otherwise scale2 = 1 and
-        key is p.  Keys order like the points.  A periodic hit is built as
-        its key, and only a hit is lifted to Fractions.  An exact window
-        query about a grid center compares each int d2 with the radius's
-        one threshold T = floor(radius**2 * scale2); there the radius may
-        also be a rational, whose T is floored directly.
+        The one walk over a handle's points near a place; box queries and
+        the periodic closest pair filter its hits.  On a handle with a
+        scale, and a center on its grid, d2 * scale2 is an int and key the
+        point's integer vector; otherwise scale2 = 1 and key is p.  Keys
+        order like the points.  A periodic hit is built as its key, and only
+        a hit is lifted to Fractions.  An exact query about a grid center,
+        periodic or window, compares each int d2 with one threshold
+        T = floor(radius**2 * scale2), so the radius may also be a rational;
+        other queries test each d2 by ``radius_covers``.
         """
         tol = self.tol
         grid = self._grid()
         ic = None if grid is None else _on_grid(center, grid[0])
         scale, c = (None, center) if ic is None else (grid[0], ic)
         scale2 = 1 if scale is None else scale * scale
+        t = None
+        if ic is not None and tol.exact:
+            t = (radius.numerator ** 2 * scale2 // radius.denominator ** 2
+                 if isinstance(radius, Fraction) else radius.square_floor(scale2))
         out = []
         if self.mode == "periodic":
             motif, basis = (self.motif, self.lattice.reduced) if ic is None else grid[1:]
@@ -357,15 +364,11 @@ class PointSetHandle:
                     key = tuple(a + sum(ki * b[j] for ki, b in zip(k, basis))
                                 for j, a in enumerate(km))
                     d2 = _sq(key, c)
-                    if radius_covers(radius, d2, tol, scale2):
+                    if d2 <= t if t is not None else radius_covers(radius, d2, tol, scale2):
                         out.append((d2, key, key if scale is None else
                                     tuple(Fraction(a, scale) for a in key)))
             return scale2, out
         keys = self.points if ic is None else grid[1]
-        t = None
-        if ic is not None and tol.exact:
-            t = (radius.numerator ** 2 * scale2 // radius.denominator ** 2
-                 if isinstance(radius, Fraction) else radius.square_floor(scale2))
         for i in self._window_candidates(center, radius):
             d2 = _sq(keys[i], c)
             if d2 <= t if t is not None else radius_covers(radius, d2, tol, scale2):
@@ -443,20 +446,17 @@ class PointSetHandle:
                               if radius_covers(radius, d2, tol, scale2)]
 
     def points_in_box(self, lo, hi):
-        """All set points inside the closed axis-aligned box [lo, hi]."""
-        if self.mode == "window":
-            return [p for p in self.points if _in_box(p, lo, hi, self.tol)]
-        corner_radius = math.sqrt(sum((sfloat(a) - sfloat(b)) ** 2
-                                      for a, b in zip(lo, hi))) / 2 + 1e-9
+        """All set points inside the closed axis-aligned box [lo, hi], in
+        :meth:`_ball` order: the hits of one ball about the box's center
+        that pass ``_in_box``.  The ball's radius is half the box's diagonal
+        plus a pad of 0.01, with each face moved out by eps_abs (as far as
+        float mode's ``_in_box`` reaches), so it covers every point
+        ``_in_box`` accepts."""
+        eps = self.tol.eps_abs
+        half = math.sqrt(sum((sfloat(b) - sfloat(a) + 2 * eps) ** 2 for a, b in zip(lo, hi))) / 2
         center = tuple(fdiv(a + b, 2) for a, b in zip(lo, hi))
-        out = []
-        for m in self.motif:
-            v = p_sub(center, m)
-            for k in self.lattice.offsets_in_ball(v, corner_radius + 0.01):
-                p = p_add(m, self.lattice.from_coords(k))
-                if _in_box(p, lo, hi, self.tol):
-                    out.append(p)
-        return out
+        hits = self._ball(center, self.tol.radius_at_least(half + 0.01))[1]
+        return [p for _, _, p in hits if _in_box(p, lo, hi, self.tol)]
 
     # -- interior bookkeeping ----------------------------------------------
 
@@ -644,33 +644,26 @@ def min_dist_sq(handle):
 def _min_dist_sq(handle):
     """Squared distance of the closest pair of distinct points.
 
-    Periodic sets: the shortest lattice vector, then, for each pair of
-    motif points, the lattice offsets that could beat the best so far; on
-    the integer grid (motif and basis times the scale) in exact mode.
-    Windows: the pairs in neighbouring cells of the window's cell table,
-    each decided exactly only when its float distance is within rounding of
-    the least float distance seen.  That minimum is exact once it is
-    provably shorter than the cell side, since no closer pair can straddle
-    a cell; otherwise (or with no table) every pair is scanned exactly.
+    Periodic sets: the least d2 to another point among the :meth:`_ball`
+    hits about each motif point m, whose radius is the shortest reduced
+    basis vector's length b (m and m + b are a pair).  Windows: the pairs
+    in neighbouring cells of the window's cell table, each decided exactly
+    only when its float distance is within rounding of the least float
+    distance seen.  That minimum is exact once it is provably shorter than
+    the cell side, since no closer pair can straddle a cell; otherwise (or
+    with no table) every pair is scanned exactly.
     """
     tol = handle.tol
     grid = handle._grid()
     if handle.mode == "periodic":
-        lat = handle.lattice
-        on_grid = grid is not None and tol.exact
-        scale, motif, basis = grid if on_grid else (1, handle.motif, lat.reduced)
-        scale2 = scale * scale
-        best = min(p_dot(b, b) for b in basis)
-        for i in range(len(motif)):
-            for j in range(i, len(motif)):
-                v = p_sub(motif[j], motif[i])
-                rad = math.sqrt(best / scale2) + 1e-9
-                for k in lat.offsets_in_ball(tuple(-c / scale for c in v), rad):
-                    w = tuple(a + sum(ki * b[n] for ki, b in zip(k, basis))
-                              for n, a in enumerate(v))
-                    if not all(tol.is_zero(c) for c in w):
-                        best = min(best, p_dot(w, w))
-        return handle._lift(best, scale2) if on_grid else best
+        radius = tol.sqrt(min(p_dot(b, b) for b in handle.lattice.reduced))
+        best = None
+        for m in handle.motif:
+            scale2, hits = handle._ball(m, radius)
+            for d2, _, p in hits:
+                if not tol.same_point(p, m) and (best is None or d2 < best):
+                    best = d2
+        return handle._lift(best, scale2)
     if len(handle.points) < 2:
         raise ValueError("packing radius needs at least two points")
     pts = handle.points if grid is None else grid[1]
@@ -944,7 +937,6 @@ def _seg_dist_sq_leq(p, a, b, w2_float, tol):
 
 
 def _bfs_chain(handle, x, y, bound2, corridor):
-    from collections import deque
     radius_2r = handle.tol.sqrt(bound2)
     start = x
     parent = {start: None}

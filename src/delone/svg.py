@@ -14,6 +14,7 @@ __all__ = ["render_svg"]
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f")
+SIZE = 640  # pixels along the longer side of the view
 
 
 def _fmt(v):
@@ -30,7 +31,7 @@ def _window_view(handle, extent):
 
 
 def render_svg(handle, highlight="classes", rho=None, chain_ends=None,
-               center=None, extent=None, size=640):
+               center=None, extent=None):
     """Render a 2-d set to an SVG string.
 
     highlight="classes" colors points by their rho-cluster class (rho
@@ -44,7 +45,7 @@ def render_svg(handle, highlight="classes", rho=None, chain_ends=None,
     x0, y0, x1, y1 = (sfloat(lo[0]), sfloat(lo[1]), sfloat(hi[0]), sfloat(hi[1]))
     span = max(x1 - x0, y1 - y0) or 1.0
     pad = 0.04 * span
-    scale = size / (span + 2 * pad)
+    scale = SIZE / (span + 2 * pad)
 
     def sx(v):
         return (sfloat(v) - x0 + pad) * scale

@@ -7,10 +7,11 @@ is verified by mapping every window point, and Voronoi cells are found by
 trying every intersection of d facets rather than by clipping.
 """
 
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from delone.geometry import Isometry, mat_mul, mat_solve, p_dot, p_sub, rank
+from delone.geometry import Isometry, dist_sq, mat_mul, mat_solve, p_dot, p_sub, rank
 from delone.scalars import sfloat, ssign
 
 
@@ -238,4 +239,43 @@ def brute_force_window_r2(points, bounds, margin):
             bd = inset(tuple(a + b for a, b in zip(x, c)))
             if not on_box and bd >= 0 and bd * bd >= r2 and (best is None or r2 > best):
                 best = r2
+    return best
+
+
+def brute_force_points_in_box(handle, lo, hi):
+    """The points of a periodic set in the closed box [lo, hi] (each face
+    moved out by eps_abs under a float tolerance), by a box walk: for each
+    motif point m, every lattice vector whose coefficients lie within one
+    of the range that the box's corners, less m, span (coefficients are
+    linear, so every point of the box is in that range), tested against the
+    box in the set's field or floats."""
+    lat, tol = handle.lattice, handle.tol
+    eps = 0 if tol.exact else tol.eps_abs
+    corners = list(product(*zip(lo, hi)))
+    out = []
+    for m in handle.motif:
+        coords = [[sfloat(k) for k in lat.coords(p_sub(c, m))] for c in corners]
+        ranges = [range(math.floor(min(col)) - 1, math.ceil(max(col)) + 2)
+                  for col in zip(*coords)]
+        for ks in product(*ranges):
+            p = tuple(a + sum(k * b[j] for k, b in zip(ks, lat.reduced))
+                      for j, a in enumerate(m))
+            if all(l - eps <= a <= h + eps for a, l, h in zip(p, lo, hi)):
+                out.append(p)
+    return out
+
+
+def brute_force_min_dist_sq(handle):
+    """Least squared distance from a motif point to another point of a
+    periodic set, over the points of a box about each motif point whose
+    half-side exceeds the shortest basis vector's length."""
+    side = 1 + min(math.sqrt(sfloat(p_dot(b, b))) for b in handle.lattice.reduced)
+    best = None
+    for m in handle.motif:
+        box = [tuple(a + s * Fraction(side) for a in m) for s in (-1, 1)]
+        for p in brute_force_points_in_box(handle, *box):
+            if not handle.tol.same_point(p, m):
+                d2 = dist_sq(p, m)
+                if best is None or d2 < best:
+                    best = d2
     return best

@@ -83,6 +83,8 @@ def test_float_covering_radius(name):
 @pytest.mark.parametrize("name", WINDOWS)
 def test_float_covering_counts_equal_the_exact_window(name, monkeypatch):
     counts = {}
+    # built before patching: cropping the exact window queries _ball once
+    handles = [_window(name, which) for which in (0, 1)]
 
     def counting(key, f):
         def wrapped(*args):
@@ -94,8 +96,8 @@ def test_float_covering_counts_equal_the_exact_window(name, monkeypatch):
                         counting("ball", sets.PointSetHandle._ball))
     monkeypatch.setattr(sets, "_voronoi_cell", counting("cell", sets._voronoi_cell))
     per_mode = []
-    for which in (0, 1):
+    for handle in handles:
         counts.clear()
-        sets._covering(_window(name, which))
+        sets._covering(handle)
         per_mode.append(dict(counts))
     assert per_mode[0] == per_mode[1], name
