@@ -87,11 +87,11 @@ class Fingerprint(Record):
     sorted.  Exact entries are ints in units of ``1/scale**2`` for a
     cluster cut from a handle with a scale (all clusters of one handle
     share it), or field scalars when ``scale`` is None; either way they
-    hash and compare exactly.  Float entries are matched with a tolerance
-    by :func:`fingerprints_match`.  :func:`classify` compares no
-    fingerprints: it buckets exact clusters by the radial key (the first
-    component of every entry, sorted), and witness synthesis builds only the
-    rows it compares.
+    hash and compare exactly within one scale.  Float entries carry
+    rounding, so they do not compare exactly.  :func:`classify`
+    compares no fingerprints: it buckets exact clusters by the radial key
+    (the first component of every entry, sorted), and witness synthesis
+    builds only the rows it compares.
     """
 
     data: tuple
@@ -99,15 +99,6 @@ class Fingerprint(Record):
 
     def __len__(self):
         return len(self.data)
-
-
-def _in_field(rows, scale):
-    """Distance rows as field scalars: ints over scale**2 become Fractions."""
-    if scale is None:
-        return rows
-    s2 = scale * scale
-    return tuple((Fraction(d, s2), tuple(Fraction(v, s2) for v in row))
-                 for d, row in rows)
 
 
 def _distance_rows(c):
@@ -152,18 +143,6 @@ def _rows_match(row1, row2, tol):
     if tol.exact:
         return row1 == row2
     return len(row1) == len(row2) and all(map(_matcher(tol), row1, row2))
-
-
-def fingerprints_match(f1, f2, tol):
-    if len(f1) != len(f2):
-        return False
-    if tol.exact:
-        if f1.scale != f2.scale:
-            return _in_field(f1.data, f1.scale) == _in_field(f2.data, f2.scale)
-        return f1.data == f2.data
-    same = _matcher(tol)
-    return all(same(a[0], b[0]) and _rows_match(a[1], b[1], tol)
-               for a, b in zip(f1.data, f2.data))
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from .geometry import (Lattice, Record, Tolerance, dist_sq,
                        lattice_from_generators, p_add, p_neg, p_scale, p_sub,
                        point_is_exact, rank)
 from .scalars import Radical, format_point, sfloat, sfloor
-from .sets import (WindowTooSmallError, _inset, _neighbours, _on_grid, _reach, _sq,
-                   as_radius, cluster, delone_params, distance_spectrum,
-                   radius_covers)
+from .params import _neighbours
+from .sets import (WindowTooSmallError, _inset, _on_grid, _reach, _sq, as_radius, cluster,
+                   delone_params, distance_spectrum, radius_covers)
 
 __all__ = [
     "CriterionReport",
@@ -170,8 +170,9 @@ def check_crystal_criterion(handle, rho0, group_mode="representative"):
     return _check(handle, rho0, "crystal", group_mode)
 
 
-def _scan_candidates(handle, reps, limit_radius, cap):
-    """Candidate rho0 breakpoints: spectrum values and values shifted by -2R."""
+def _scan_candidates(handle, reps, limit_radius, top):
+    """Candidate rho0 breakpoints up to ``top``: spectrum values and values
+    shifted by -2R."""
     tol = handle.tol
     two_r = _two_r(handle)
     d2s = set()
@@ -180,12 +181,7 @@ def _scan_candidates(handle, reps, limit_radius, cap):
     out = []
     for d2 in sorted(d2s, key=sfloat):
         v = tol.sqrt(d2)
-        if tol.le(v, cap):
-            out.append(v)
-        # v <= limit_radius <= cap + 2R, so no shifted value exceeds cap
-        shifted = v - two_r
-        if not tol.le(shifted, 0):
-            out.append(shifted)
+        out.extend(c for c in (v, v - two_r) if tol.le(c, top) and not tol.le(c, 0))
     dedup = []
     for v in sorted(out, key=sfloat):  # compare, not subtract: the float filter decides most
         if not dedup or not tol.same_point((v,), (dedup[-1],)):
@@ -223,7 +219,6 @@ def certify_auto(handle, criterion, cap_mult=6, group_mode="representative"):
                                rho0=limit, window_limited=True, notes=(str(exc),))
     reps = [cl.representative.center for cl in part_limit.classes]
     top = limit - two_r
-    candidates = [c for c in _scan_candidates(handle, reps, limit, cap) if tol.le(c, top)]
     regular = criterion == "regular"
     if regular and part_limit.n > 1:
         # N >= 2 somewhere disproves regularity; anchor rho0 so that
@@ -240,7 +235,7 @@ def certify_auto(handle, criterion, cap_mult=6, group_mode="representative"):
             raise AssertionError("classify disagreement during auto scan")
         return report
 
-    for rho0 in candidates:
+    for rho0 in _scan_candidates(handle, reps, limit, top):
         # Cheap necessary conditions before the full check.  Each limit
         # representative is interior at rho0 + 2R and equivalent there to a
         # class representative, whose groups are conjugate to its own, so

@@ -6,9 +6,8 @@ from a larger set; statistics at radius rho are only offered for points
 whose rho-ball stays inside the trusted region (bounds inset by the
 validity margin), because a truncated set is not Delone near its edge.
 
-The covering radius R comes from exact Voronoi cells of the sites, in any
-dimension, clipped one bisector at a time; no external geometry library is
-used.
+The Delone parameters r and R are computed in :mod:`delone.params`; this
+module keeps them cached on the handle (:func:`delone_params`).
 
 When every coordinate is rational, a handle has a ``scale``: the least
 common denominator of its coordinates, which turns each point into an
@@ -26,7 +25,7 @@ from functools import cached_property
 from itertools import chain, product
 
 from .geometry import (ConvergenceError, Lattice, Record, Tolerance, _float_index,
-                       _float_point, dist_sq, fdiv, p_add, p_dot, p_sub, point_is_exact)
+                       _float_point, dist_sq, fdiv, p_sub, point_is_exact)
 from .scalars import Radical, format_point, is_exact_scalar, sfloat, ssign
 
 __all__ = [
@@ -617,232 +616,24 @@ def packing_radius(handle):
 
 
 def covering_radius(handle):
-    """R = sup over space of the distance to the nearest set point.
-
-    R^2 is the largest squared distance from a site to a vertex of its
-    Voronoi cell, in any dimension, clipped on ints for a handle with a
-    scale and in its own field (or floats) otherwise: exact for periodic
-    sets; window handles yield a lower-bound estimate from the cells'
-    vertices whose empty balls fit in the trusted region (see
-    DeloneParams.R_exactness).
-    """
+    """R = sup over space of the distance to the nearest set point: exact
+    for periodic sets, a lower-bound estimate for windows (see
+    DeloneParams.R_exactness and :mod:`delone.params`)."""
     return delone_params(handle).R
 
 
 def delone_params(handle):
     if "params" not in handle._cache:
+        from .params import _compute_params  # params imports this module
         handle._cache["params"] = _compute_params(handle)
     return handle._cache["params"]
 
 
 def min_dist_sq(handle):
     if "min_d2" not in handle._cache:
+        from .params import _min_dist_sq
         handle._cache["min_d2"] = _min_dist_sq(handle)
     return handle._cache["min_d2"]
-
-
-def _min_dist_sq(handle):
-    """Squared distance of the closest pair of distinct points.
-
-    Periodic sets: the least d2 to another point among the :meth:`_ball`
-    hits about each motif point m, whose radius is the shortest reduced
-    basis vector's length b (m and m + b are a pair).  Windows: the pairs
-    in neighbouring cells of the window's cell table, each decided exactly
-    only when its float distance is within rounding of the least float
-    distance seen.  That minimum is exact once it is provably shorter than
-    the cell side, since no closer pair can straddle a cell; otherwise (or
-    with no table) every pair is scanned exactly.
-    """
-    tol = handle.tol
-    grid = handle._grid()
-    if handle.mode == "periodic":
-        radius = tol.sqrt(min(p_dot(b, b) for b in handle.lattice.reduced))
-        best = None
-        for m in handle.motif:
-            scale2, hits = handle._ball(m, radius)
-            for d2, _, p in hits:
-                if not tol.same_point(p, m) and (best is None or d2 < best):
-                    best = d2
-        return handle._lift(best, scale2)
-    if len(handle.points) < 2:
-        raise ValueError("packing radius needs at least two points")
-    pts = handle.points if grid is None else grid[1]
-    index, best = handle._index(), None
-    if index is not None:
-        mag, origin, side, _, fpts, table = index
-        pad, near = 1e-9 * (side + mag), math.inf  # pad bounds float error
-        for i, j in _near_pairs(table):
-            f = math.dist(fpts[i], fpts[j])
-            if f <= near + 2 * pad:
-                near = min(near, f)
-                d2 = _sq(pts[i], pts[j])
-                if best is None or d2 < best:
-                    best = d2
-        if near + 2 * pad >= side:
-            best = None  # a closer pair may straddle non-neighbouring cells
-    if best is None:
-        best = min(_sq(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
-    return best if grid is None else handle._lift(best, grid[0] ** 2)
-
-
-def _near_pairs(table):
-    """Index pairs i < j of points in the same or neighbouring cells."""
-    for cell, members in table.items():
-        near = _neighbours(table, cell)
-        for i in members:
-            for j in near:
-                if i < j:
-                    yield i, j
-
-
-def _neighbours(table, cell):
-    """The members of the 3^d cells of a uniform cell hash around ``cell``;
-    the empty key () is a table of one cell."""
-    return [m for o in product((-1, 0, 1), repeat=len(cell))
-            for m in table.get(tuple(a + b for a, b in zip(cell, o)), ())]
-
-
-def _compute_params(handle):
-    r = handle.tol.sqrt(fdiv(min_dist_sq(handle), 4))
-    big_r, flag = _covering(handle)
-    r_flag = "exact" if handle.mode == "periodic" else "window-estimate"
-    return DeloneParams(r=r, R=big_r, r_exactness=r_flag, R_exactness=flag)
-
-
-def _covering(handle):
-    """(R, flag) in any dimension: R^2 is the largest squared distance from a
-    site to a vertex of its Voronoi cell (Conway-Sloane, SPLAG, ch. 2).
-
-    Periodic cells start from a box wider than the bound (1/2) sum |b_i| on
-    R, so the motif's cells give R exactly.  Window cells start from the
-    trusted region, and a vertex counts when its empty ball fits there.  On
-    an exact window with a scale the whole loop runs in grid units: sites
-    and vertices are tested against the region on ints and Fractions
-    (bd >= 0 and bd^2 >= r2), and queries take a rational radius, so no
-    Radical is built; other windows test a vertex by ``hosts_ball``.  A
-    cell clear of its box depends only on the offsets to its neighbors
-    (ints on the handle's grid), so sites share it through the tolerance's
-    ``offset_map``, float sites whose offsets agree within eps_abs too.  A
-    query stops when it reaches the cell's need to within float jitter:
-    need carries 1e-6 of slack over twice the cell's reach.
-    """
-    tol, d = handle.tol, handle.dim
-    grid = handle._grid()
-    scale = grid[0] if grid else 1
-    ints = grid is not None and tol.exact and handle.mode == "window"
-    if handle.mode == "periodic":
-        h = Fraction(math.ceil(sum(math.sqrt(sfloat(p_dot(b, b)))
-                                   for b in handle.lattice.reduced)) + 1, 2) * scale
-        h = h if tol.exact else float(h)
-        lo, hi, margin = (-h,) * d, (h,) * d, 0
-        sites = handle.motif
-    else:
-        lo, hi, margin = grid[2] if grid else (*handle.bounds, handle.margin)
-        sites = ([p for p, k in zip(handle.points, grid[1]) if _inset(k, lo, hi, margin) >= 0]
-                 if ints else handle.interior_points(as_radius(0, tol)))
-    cells, best = tol.offset_map(), None
-    rho_f = 2 * math.sqrt(sfloat(min_dist_sq(handle)))
-    for x in sites:
-        base = _on_grid(x, scale) if grid else x
-        at = (0,) * d if handle.mode == "periodic" else base
-        box = [tuple(a + m - c for a, c in zip(b, at)) for b, m in ((lo, margin), (hi, -margin))]
-        while True:  # widen the query until no site beyond it can cut the cell
-            # as tol.radius_at_least(rho_f), without building a Radical on ints
-            radius = Fraction(rho_f) + Fraction(1, 1024) if ints else tol.radius_at_least(rho_f)
-            hits = sorted(handle._ball(x, radius)[1], key=lambda t: sfloat(t[0]))
-            offsets = tuple(o for o in (p_sub(k, base) for _, k, _ in hits) if any(o))
-            cell = cells.get(offsets) or _voronoi_cell(box, offsets, tol)
-            need = 2.000001 * math.sqrt(sfloat(cell[0])) / scale  # slack for rounding
-            if need <= rho_f * 1.0000004:  # within jitter; need has 1e-6 slack
-                break
-            rho_f = min(need, 2 * rho_f)  # a cell cut only by its box reaches far
-        rho_f = need  # the next site starts from this cell's reach
-        if cell[2]:
-            cells[offsets] = cell
-        for r2, c, on_box in cell[1]:
-            if best is not None and r2 <= best:
-                break
-            if on_box:
-                continue
-            if ints:
-                bd = _inset(p_add(base, c), lo, hi, margin)
-                if bd >= 0 and bd * bd >= r2:
-                    best = r2
-            elif handle.mode == "periodic" or handle.hosts_ball(
-                    tuple(a + fdiv(b, scale) for a, b in zip(x, c)),
-                    tol.sqrt(fdiv(r2, scale * scale))):
-                best = r2
-    if best is None:
-        raise WindowTooSmallError("no Voronoi vertex fits inside the trusted window")
-    flag = "exact" if handle.mode == "periodic" else "lower-bound-estimate"
-    return tol.sqrt(fdiv(best, scale * scale) if grid else best), flag
-
-
-def _voronoi_cell(box, offsets, tol):
-    """The cell {c in box : o.c <= |o|^2 / 2 for each offset o} as (max |c|^2,
-    [(|c|^2, vertex c, on the box)] largest first, whether none is on it).
-
-    Half-spaces clip the box one at a time, skipping an o with |o|^2 >= 4 |c|^2
-    at every vertex (it cannot cut).  Vertex c = V / w is beyond o's bisector
-    if s = 2 o.V - |o|^2 w > 0; cut edge (u, x) gives V = s_u V_x - s_x V_u,
-    w = s_u w_x - s_x w_u, ints cut by their gcd for int offsets, a rational
-    box and an exact tolerance, else divided back to w = 1 (a float tolerance
-    makes s a signed distance, 0 within eps_abs).  Vertices carry their tight
-    constraints; a cut edge joins two unless a third is tight on all they
-    share (double description method)."""
-    lo, hi = box
-    d = len(lo)
-    ints = tol.exact and all(type(a) is int for a in chain(*offsets))
-    den = _common_denominator(chain(lo, hi)) if ints else None
-    verts = []
-    for corner in product(*[((hi[i], 2 * i), (lo[i], 2 * i + 1)) for i in range(d)]):
-        c, t = zip(*corner)
-        v = c if den is None else _on_grid(c, den)
-        verts.append((v, den or 1, p_dot(v, v), frozenset(t)))
-    for j, o in enumerate(offsets, 2 * d):
-        n2 = p_dot(o, o)
-        if all(4 * n <= n2 * w * w for _, w, n, _ in verts):  # 4 |V / w|^2 <= |o|^2
-            continue
-        unit = 1 if tol.exact else 0.5 / math.sqrt(n2)
-        s = [(2 * p_dot(o, v) - n2 * w) * unit for v, w, _, _ in verts]
-        side = [0 if tol.is_zero(v) else 1 if v > 0 else -1 for v in s]
-        if 1 not in side:
-            continue
-        new = [(v, w, n, t | {j} if g == 0 else t)
-               for (v, w, n, t), g in zip(verts, side) if g < 1]
-        outside = [i for i, g in enumerate(side) if g == 1]
-        inside = [i for i, g in enumerate(side) if g == -1]
-        for u, x in product(outside, inside):
-            (vu, wu, _, tu), (vx, wx, _, tx) = verts[u], verts[x]
-            common = tu & tx
-            if len(common) < d - 1 or any(common <= t for z, (_, _, _, t) in enumerate(verts)
-                                          if z != u and z != x):
-                continue
-            if den is None:
-                f = fdiv(s[u], s[u] - s[x])
-                v, w = tuple(p + f * (r - p) for p, r in zip(vu, vx)), 1
-            else:
-                v, w = [s[u] * b - s[x] * a for a, b in zip(vu, vx)], s[u] * wx - s[x] * wu
-                g = math.gcd(w, *v)
-                v, w = tuple(a // g for a in v), w // g
-            new.append((v, w, p_dot(v, v), common | {j}))
-        verts = new
-    out = []
-    for v, w, n, t in verts:
-        if w != 1:
-            n, v = Fraction(n, w * w), tuple(Fraction(a, w) for a in v)
-        out.append((n, v, min(t) < 2 * d))
-    out.sort(key=lambda v: v[0], reverse=True)
-    return out[0][0], out, not any(v[2] for v in out)
-
-
-def two_r_bound_sq(handle):
-    """(2R)^2 as a field scalar (exact) or float."""
-    params = delone_params(handle)
-    if handle.tol.exact:
-        sq = params.R.square_scalar()
-        return 4 * sq
-    return (2 * params.R) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -904,19 +695,18 @@ def two_r_chain(handle, x, y):
     _require_member(handle, y)
     if handle.tol.same_point(x, y):
         return Chain(vertices=(x,))
-    params = delone_params(handle)
-    bound2 = two_r_bound_sq(handle)
-    two_r = 2 * sfloat(params.R)
+    big_r = delone_params(handle).R
+    two_r = big_r * 2
 
     if handle.mode == "window":
-        chain = _bfs_chain(handle, x, y, bound2, corridor=None)
+        chain = _bfs_chain(handle, x, y, two_r, corridor=None)
         if chain is None:
             raise TruncationError("no 2R-chain inside the window (truncation)")
         return chain
 
-    width = 2.0 * two_r
+    width = 4.0 * sfloat(big_r)
     for _ in range(12):
-        chain = _bfs_chain(handle, x, y, bound2, corridor=(x, y, width))
+        chain = _bfs_chain(handle, x, y, two_r, corridor=(x, y, width))
         if chain is not None:
             return chain
         width *= 2.0
@@ -936,8 +726,7 @@ def _seg_dist_sq_leq(p, a, b, w2_float, tol):
     return d2 <= w2_float * (1 + 1e-9) + 1e-9
 
 
-def _bfs_chain(handle, x, y, bound2, corridor):
-    radius_2r = handle.tol.sqrt(bound2)
+def _bfs_chain(handle, x, y, radius_2r, corridor):
     start = x
     parent = {start: None}
     queue = deque([start])

@@ -6,8 +6,7 @@ from delone.classify import classify, cluster_group
 from delone.criteria import (antipodal_lattice_decomposition,
                              check_regular_criterion, is_locally_antipodal)
 from delone.scalars import Radical, ssign
-from delone.sets import (build_periodic, cluster, delone_params,
-                         two_r_bound_sq, two_r_chain)
+from delone.sets import build_periodic, cluster, delone_params, two_r_chain
 
 Z3_BASIS = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
 ORIGIN = (F(0), F(0), F(0))
@@ -46,7 +45,7 @@ def test_z3_regular_criterion():
 def test_z3_chain():
     z3 = _z3()
     chain = two_r_chain(z3, ORIGIN, (F(2), F(1), F(0)))
-    bound2 = two_r_bound_sq(z3)
+    bound2 = 4 * delone_params(z3).R.square_scalar()
     assert all(ssign(bound2 - g) > 0 for g in chain.gaps_sq())
 
 

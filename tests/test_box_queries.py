@@ -19,7 +19,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from delone import (build_periodic, build_window, honeycomb, sets, square_lattice,
+from delone import (build_periodic, build_window, honeycomb, params, sets, square_lattice,
                     three_coset_fixture, triangular_lattice)
 from delone.geometry import Tolerance, dist_sq
 from delone.scalars import Radical, quadext, sfloat
@@ -116,7 +116,7 @@ def test_triangular_crop_at_extent_6_has_163_points():
 @pytest.mark.parametrize("name", PERIODIC)
 def test_periodic_closest_pair_equals_brute_force_pairs(name):
     handle = PERIODIC[name]()
-    got, want = sets._min_dist_sq(handle), brute_force_min_dist_sq(handle)
+    got, want = params._min_dist_sq(handle), brute_force_min_dist_sq(handle)
     if handle.tol.exact:
         assert got == want
     else:

@@ -30,7 +30,8 @@ from delone import (build_periodic, build_window, honeycomb, square_lattice,
                     three_coset_fixture, triangular_lattice)
 from delone.geometry import Tolerance, mat_solve
 from delone.scalars import Radical, quadext, sfloat, ssign
-from delone.sets import WindowTooSmallError, _voronoi_cell, delone_params
+from delone.params import _voronoi_cell
+from delone.sets import WindowTooSmallError, delone_params
 
 Z3 = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
 O3 = (F(0), F(0), F(0))

@@ -57,7 +57,7 @@ def _reference_crystal_scan(handle, cap_mult=6):
         cap_radius = Radical.of(capacity) if tol.exact else float(capacity)
         limit = min(limit, cap_radius)
     reps = [cl.representative.center for cl in classify(handle, limit).classes]
-    for rho0 in _scan_candidates(handle, reps, limit, cap):
+    for rho0 in _scan_candidates(handle, reps, limit, limit - two_r):
         if tol.le(rho0 + two_r, limit):
             report = check_crystal_criterion(handle, rho0)
             if report.verdict == "satisfied":
@@ -136,3 +136,13 @@ def test_rows_crystal_scan_needs_no_full_check(monkeypatch):
     assert report.rho0 == Radical.sqrt(F(13, 50)) * 6
     assert report.n_at_rho0 == 2
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["fix3", "rows_aperiodic"])
+def test_violated_regular_certify_builds_no_scan_candidates(request, monkeypatch, name):
+    # N >= 2 at the limit radius disproves regularity before any rho0 is
+    # tried, so the candidate list is never built
+    handle = _handle(request, name)
+    monkeypatch.setattr(criteria, "_scan_candidates",
+                        lambda *a: pytest.fail("rho0 candidates built for a disproof"))
+    assert certify_auto(handle, "regular").verdict == "violated"

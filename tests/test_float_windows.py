@@ -18,7 +18,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from delone import build_window, sets, square_lattice
+from delone import build_window, params, sets, square_lattice
 from delone.classify import classify
 from delone.geometry import apply
 from delone.scalars import sfloat
@@ -94,10 +94,10 @@ def test_float_covering_counts_equal_the_exact_window(name, monkeypatch):
 
     monkeypatch.setattr(sets.PointSetHandle, "_ball",
                         counting("ball", sets.PointSetHandle._ball))
-    monkeypatch.setattr(sets, "_voronoi_cell", counting("cell", sets._voronoi_cell))
+    monkeypatch.setattr(params, "_voronoi_cell", counting("cell", params._voronoi_cell))
     per_mode = []
     for handle in handles:
         counts.clear()
-        sets._covering(handle)
+        params._covering(handle)
         per_mode.append(dict(counts))
     assert per_mode[0] == per_mode[1], name

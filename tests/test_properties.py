@@ -15,7 +15,7 @@ from delone.generators import (CrystalSpec, ShiftSequence, ShiftedRowSpec,
                                gen_shifted_rows)
 from delone.geometry import Isometry, Lattice, mat_mul, mat_t
 from delone.scalars import Radical, sfloat, ssign
-from delone.sets import cluster, delone_params, two_r_bound_sq, two_r_chain
+from delone.sets import cluster, delone_params, two_r_chain
 
 from oracles import check_matrix_closure
 
@@ -108,7 +108,7 @@ def test_randomized_structural_suite():
         if handle.mode == "periodic":
             y = tuple(a + b for a, b in zip(x, handle.lattice.reduced[0]))
         chain = two_r_chain(handle, x, y)
-        bound2 = two_r_bound_sq(handle)
+        bound2 = 4 * delone_params(handle).R.square_scalar()
         for g2 in chain.gaps_sq():
             assert ssign(bound2 - g2) > 0
         trials += 1

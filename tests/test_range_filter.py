@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from delone.geometry import Tolerance, dist_sq
 from delone.scalars import Radical, quadext
-from delone.sets import _min_dist_sq, build_periodic, build_window, radius_covers
+from delone.params import _min_dist_sq
+from delone.sets import build_periodic, build_window, radius_covers
 
 coords = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 small = st.fractions(min_value=0, max_value=3, max_denominator=9)

@@ -8,7 +8,7 @@ from delone.scalars import Radical, ssign
 from delone.sets import (TruncationError, as_radius, build_periodic,
                          build_window, cluster, covering_radius,
                          crop_to_window, delone_params, distance_spectrum,
-                         packing_radius, two_r_bound_sq, two_r_chain)
+                         packing_radius, two_r_chain)
 
 from oracles import grid_covering_estimate
 
@@ -129,14 +129,14 @@ def test_two_r_chain_examples(z2, fix3):
     assert ch.vertices == ((F(0), F(0)), (F(1), F(0)), (F(2), F(0)), (F(3), F(0)))
     assert two_r_chain(z2, (F(1), F(1)), (F(1), F(1))).vertices == ((F(1), F(1)),)
     ch = two_r_chain(fix3, (F(0), F(0)), (F(2), F(0)))
-    bound2 = two_r_bound_sq(fix3)
+    bound2 = 4 * delone_params(fix3).R.square_scalar()
     assert all(ssign(bound2 - g) > 0 for g in ch.gaps_sq())
     assert ch.vertices[0] == (F(0), F(0)) and ch.vertices[-1] == (F(2), F(0))
 
 
 def test_two_r_chain_strict_gaps(z2, tri, fix3):
     for handle in (z2, tri, fix3):
-        bound2 = two_r_bound_sq(handle)
+        bound2 = 4 * delone_params(handle).R.square_scalar()
         ch = two_r_chain(handle, handle.motif[0],
                          tuple(a + b for a, b in zip(handle.motif[0],
                                                      handle.lattice.reduced[0])))

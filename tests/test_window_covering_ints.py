@@ -17,7 +17,7 @@ from fractions import Fraction as F
 import pytest
 from oracles import brute_force_window_r2
 
-from delone import sets
+from delone import params, sets
 from delone.scalars import Radical
 from delone.sets import WindowTooSmallError, build_window, delone_params
 
@@ -70,7 +70,7 @@ def test_grid_covering_builds_no_radical_but_r(monkeypatch):
     monkeypatch.setattr(Radical, "__init__", lambda self, *a: built.append(a) or init(self, *a))
     monkeypatch.setattr(sets.PointSetHandle, "hosts_ball",
                         lambda *a: pytest.fail("hosts_ball on a grid window"))
-    big_r, flag = sets._covering(handle)
+    big_r, flag = params._covering(handle)
     assert len(built) == 1  # R itself
     assert big_r.square_scalar() == brute_force_window_r2(handle.points, bounds, F(1, 4))
 
