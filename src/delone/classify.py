@@ -55,7 +55,7 @@ from fractions import Fraction
 from .geometry import (ORTHO_EPS, Isometry, Record, Tolerance, apply, fdiv,
                        identity, mat_identity, mat_solve,
                        orthogonal_complement, p_add, p_dot, p_sub, rank)
-from .scalars import Radical, field_sqrt, quadext, sfloat
+from .scalars import Radical, field_sqrt, quadext
 from .sets import Cluster, _sq, as_radius, cluster, distance_spectrum
 
 __all__ = [
@@ -171,7 +171,7 @@ class _Offsets:
     """
 
     def __init__(self, vecs, tol):
-        self.vectors = sorted(vecs, key=lambda v: (sfloat(p_dot(v, v)), tuple(map(sfloat, v))))
+        self.vectors = sorted(vecs, key=lambda v: (float(p_dot(v, v)), tuple(map(float, v))))
         self.index = tol.point_set(self.vectors)
         self.rows = {}
 
@@ -553,7 +553,7 @@ class NRhoProfile(Record):
     def value_at(self, rho):
         out = None
         for b, v in zip(self.breakpoints, self.values):
-            if (b.cmp(rho) <= 0) if isinstance(b, Radical) else b <= sfloat(rho):
+            if (b.cmp(rho) <= 0) if isinstance(b, Radical) else b <= float(rho):
                 out = v
         return 1 if out is None else out
 

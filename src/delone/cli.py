@@ -23,11 +23,11 @@ from .criteria import (DecompositionError, NotAntipodalError,
                        certify_auto, check_crystal_criterion,
                        check_regular_criterion, reconstruct_from_2R_cluster)
 from .fileio import (PointSetFormatError, Report, atomic_write, file_sha256,
-                     format_radius, format_scalar, parse_radius, parse_scalar,
+                     format_scalar, parse_radius, parse_scalar,
                      read_point_set, write_point_set)
 from .geometry import ConvergenceError, Isometry, Lattice, Tolerance
-from .scalars import ExactComparisonError, Radical, quadext, sfloat
-from .sets import (TruncationError, WindowTooSmallError, build_window,
+from .scalars import ExactComparisonError, quadext
+from .sets import (TruncationError, WindowTooSmallError, as_radius, build_window,
                    cluster, delone_params)
 
 EXIT_OK = 0
@@ -171,14 +171,14 @@ def cmd_analyze(args):
             rep.row("rho", "rho_float", "N")
             for rho in radii:
                 part = classify(handle, rho)
-                rep.row(format_radius(rho, exact), f"{sfloat(rho):.9g}", part.n)
+                rep.row(format_scalar(rho, exact), f"{float(rho):.9g}", part.n)
             last_rho = radii[-1]
         else:
             rho_max = parse_radius(args.rho_max, exact) if args.rho_max \
                 else params.R * 4
             capacity = handle.capacity()
             if capacity is not None:
-                cap_r = Radical.of(capacity) if exact else float(capacity)
+                cap_r = as_radius(capacity, handle.tol)
                 if rho_max > cap_r:
                     rho_max = cap_r
                     warning = "window limits the profile to rho <= capacity"
@@ -186,7 +186,7 @@ def cmd_analyze(args):
             rep.section("n_profile")
             rep.row("rho", "rho_float", "N")
             for b, v in zip(prof.breakpoints, prof.values):
-                rep.row(format_radius(b, exact), f"{sfloat(b):.9g}", v)
+                rep.row(format_scalar(b, exact), f"{float(b):.9g}", v)
             last_rho = rho_max
         part = classify(handle, last_rho)
         rep.section("classes")
@@ -294,7 +294,7 @@ def cmd_reconstruct(args):
 
 def _ball_bbox(center, rho, exact):
     if exact:
-        r_up = Fraction(math.ceil(sfloat(rho) * 10**6), 10**6)  # rational cover of rho
+        r_up = Fraction(math.ceil(float(rho) * 10**6), 10**6)  # rational cover of rho
         return (tuple(c - r_up for c in center), tuple(c + r_up for c in center))
     return (tuple(c - rho for c in center), tuple(c + rho for c in center))
 

@@ -23,7 +23,7 @@ from .classify import InfiniteGroupError, classify, cluster_group_of
 from .geometry import (Lattice, Record, Tolerance, dist_sq,
                        lattice_from_generators, p_add, p_neg, p_scale, p_sub,
                        point_is_exact, rank)
-from .scalars import Radical, format_point, sfloat, sfloor
+from .scalars import format_point, sfloor
 from .params import _neighbours
 from .sets import (WindowTooSmallError, _inset, _on_grid, _reach, _sq, as_radius, cluster,
                    delone_params, distance_spectrum, radius_covers)
@@ -179,11 +179,11 @@ def _scan_candidates(handle, reps, limit_radius, top):
     for x in reps:
         d2s.update(distance_spectrum(handle, x, limit_radius).dist_sqs)
     out = []
-    for d2 in sorted(d2s, key=sfloat):
+    for d2 in sorted(d2s, key=float):
         v = tol.sqrt(d2)
         out.extend(c for c in (v, v - two_r) if tol.le(c, top) and not tol.le(c, 0))
     dedup = []
-    for v in sorted(out, key=sfloat):  # compare, not subtract: the float filter decides most
+    for v in sorted(out, key=float):  # compare, not subtract: the float filter decides most
         if not dedup or not tol.same_point((v,), (dedup[-1],)):
             dedup.append(v)
     return dedup
@@ -209,7 +209,7 @@ def certify_auto(handle, criterion, cap_mult=6, group_mode="representative"):
     limit = cap + two_r
     capacity = handle.capacity()
     if capacity is not None:
-        cap_radius = Radical.of(capacity) if tol.exact else float(capacity)
+        cap_radius = as_radius(capacity, tol)
         if limit > cap_radius:
             limit = cap_radius
     try:
@@ -386,7 +386,7 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
     for p in points:
         d2 = _sq(p, center)
         if radius_covers(radius_max, d2, tol, scale2):
-            todo.append((sfloat(d2), p))
+            todo.append((float(d2), p))
             table.setdefault(cell(p), []).append(p)
     known = {p for _, p in todo}
     heapq.heapify(todo)
@@ -405,7 +405,7 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
                 if radius_covers(radius_max, cd2, tol, scale2):
                     known.add(cand)
                     table.setdefault(cell(cand), []).append(cand)
-                    heapq.heappush(todo, (sfloat(cd2), cand))
+                    heapq.heappush(todo, (float(cd2), cand))
                     grew = True
         if grew and len(known) > cap:
             raise ReconstructionError(f"reconstruction exceeded {why}")
@@ -446,13 +446,13 @@ def _packing_cap(seed, radius_max):
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
             d2 = dist_sq(p, q)
-            if d2min is None or sfloat(d2) < sfloat(d2min):
+            if d2min is None or float(d2) < float(d2min):
                 d2min = d2
     if d2min is None:
         raise ValueError("seed must contain at least two points")
-    r = math.sqrt(sfloat(d2min)) / 2
+    r = math.sqrt(float(d2min)) / 2
     d = len(seed.center)
-    return int(((sfloat(radius_max) + r) / r) ** d * 4) + 64
+    return int(((float(radius_max) + r) / r) ** d * 4) + 64
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +530,12 @@ def _max_lattice_periodic(handle):
             t = p_sub(motif[j], motif[i])
             if _set_plus_t_equal_periodic(handle, t):
                 extra.append(t)
-    lam = _extend_lattice(lat, extra, tol)
+    lam = _extend_lattice(lat, extra)
     reps = _coset_reps(motif, lam, tol)
     return lam, reps
 
 
-def _extend_lattice(lat, extra, tol):
+def _extend_lattice(lat, extra):
     """The lattice generated by lat and extra translations.
 
     Works in basis coordinates so quadratic-field bases stay supported;
@@ -569,12 +569,14 @@ def _coset_reps(points, lam, tol):
 
 def _max_lattice_window(handle):
     tol = handle.tol
+    if not tol.exact:
+        raise NotImplementedError("window decomposition requires exact coordinates")
     params = delone_params(handle)
     capacity = handle.capacity()
-    cap_f = min(sfloat(capacity), 6 * sfloat(params.R))
+    cap_f = min(float(capacity), 6 * float(params.R))
     lo, hi = handle.bounds
-    center = tuple((sfloat(l) + sfloat(h)) / 2 for l, h in zip(lo, hi))
-    x0 = min(handle.points, key=lambda p: sum((sfloat(c) - m) ** 2
+    center = tuple((float(l) + float(h)) / 2 for l, h in zip(lo, hi))
+    x0 = min(handle.points, key=lambda p: sum((float(c) - m) ** 2
                                               for c, m in zip(p, center)))
     cands = []
     for d2, p in handle.points_in_ball(x0, tol.radius_at_least(cap_f)):
@@ -585,8 +587,6 @@ def _max_lattice_window(handle):
         raise WindowTooSmallError("window too small to confirm lattice invariance")
     if rank(passing) < handle.dim:
         raise WindowTooSmallError("invariant translations do not span the space")
-    if not tol.exact:
-        raise NotImplementedError("window decomposition requires exact coordinates")
     if not all(isinstance(c, (int, Fraction)) for t in passing for c in t):
         raise NotImplementedError(
             "window decomposition requires rational invariant translations")

@@ -26,7 +26,7 @@ import tempfile
 from fractions import Fraction
 
 from .geometry import Lattice, Tolerance
-from .scalars import Radical, format_scalar, quadext, sfloat
+from .scalars import Radical, format_scalar, quadext
 from .sets import build_periodic, build_window
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "read_point_set",
     "format_scalar",
     "parse_scalar",
-    "format_radius",
     "Report",
     "atomic_write",
     "file_sha256",
@@ -82,22 +81,6 @@ def parse_scalar(token, exact):
     if quad is None:
         return rat
     return quadext(rat, quad[0], quad[1])
-
-
-def format_radius(x, exact):
-    """Serialize a radius (Radical in exact mode, float otherwise)."""
-    if not exact:
-        return repr(float(x))
-    if not isinstance(x, Radical):
-        return format_scalar(x, True)
-    parts = []
-    if x.rat != 0 or not x.terms:
-        parts.append(format_scalar(x.rat, True))
-    for c, m in x.terms:
-        coef = "" if c == 1 else format_scalar(c, True) + "*"
-        inner = format_scalar(m, True)
-        parts.append(f"{coef}sqrt({inner})")
-    return "+".join(parts).replace("+-", "-")
 
 
 def _split_terms(token):
@@ -281,8 +264,8 @@ class Report:
         return self
 
     def scalar(self, key, value, exact):
-        self.kv(key, format_radius(value, exact))
-        self.kv(f"{key}_float", f"{sfloat(value):.9g}")
+        self.kv(key, format_scalar(value, exact))
+        self.kv(f"{key}_float", f"{float(value):.9g}")
         return self
 
     def section(self, name):

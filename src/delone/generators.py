@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from .geometry import (Lattice, Record, Tolerance, apply, fdiv, mat_vec,
                        p_scale, p_sub)
-from .scalars import is_exact_scalar, quadext, sfloor, ssign
+from .scalars import quadext, sfloor, ssign
 from .sets import build_periodic, build_window, crop_to_window
 
 __all__ = [
@@ -78,26 +78,18 @@ class CrystalSpec(Record):
     motif: tuple
 
 
-def _normalize_extent(extent, dim):
+def _crop(handle, extent):
+    """handle itself, or its window [-extent, extent]^d when extent is set."""
     if extent is None:
-        return None
-    if is_exact_scalar(extent) or isinstance(extent, float):
-        lo = tuple(-extent for _ in range(dim))
-        hi = tuple(extent for _ in range(dim))
-        return lo, hi
-    lo, hi = extent
-    return tuple(lo), tuple(hi)
+        return handle
+    return crop_to_window(handle, (-extent,) * handle.dim, (extent,) * handle.dim)
 
 
 def gen_lattice(basis, extent=None, tol=None):
     """The lattice itself as a Delone set (motif = origin)."""
     lattice = basis if isinstance(basis, Lattice) else Lattice(basis)
     origin = tuple(Fraction(0) if lattice.exact else 0.0 for _ in range(lattice.dim))
-    handle = build_periodic(lattice, [origin], tol=tol)
-    box = _normalize_extent(extent, lattice.dim)
-    if box is None:
-        return handle
-    return crop_to_window(handle, box[0], box[1])
+    return _crop(build_periodic(lattice, [origin], tol=tol), extent)
 
 
 def gen_coset_union(lattice, half_vectors, extent=None, tol=None):
@@ -126,11 +118,7 @@ def gen_coset_union(lattice, half_vectors, extent=None, tol=None):
                 raise ValueError(
                     f"half-vectors {vecs[i]} and {vecs[j]} coincide modulo 2*Lambda")
     motif = [p_scale(v, Fraction(1, 2)) for v in vecs]
-    handle = build_periodic(lattice, motif, tol=tol)
-    box = _normalize_extent(extent, d)
-    if box is None:
-        return handle
-    return crop_to_window(handle, box[0], box[1])
+    return _crop(build_periodic(lattice, motif, tol=tol), extent)
 
 
 def gen_crystal(spec, extent=None, tol=None):
@@ -159,11 +147,7 @@ def gen_crystal(spec, extent=None, tol=None):
                 "not crystallographic for this lattice")
         for g in spec.generators:
             queue.append(lat.reduce_point(apply(g, p)))
-    handle = build_periodic(lat, orbit, tol=tol)
-    box = _normalize_extent(extent, lat.dim)
-    if box is None:
-        return handle
-    return crop_to_window(handle, box[0], box[1])
+    return _crop(build_periodic(lat, orbit, tol=tol), extent)
 
 
 def gen_shifted_rows(spec):
@@ -183,16 +167,12 @@ def gen_shifted_rows(spec):
         rows.extend([(2 * k, s), (2 * k + 1, s)])
     for i, s in rows:
         y = i * spec.b
-        j_hi = _ifloor(fdiv(w - s, spec.a))
-        j_lo = -_ifloor(fdiv(w + s, spec.a))
+        j_hi = sfloor(fdiv(w - s, spec.a))
+        j_lo = -sfloor(fdiv(w + s, spec.a))
         for j in range(j_lo, j_hi + 1):
             pts.append((j * spec.a + s, y))
     y_hi = (2 * n + 1) * spec.b
     return build_window(pts, ((-w, 0 * spec.b), (w, y_hi)), margin=0)
-
-
-def _ifloor(x):
-    return int(sfloor(x))
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +194,8 @@ def honeycomb(extent=None):
     half_root3 = quadext(0, Fraction(1, 2), 3)
     root3 = quadext(0, Fraction(1), 3)
     lat = Lattice(((Fraction(3, 2), half_root3), (Fraction(0), root3)))
-    handle = build_periodic(lat, [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))])
-    box = _normalize_extent(extent, 2)
-    if box is None:
-        return handle
-    return crop_to_window(handle, box[0], box[1])
+    return _crop(build_periodic(lat, [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))]),
+                 extent)
 
 
 def three_coset_fixture(extent=None):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import chain, product
 from operator import mul
 
-from .scalars import QuadExt, Radical, is_exact_scalar, sfloat, sfloor
+from .scalars import QuadExt, Radical, is_exact_scalar, sfloor
 
 __all__ = [
     "ConvergenceError",
@@ -394,8 +394,8 @@ def mat_solve(a, rhs_cols):
         best = 0.0
         for r in range(col, n):
             v = aug[r][col]
-            if _nonzero(v) and abs(sfloat(v)) > best:
-                piv, best = r, abs(sfloat(v))
+            if _nonzero(v) and abs(float(v)) > best:
+                piv, best = r, abs(float(v))
         if piv is None:
             return None
         aug[col], aug[piv] = aug[piv], aug[col]
@@ -539,7 +539,7 @@ class Isometry(Record):
         d = self.dim
         if tol.exact:
             return all(q[i][j] == (1 if i == j else 0) for i in range(d) for j in range(d))
-        return all(abs(sfloat(q[i][j]) - (1.0 if i == j else 0.0)) <= ORTHO_EPS
+        return all(abs(float(q[i][j]) - (1.0 if i == j else 0.0)) <= ORTHO_EPS
                    for i in range(d) for j in range(d))
 
     def is_identity(self, tol):
@@ -548,7 +548,7 @@ class Isometry(Record):
             return (all(self.linear[i][j] == (1 if i == j else 0)
                         for i in range(d) for j in range(d))
                     and all(s == 0 for s in self.shift))
-        return (all(abs(sfloat(self.linear[i][j]) - (1.0 if i == j else 0.0)) <= ORTHO_EPS
+        return (all(abs(float(self.linear[i][j]) - (1.0 if i == j else 0.0)) <= ORTHO_EPS
                     for i in range(d) for j in range(d))
                 and all(abs(s) <= tol.eps_abs for s in self.shift))
 
@@ -657,7 +657,7 @@ class Lattice:
         self.det = det
         self.reduced = lll_reduce(basis)
         self._inv = mat_inv(self.reduced)  # columns of B^-1
-        self._inv_float = [[sfloat(x) for x in row] for row in self._inv]
+        self._inv_float = [[float(x) for x in row] for row in self._inv]
 
     def coords(self, v):
         """Coefficients k with v = k @ reduced_basis (field scalars)."""
@@ -692,7 +692,7 @@ class Lattice:
         queries and the closest pair filter that query's hits.
         """
         d = self.dim
-        vf = [sfloat(x) for x in v]
+        vf = [float(x) for x in v]
         k0 = [sum(vf[i] * self._inv_float[i][j] for i in range(d)) for j in range(d)]
         cols = [[self._inv_float[i][j] for i in range(d)] for j in range(d)]
         hw = [rho_float * math.sqrt(sum(c * c for c in col)) + 0.01 for col in cols]

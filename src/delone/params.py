@@ -23,7 +23,6 @@ from fractions import Fraction
 from itertools import chain, product
 
 from .geometry import fdiv, p_add, p_dot, p_sub
-from .scalars import sfloat
 from .sets import (DeloneParams, WindowTooSmallError, _common_denominator, _inset,
                    _on_grid, _sq, as_radius, min_dist_sq)
 
@@ -118,7 +117,7 @@ def _covering(handle):
     scale = grid[0] if grid else 1
     ints = grid is not None and tol.exact and handle.mode == "window"
     if handle.mode == "periodic":
-        h = Fraction(math.ceil(sum(math.sqrt(sfloat(p_dot(b, b)))
+        h = Fraction(math.ceil(sum(math.sqrt(float(p_dot(b, b)))
                                    for b in handle.lattice.reduced)) + 1, 2) * scale
         h = h if tol.exact else float(h)
         lo, hi, margin = (-h,) * d, (h,) * d, 0
@@ -128,7 +127,7 @@ def _covering(handle):
         sites = ([p for p, k in zip(handle.points, grid[1]) if _inset(k, lo, hi, margin) >= 0]
                  if ints else handle.interior_points(as_radius(0, tol)))
     cells, best = tol.offset_map(), None
-    rho_f = 2 * math.sqrt(sfloat(min_dist_sq(handle)))
+    rho_f = 2 * math.sqrt(float(min_dist_sq(handle)))
     for x in sites:
         base = _on_grid(x, scale) if grid else x
         at = (0,) * d if handle.mode == "periodic" else base
@@ -136,10 +135,10 @@ def _covering(handle):
         while True:  # widen the query until no site beyond it can cut the cell
             # as tol.radius_at_least(rho_f), without building a Radical on ints
             radius = Fraction(rho_f) + Fraction(1, 1024) if ints else tol.radius_at_least(rho_f)
-            hits = sorted(handle._ball(x, radius)[1], key=lambda t: sfloat(t[0]))
+            hits = sorted(handle._ball(x, radius)[1], key=lambda t: float(t[0]))
             offsets = tuple(o for o in (p_sub(k, base) for _, k, _ in hits) if any(o))
             cell = cells.get(offsets) or _voronoi_cell(box, offsets, tol)
-            need = 2.000001 * math.sqrt(sfloat(cell[0])) / scale  # slack for rounding
+            need = 2.000001 * math.sqrt(float(cell[0])) / scale  # slack for rounding
             if need <= rho_f * 1.0000004:  # within jitter; need has 1e-6 slack
                 break
             rho_f = min(need, 2 * rho_f)  # a cell cut only by its box reaches far

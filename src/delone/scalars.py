@@ -11,8 +11,9 @@ Two kinds of exact scalars flow through the library:
   membership tests ``|x - y| <= rho`` exactly decidable even for composite
   radii such as ``rho0 + 2R``.
 
-Floating-point mode never enters this module; float handles compare with an
-absolute tolerance instead (see ``geometry.Tolerance``).
+Float handles compute nothing here; they compare with an absolute tolerance
+instead (see ``geometry.Tolerance``).  Floats enter this module only to be
+written (:func:`format_scalar`) or floored (:func:`sfloor`).
 """
 
 import math
@@ -25,7 +26,6 @@ __all__ = [
     "ExactComparisonError",
     "quadext",
     "ssign",
-    "sfloat",
     "sfloor",
     "field_sqrt",
     "is_exact_scalar",
@@ -238,8 +238,9 @@ def is_exact_scalar(x):
 
 
 def format_scalar(x, exact):
-    """x as point-set files and reports write it: a rational ``p/q``, a
-    quadratic-field ``a+b*sqrt(d)``, or (not exact) a float repr."""
+    """x as point-set files and reports write it: when exact, a rational
+    ``p/q``, a quadratic-field ``a+b*sqrt(d)`` or a radical
+    ``q+c*sqrt(m)+...``; otherwise a float repr."""
     if not exact:
         return repr(float(x))
     if isinstance(x, int):
@@ -253,6 +254,15 @@ def format_scalar(x, exact):
             return term
         sign = "+" if x.b > 0 else ""
         return f"{format_scalar(x.a, True)}{sign}{term}"
+    if isinstance(x, Radical):
+        parts = []
+        if x.rat != 0 or not x.terms:
+            parts.append(format_scalar(x.rat, True))
+        for c, m in x.terms:
+            coef = "" if c == 1 else format_scalar(c, True) + "*"
+            inner = format_scalar(m, True)
+            parts.append(f"{coef}sqrt({inner})")
+        return "+".join(parts).replace("+-", "-")
     raise ValueError(f"cannot serialize scalar {x!r} exactly")
 
 
@@ -269,12 +279,8 @@ def ssign(x):
     return _frac_sign(x)
 
 
-def sfloat(x):
-    return float(x)
-
-
 def sfloor(x):
-    """Exact floor of a field scalar."""
+    """Floor of a scalar as an int; exact for field scalars."""
     if isinstance(x, QuadExt):
         n = math.floor(float(x))
         # float estimate can be off by one near integers; fix exactly
@@ -285,7 +291,7 @@ def sfloor(x):
         return n
     if isinstance(x, Fraction):
         return x.numerator // x.denominator
-    return x // 1
+    return math.floor(x)
 
 
 def _frac_sqrt(q):

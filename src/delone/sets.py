@@ -26,7 +26,7 @@ from itertools import chain, product
 
 from .geometry import (ConvergenceError, Lattice, Record, Tolerance, _float_index,
                        _float_point, dist_sq, fdiv, p_sub, point_is_exact)
-from .scalars import Radical, format_point, is_exact_scalar, sfloat, ssign
+from .scalars import Radical, format_point, is_exact_scalar, ssign
 
 __all__ = [
     "PointSetHandle",
@@ -182,7 +182,7 @@ class DeloneParams(Record):
     R_exactness: str
 
     def __post_init__(self):
-        if not (sfloat(self.r) > 0):
+        if not (float(self.r) > 0):
             raise ValueError("packing radius must be positive")
 
 
@@ -328,7 +328,7 @@ class PointSetHandle:
 
     def points_in_ball(self, center, radius):
         """All set points p with |p - center| <= radius, as (d2, p) pairs."""
-        scale2, hits = self._ball(center, radius)
+        scale2, hits = self._ball(center, as_radius(radius, self.tol))
         return [(self._lift(d2, scale2), p) for d2, _, p in hits]
 
     def _ball(self, center, radius):
@@ -356,7 +356,7 @@ class PointSetHandle:
         out = []
         if self.mode == "periodic":
             motif, basis = (self.motif, self.lattice.reduced) if ic is None else grid[1:]
-            rho_f = sfloat(radius)
+            rho_f = float(radius)
             pad = 1e-9 * (1.0 + abs(rho_f))
             for m, km in zip(self.motif, motif):
                 for k in self.lattice.offsets_in_ball(p_sub(center, m), rho_f + pad):
@@ -409,10 +409,12 @@ class PointSetHandle:
 
     def neighborhood(self, center, radius):
         """Cached variant of points_in_ball keyed by the center point."""
-        return [(d2, p) for d2, _, p in self._nearby(center, radius)]
+        scale2, hits = self._nearby(center, as_radius(radius, self.tol))
+        return [(self._lift(d2, scale2), p) for d2, _, p in hits]
 
     def _nearby(self, center, radius):
-        """neighborhood as (d2, key, p) triples, keys as in :meth:`_ball`.
+        """neighborhood as :meth:`_ball` returns it, (scale2, [(d2 * scale2,
+        key, p)]), for a radius from :func:`as_radius`.
 
         The cache holds the hits sorted by float d2.  For rational d2 two
         bisects on those floats cut the answer at the radius's square band:
@@ -422,27 +424,24 @@ class PointSetHandle:
         float root is within eps_abs of it, by one bisect.
         """
         key = ("nbhd", center)
-        rho_f = sfloat(radius)
+        rho_f = float(radius)
         hit = self._cache.get(key)
         if hit is None or hit[0] < rho_f:
             grow = max(rho_f * 1.25, rho_f + 0.01)
             scale2, hits = self._ball(center, self.tol.radius_at_least(grow))
-            keyed = sorted(
-                (d2 / scale2 if isinstance(d2, int) else sfloat(d2), k, d2, p)
-                for d2, k, p in hits)
-            hit = (grow, scale2,
-                   [(self._lift(d2, scale2), k, p) for _, k, d2, p in keyed],
-                   [t[0] for t in keyed], [t[2] for t in keyed],
+            keyed = sorted((h[0] / scale2 if isinstance(h[0], int) else float(h[0]), h[1], h)
+                           for h in hits)
+            hit = (grow, scale2, [t[2] for t in keyed], [t[0] for t in keyed],
                    all(isinstance(d2, (int, Fraction)) for d2, _, _ in hits))
             self._cache[key] = hit
-        _, scale2, triples, fl, raw, rational = hit
+        _, scale2, hits, fl, rational = hit
         tol = self.tol
         if not tol.exact:  # float covers is monotone in d2: a prefix
-            return triples[:bisect_right(fl, radius + tol.eps_abs, key=math.sqrt)]
+            return scale2, hits[:bisect_right(fl, radius + tol.eps_abs, key=math.sqrt)]
         band = radius.square_band() if rational else None
         i, j = (bisect_left(fl, band[0]), bisect_right(fl, band[1])) if band else (0, len(fl))
-        return triples[:i] + [t for t, d2 in zip(triples[i:j], raw[i:j])
-                              if radius_covers(radius, d2, tol, scale2)]
+        return scale2, hits[:i] + [h for h in hits[i:j]
+                                   if radius_covers(radius, h[0], tol, scale2)]
 
     def points_in_box(self, lo, hi):
         """All set points inside the closed axis-aligned box [lo, hi], in
@@ -452,7 +451,7 @@ class PointSetHandle:
         float mode's ``_in_box`` reaches), so it covers every point
         ``_in_box`` accepts."""
         eps = self.tol.eps_abs
-        half = math.sqrt(sum((sfloat(b) - sfloat(a) + 2 * eps) ** 2 for a, b in zip(lo, hi))) / 2
+        half = math.sqrt(sum((float(b) - float(a) + 2 * eps) ** 2 for a, b in zip(lo, hi))) / 2
         center = tuple(fdiv(a + b, 2) for a, b in zip(lo, hi))
         hits = self._ball(center, self.tol.radius_at_least(half + 0.01))[1]
         return [p for _, _, p in hits if _in_box(p, lo, hi, self.tol)]
@@ -472,13 +471,13 @@ class PointSetHandle:
         p lies on the window's grid."""
         grid = self._grid() if isinstance(radius, Radical) else None
         ip = None if grid is None else _on_grid(p, grid[0])
-        if ip is not None:
-            bd = _inset(ip, *grid[2])
-            return bd >= 0 and _radius_sign(radius, bd * bd, grid[0] ** 2) <= 0
-        bd = self.boundary_distance(p)
-        if not (isinstance(radius, Radical) and isinstance(bd, (int, Fraction))):
-            return self.tol.ge(bd, radius)
-        return bd >= 0 and _radius_sign(radius, bd * bd) <= 0
+        if ip is None:
+            bd, scale2 = self.boundary_distance(p), 1
+        else:
+            bd, scale2 = _inset(ip, *grid[2]), grid[0] ** 2
+        if isinstance(radius, Radical) and isinstance(bd, (int, Fraction)):
+            return bd >= 0 and _radius_sign(radius, bd * bd, scale2) <= 0
+        return self.tol.ge(bd, radius)
 
     def interior_points(self, radius):
         """Points able to host a closed radius-ball inside the trusted region."""
@@ -491,7 +490,7 @@ class PointSetHandle:
         pts = self.interior_points(radius)
         if not pts:
             raise WindowTooSmallError(
-                f"no interior points at radius {sfloat(radius):g}")
+                f"no interior points at radius {float(radius):g}")
         return pts
 
     def capacity(self):
@@ -649,7 +648,7 @@ def _require_interior(handle, x, radius):
         return
     if not handle.hosts_ball(x, radius):
         raise TruncationError(
-            f"point {format_point(x, handle.tol.exact)} is within {sfloat(radius):g} "
+            f"point {format_point(x, handle.tol.exact)} is within {float(radius):g} "
             "of the window boundary")
 
 
@@ -659,7 +658,7 @@ def cluster(handle, x, rho):
     radius = as_radius(rho, handle.tol)
     _require_member(handle, x)
     _require_interior(handle, x, radius)
-    hits = sorted(handle._nearby(x, radius), key=lambda t: t[1])
+    hits = sorted(handle._nearby(x, radius)[1], key=lambda t: t[1])
     pts = tuple(p for _, _, p in hits)
     scale = handle._scale()
     if scale is None:
@@ -704,7 +703,7 @@ def two_r_chain(handle, x, y):
             raise TruncationError("no 2R-chain inside the window (truncation)")
         return chain
 
-    width = 4.0 * sfloat(big_r)
+    width = 4.0 * float(big_r)
     for _ in range(12):
         chain = _bfs_chain(handle, x, y, two_r, corridor=(x, y, width))
         if chain is not None:
@@ -713,11 +712,11 @@ def two_r_chain(handle, x, y):
     raise ConvergenceError("2R-chain search failed to converge")
 
 
-def _seg_dist_sq_leq(p, a, b, w2_float, tol):
+def _seg_dist_sq_leq(p, a, b, w2_float):
     """dist(p, segment ab)^2 <= w2, decided in float with a safety pad."""
-    pf = [sfloat(c) for c in p]
-    af = [sfloat(c) for c in a]
-    bf = [sfloat(c) for c in b]
+    pf = [float(c) for c in p]
+    af = [float(c) for c in a]
+    bf = [float(c) for c in b]
     ab = [u - v for u, v in zip(bf, af)]
     ap = [u - v for u, v in zip(pf, af)]
     denom = sum(u * u for u in ab)
@@ -741,7 +740,7 @@ def _bfs_chain(handle, x, y, radius_2r, corridor):
                 continue
             if not radius_lt(radius_2r, d2, handle.tol):
                 continue
-            if corridor and not _seg_dist_sq_leq(p, corridor[0], corridor[1], w2, handle.tol):
+            if corridor and not _seg_dist_sq_leq(p, corridor[0], corridor[1], w2):
                 continue
             nbrs.append(p)
         for p in sorted(nbrs):

@@ -7,7 +7,6 @@ compared byte-for-byte in tests.
 """
 
 from .classify import classify
-from .scalars import sfloat
 from .sets import cluster, crop_to_window, delone_params, two_r_chain
 
 __all__ = ["render_svg"]
@@ -42,16 +41,16 @@ def render_svg(handle, highlight="classes", rho=None, chain_ends=None,
         raise ValueError("plots are 2-d only")
     view = _window_view(handle, extent)
     lo, hi = view.bounds
-    x0, y0, x1, y1 = (sfloat(lo[0]), sfloat(lo[1]), sfloat(hi[0]), sfloat(hi[1]))
+    x0, y0, x1, y1 = (float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
     span = max(x1 - x0, y1 - y0) or 1.0
     pad = 0.04 * span
     scale = SIZE / (span + 2 * pad)
 
     def sx(v):
-        return (sfloat(v) - x0 + pad) * scale
+        return (float(v) - x0 + pad) * scale
 
     def sy(v):
-        return (y1 - sfloat(v) + pad) * scale  # flip y for screen coords
+        return (y1 - float(v) + pad) * scale  # flip y for screen coords
 
     width = (x1 - x0 + 2 * pad) * scale
     height = (y1 - y0 + 2 * pad) * scale
@@ -91,11 +90,11 @@ def render_svg(handle, highlight="classes", rho=None, chain_ends=None,
         pts = " ".join(f"{_fmt(sx(v[0]))},{_fmt(sy(v[1]))}" for v in ch.vertices)
         out.append(f'<polyline points="{pts}" fill="none" stroke="#d62728" '
                    f'stroke-width="{_fmt(dot / 2)}"/>')
-        two_r = 2 * sfloat(delone_params(handle).R)
+        two_r = 2 * float(delone_params(handle).R)
         for a, b, g2 in zip(ch.vertices, ch.vertices[1:], ch.gaps_sq()):
-            mx, my = sx((sfloat(a[0]) + sfloat(b[0])) / 2), sy((sfloat(a[1]) + sfloat(b[1])) / 2)
+            mx, my = sx((float(a[0]) + float(b[0])) / 2), sy((float(a[1]) + float(b[1])) / 2)
             out.append(f'<text x="{_fmt(mx)}" y="{_fmt(my)}" font-size="{_fmt(3 * dot)}" '
-                       f'fill="#d62728">{sfloat(g2) ** 0.5:.3f}&lt;{two_r:.3f}</text>')
+                       f'fill="#d62728">{float(g2) ** 0.5:.3f}&lt;{two_r:.3f}</text>')
 
     if highlight == "clusters":
         if center is None:
@@ -103,7 +102,7 @@ def render_svg(handle, highlight="classes", rho=None, chain_ends=None,
         rho_eff = rho if rho is not None else _default_rho(handle)
         c = cluster(handle, center, rho_eff)
         out.append(f'<circle cx="{_fmt(sx(c.center[0]))}" cy="{_fmt(sy(c.center[1]))}" '
-                   f'r="{_fmt(sfloat(c.radius) * scale)}" fill="none" '
+                   f'r="{_fmt(float(c.radius) * scale)}" fill="none" '
                    f'stroke="#2ca02c" stroke-width="{_fmt(dot / 2)}"/>')
         for p in c.points:
             out.append(f'<circle cx="{_fmt(sx(p[0]))}" cy="{_fmt(sy(p[1]))}" '

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from delone.geometry import Isometry, dist_sq, mat_mul, mat_solve, p_dot, p_sub, rank
-from delone.scalars import sfloat, ssign
+from delone.scalars import ssign
 
 
 def _first_frame(offsets):
@@ -157,9 +157,9 @@ def window_transitivity_oracle(handle, pairs):
 def grid_covering_estimate(handle, samples=60):
     """Float lower bound of the covering radius by dense grid sampling."""
     lo, hi = handle.bounds
-    lo_f = [sfloat(v) for v in lo]
-    hi_f = [sfloat(v) for v in hi]
-    pts = [[sfloat(c) for c in p] for p in handle.points]
+    lo_f = [float(v) for v in lo]
+    hi_f = [float(v) for v in hi]
+    pts = [[float(c) for c in p] for p in handle.points]
     # stay away from the boundary so the sampled deep hole is genuine
     inset = [0.25 * (h - l) for l, h in zip(lo_f, hi_f)]
     best = 0.0
@@ -254,7 +254,7 @@ def brute_force_points_in_box(handle, lo, hi):
     corners = list(product(*zip(lo, hi)))
     out = []
     for m in handle.motif:
-        coords = [[sfloat(k) for k in lat.coords(p_sub(c, m))] for c in corners]
+        coords = [[float(k) for k in lat.coords(p_sub(c, m))] for c in corners]
         ranges = [range(math.floor(min(col)) - 1, math.ceil(max(col)) + 2)
                   for col in zip(*coords)]
         for ks in product(*ranges):
@@ -269,7 +269,7 @@ def brute_force_min_dist_sq(handle):
     """Least squared distance from a motif point to another point of a
     periodic set, over the points of a box about each motif point whose
     half-side exceeds the shortest basis vector's length."""
-    side = 1 + min(math.sqrt(sfloat(p_dot(b, b))) for b in handle.lattice.reduced)
+    side = 1 + min(math.sqrt(float(p_dot(b, b))) for b in handle.lattice.reduced)
     best = None
     for m in handle.motif:
         box = [tuple(a + s * Fraction(side) for a in m) for s in (-1, 1)]

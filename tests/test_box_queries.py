@@ -22,7 +22,7 @@ import pytest
 from delone import (build_periodic, build_window, honeycomb, params, sets, square_lattice,
                     three_coset_fixture, triangular_lattice)
 from delone.geometry import Tolerance, dist_sq
-from delone.scalars import Radical, quadext, sfloat
+from delone.scalars import Radical, quadext
 from delone.sets import _in_box
 
 from oracles import brute_force_min_dist_sq, brute_force_points_in_box
@@ -71,7 +71,7 @@ def _boxes(dim, seed, field=()):
 
 
 def _same_points(got, want, tol):
-    got, want = (sorted(ps, key=lambda p: tuple(map(sfloat, p))) for ps in (got, want))
+    got, want = (sorted(ps, key=lambda p: tuple(map(float, p))) for ps in (got, want))
     assert len(got) == len(want)
     assert all(tol.same_point(p, q) for p, q in zip(got, want))
 

@@ -23,7 +23,7 @@ from delone.classify import classify, clusters_equivalent
 from delone.generators import CrystalSpec, gen_crystal
 from delone.geometry import (Isometry, Lattice, Tolerance, apply, dist_sq,
                              identity)
-from delone.scalars import Radical, sfloat
+from delone.scalars import Radical
 from delone.sets import as_radius, build_window, cluster
 
 from test_tolerance import _float_copy
@@ -130,11 +130,11 @@ def _brute_ball(handle, x, radius):
     if handle.mode == "window":
         pts = handle.points
     else:
-        reach = F(int(sfloat(radius)) + 2)
+        reach = F(int(float(radius)) + 2)
         pts = handle.points_in_box(tuple(c - reach for c in x),
                                    tuple(c + reach for c in x))
-    near = (sfloat(radius) + 1e-6) ** 2
-    return {p for p in pts if sum((sfloat(a) - sfloat(b)) ** 2 for a, b in zip(p, x)) <= near
+    near = (float(radius) + 1e-6) ** 2
+    return {p for p in pts if sum((float(a) - float(b)) ** 2 for a, b in zip(p, x)) <= near
             and radius.cmp_sqrt(dist_sq(p, x)) >= 0}
 
 

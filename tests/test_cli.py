@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import pytest
 
 import delone
 from delone.cli import main
+from delone.fileio import read_point_set
 
 
 def run(tmp_path, *argv):
@@ -109,6 +111,18 @@ def test_decompose_float_window_exit4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("precondition violated: ")
     assert "Traceback" not in err
+
+
+def test_decompose_float_window_is_refused_before_its_translations(tmp_path, capsys):
+    # this window is too small to span its invariant translations (exact:
+    # exit 3), but a float window is refused for its mode first
+    assert run(tmp_path, "--numeric-mode", "float", "generate", "coset-union",
+               "--basis", "1,0;0,4", "--half-vectors", "0,0;1,0;0,4", "--extent", "3",
+               "--out", "cw.ps") == 0
+    capsys.readouterr()
+    assert run(tmp_path, "--numeric-mode", "float", "decompose", "cw.ps") == 4
+    assert capsys.readouterr().err == ("precondition violated: window decomposition "
+                                       "requires exact coordinates\n")
 
 
 def test_reconstruct_roundtrip(tmp_path, capsys):
@@ -254,6 +268,19 @@ def test_unsupported_rotation_orders_exit2(tmp_path, capsys, mode, order):
     assert not (tmp_path / "cr.ps").exists()
     assert capsys.readouterr().err == (f"error: unsupported rotation order {order}; "
                                        "use 1,2,3,4,6\n")
+
+
+def test_float_crystal_rotation_and_mirror_match_the_exact_motif(tmp_path):
+    # the float rotation matrix and float mirror of generate crystal
+    for mode, motif in (("exact", "3/10,1/10"), ("float", "0.3,0.1")):
+        assert run(tmp_path, "--numeric-mode", mode, "generate", "crystal",
+                   "--basis", "1,0;0,1", "--rotation", "4", "--mirror",
+                   "--motif", motif, "--out", f"cr_{mode}.ps") == 0
+    want, got = (sorted(tuple(map(float, p)) for p in
+                        read_point_set(str(tmp_path / f"cr_{mode}.ps")).motif)
+                 for mode in ("exact", "float"))
+    assert len(want) == len(got) == 8
+    assert all(math.dist(p, q) <= 1e-12 for p, q in zip(want, got))
 
 
 def test_plot_modes_and_determinism(tmp_path, z2_file):

@@ -29,7 +29,7 @@ from scipy.spatial import Delaunay, QhullError
 from delone import (build_periodic, build_window, honeycomb, square_lattice,
                     three_coset_fixture, triangular_lattice)
 from delone.geometry import Tolerance, mat_solve
-from delone.scalars import Radical, quadext, sfloat, ssign
+from delone.scalars import Radical, quadext, ssign
 from delone.params import _voronoi_cell
 from delone.sets import WindowTooSmallError, delone_params
 
@@ -191,7 +191,7 @@ def test_float_cells_match_vertex_enumeration(case):
 # -- scipy cross-check ---------------------------------------------------------
 
 def _delaunay(points):
-    coords = [[sfloat(c) for c in p] for p in points]
+    coords = [[float(c) for c in p] for p in points]
     try:
         return Delaunay(coords)
     except QhullError:
@@ -246,15 +246,15 @@ def test_periodic_against_scipy(d, trials):
         handle = _random_periodic(rng, d)
         basis = handle.lattice.reduced
         c0 = tuple(sum(col) / 2 for col in zip(*basis))  # center of the cell
-        diam = sum(math.sqrt(sfloat(sum(c * c for c in b))) for b in basis)
+        diam = sum(math.sqrt(float(sum(c * c for c in b))) for b in basis)
         patch = [p for _, p in handle.points_in_ball(c0, Radical.of(F(math.ceil(diam) + 1)))]
 
         def near_cell(cc, r2):
             # every point of space has a translate within diam / 2 of c0
-            return math.dist(map(sfloat, cc), map(sfloat, c0)) <= diam / 2 + 1e-9
+            return math.dist(map(float, cc), map(float, c0)) <= diam / 2 + 1e-9
 
         def empty(cc, r2):
-            reach = Radical.of(F(math.sqrt(sfloat(r2))) + F(1, 1000))
+            reach = Radical.of(F(math.sqrt(float(r2))) + F(1, 1000))
             return all(ssign(d2 - r2) >= 0 for d2, _ in handle.points_in_ball(cc, reach))
 
         want = _delaunay_r2(patch, near_cell, empty)

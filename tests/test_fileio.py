@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from delone.fileio import (PointSetFormatError, Report, format_radius,
+from delone.fileio import (PointSetFormatError, Report,
                            format_scalar, parse_radius, parse_scalar,
                            read_point_set, write_point_set)
 from delone.geometry import Tolerance
@@ -60,7 +60,7 @@ def test_radius_round_trip():
     for rho in (Radical.of(F(5, 2)), Radical.sqrt(F(26, 100)),
                 Radical.of(1) + Radical.sqrt(2),
                 Radical.sqrt(2) + Radical.sqrt(F(26, 25))):
-        back = parse_radius(format_radius(rho, True), True)
+        back = parse_radius(format_scalar(rho, True), True)
         assert back.cmp(rho) == 0
 
 

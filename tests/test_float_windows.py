@@ -21,7 +21,6 @@ import pytest
 from delone import build_window, params, sets, square_lattice
 from delone.classify import classify
 from delone.geometry import apply
-from delone.scalars import sfloat
 from delone.sets import as_radius, cluster, delone_params
 
 from test_classify_translation import CASES, _rows, reference_classify
@@ -61,7 +60,7 @@ def _window(name, which):
 def test_float_classes_equal_the_reference_scan(name):
     handle = _window(name, 0)
     for rho in RADII[name]:
-        radius = as_radius(sfloat(rho), FLOAT)
+        radius = as_radius(float(rho), FLOAT)
         part = classify(handle, radius)
         got = [(cl.representative.center, cl.members) for cl in part.classes]
         assert got == [(c, ms) for c, ms, _ in reference_classify(handle, radius)], \
@@ -101,3 +100,14 @@ def test_float_covering_counts_equal_the_exact_window(name, monkeypatch):
         params._covering(handle)
         per_mode.append(dict(counts))
     assert per_mode[0] == per_mode[1], name
+
+
+def test_float_two_r_chain_equals_the_exact_chain():
+    # the float branch of the strict gap test (sets.radius_lt)
+    exact = square_lattice(extent=F(4))
+    lo, hi = (tuple(map(float, b)) for b in exact.bounds)
+    win = build_window([tuple(map(float, p)) for p in exact.points], (lo, hi),
+                       margin=float(exact.margin), tol=FLOAT)
+    want = sets.two_r_chain(exact, (F(0), F(0)), (F(3), F(2))).vertices
+    got = sets.two_r_chain(win, (0.0, 0.0), (3.0, 2.0)).vertices
+    assert got == tuple(tuple(map(float, v)) for v in want)

@@ -24,7 +24,7 @@ from delone.classify import (_check_closure, _permutation, _witness_linear_parts
                              cluster_group_of, clusters_equivalent)
 from delone.generators import CrystalSpec, gen_crystal
 from delone.geometry import Isometry, Lattice, Tolerance, rank
-from delone.scalars import sfloat
+from delone.scalars import Radical, quadext
 from delone.sets import Cluster, build_window, cluster, distance_spectrum
 
 from oracles import brute_force_linear_maps, is_permutation_group
@@ -50,7 +50,7 @@ def _in_floats(c):
     def f(p):
         return tuple(map(float, p))
 
-    return Cluster(center=f(c.center), radius=sfloat(c.radius),
+    return Cluster(center=f(c.center), radius=float(c.radius),
                    points=tuple(map(f, c.points)))
 
 
@@ -163,6 +163,18 @@ def test_collinear_cluster_has_normal_line_slots():
     assert sorted(perms) == [(0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3), (1, 0, 3, 2)]
     _assert_closed_but_not_without_any_element(perms)
     assert cluster_group_of(c, TOL).order == 4
+
+
+def test_collinear_clusters_on_different_lines_lift_to_a_quadratic_field():
+    # {0, +-(1, 1)} onto {0, +-(sqrt 2, 0)}: the normal lines' squared
+    # lengths differ by 2, so the witness has sqrt(2)/2 entries
+    root2 = quadext(0, 1, 2)
+    c1, c2 = (Cluster(center=ORIGIN, radius=Radical.sqrt(2), points=tuple(sorted((
+        ORIGIN, v, tuple(-a for a in v))))) for v in ((F(1), F(1)), (root2, F(0))))
+    w = clusters_equivalent(c1, c2, TOL)
+    assert w is not None
+    assert {abs(a) for row in w.linear for a in row} == {quadext(0, F(1, 2), 2)}
+    assert sorted(w(p) for p in c1.points) == list(c2.points)
 
 
 def test_float_window_group_closes_on_permutations():

@@ -14,7 +14,7 @@ from delone.generators import (CrystalSpec, ShiftSequence, ShiftedRowSpec,
                                gen_coset_union, gen_crystal, gen_lattice,
                                gen_shifted_rows)
 from delone.geometry import Isometry, Lattice, mat_mul, mat_t
-from delone.scalars import Radical, sfloat, ssign
+from delone.scalars import Radical, ssign
 from delone.sets import cluster, delone_params, two_r_chain
 
 from oracles import check_matrix_closure
@@ -97,7 +97,7 @@ def test_randomized_structural_suite():
         for cl in part.classes:
             for w in cl.witnesses:
                 q = mat_mul(mat_t(w.linear), w.linear)
-                dev = max(abs(sfloat(q[i][j]) - (1.0 if i == j else 0.0))
+                dev = max(abs(float(q[i][j]) - (1.0 if i == j else 0.0))
                           for i in range(handle.dim) for j in range(handle.dim))
                 assert dev <= 1e-9
         trials += 1

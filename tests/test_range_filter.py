@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from delone.generators import square_lattice
 from delone.geometry import Tolerance, dist_sq
 from delone.scalars import Radical, quadext
 from delone.params import _min_dist_sq
@@ -261,6 +262,26 @@ def check_periodic_query(handle, center, radius):
     assert all(d2 == dist_sq(p, center) for d2, p in got)
     assert all(type(c) is F for _, p in got for c in p)
     assert sorted(p for _, p in handle.neighborhood(center, radius)) == want
+
+
+@pytest.mark.parametrize("extent", [None, F(3)])
+@pytest.mark.parametrize("center", [(F(0), F(0)), (F(1, 3), F(0))])
+def test_range_queries_take_a_rational_radius(extent, center):
+    # a Fraction and the equal Radical, about a grid centre and off the grid
+    handle = square_lattice(extent)
+    rho = F(3, 2)
+    want = sorted(p for p in square_lattice(F(3)).points if dist_sq(p, center) <= rho * rho)
+    for radius in (rho, Radical.of(rho)):
+        for query in (handle.points_in_ball, handle.neighborhood):
+            assert sorted(p for _, p in query(center, radius)) == want
+
+
+@pytest.mark.parametrize("extent", [None, F(3)])
+def test_range_queries_refuse_a_float_radius_in_exact_mode(extent):
+    handle = square_lattice(extent)
+    for query in (handle.points_in_ball, handle.neighborhood):
+        with pytest.raises(TypeError, match="exact mode needs an exact radius"):
+            query((F(0), F(0)), 1.5)
 
 
 @settings(max_examples=60, deadline=None)
