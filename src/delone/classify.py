@@ -88,10 +88,11 @@ class Fingerprint(Record):
     cluster cut from a handle with a scale (all clusters of one handle
     share it), or field scalars when ``scale`` is None; either way they
     hash and compare exactly within one scale.  Float entries carry
-    rounding, so they do not compare exactly.  :func:`classify`
-    compares no fingerprints: it buckets exact clusters by the radial key
-    (the first component of every entry, sorted), and witness synthesis
-    builds only the rows it compares.
+    rounding, so they do not compare exactly.  The rows are those witness
+    synthesis compares (:func:`_row`).  :func:`classify` compares no
+    fingerprints: it buckets exact clusters by the radial key (the first
+    component of every entry, sorted), and witness synthesis builds only
+    the rows it compares.
     """
 
     data: tuple
@@ -101,34 +102,25 @@ class Fingerprint(Record):
         return len(self.data)
 
 
-def _distance_rows(c):
-    """Per point, in points order: (d2 to the center, sorted row of d2 to
-    every cluster point); ints in units of 1/scale**2 on a grid, otherwise
-    field scalars or floats.  Equal values share one object."""
-    center, points = c.grid or (c.center, c.points)
-    memo = {}
-
-    def d2(p, q):
-        v = _sq(p, q)
-        return memo.setdefault(v, v)
-
-    n = len(points)
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        pi, ti = points[i], table[i]
-        ti[i] = d2(pi, pi)
-        for j in range(i + 1, n):
-            ti[j] = table[j][i] = d2(pi, points[j])
-    return tuple((d2(p, center), tuple(sorted(row))) for p, row in zip(points, table))
+def _row(v, vecs):
+    """The sorted squared distances from the point at offset v to every
+    cluster point: |v|^2 to the center and |v - w|^2 to each offset w."""
+    return tuple(sorted([p_dot(v, v)] + [_sq(v, w) for w in vecs]))
 
 
 def fingerprint(c):
-    return Fingerprint(data=tuple(sorted(_distance_rows(c))), scale=c.scale)
+    """Per cluster point, sorted: (its squared distance from the center,
+    its :func:`_row`); the center's row is 0 and the offsets' norms."""
+    keys = c.keys
+    norms = [p_dot(v, v) for v in keys]
+    data = [(n, _row(v, keys)) for n, v in zip(norms, keys)]
+    data.append((0, tuple(sorted([0] + norms))))
+    return Fingerprint(data=tuple(sorted(data)), scale=c.scale)
 
 
 def _matcher(tol):
-    """Equality of squared distances: exact, or in float mode a band that
-    grows with their square roots."""
+    """Equality of squared distances and dot products: exact, or in float
+    mode a band that grows with their square roots."""
     if tol.exact:
         return operator.eq
     band = 4 * tol.eps_abs
@@ -137,12 +129,6 @@ def _matcher(tol):
         return abs(a - b) <= band * (1.0 + math.sqrt(abs(a) + abs(b)))
 
     return close
-
-
-def _rows_match(row1, row2, tol):
-    if tol.exact:
-        return row1 == row2
-    return len(row1) == len(row2) and all(map(_matcher(tol), row1, row2))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +152,7 @@ class _Offsets:
     The vectors are a cluster's ``keys`` when both clusters of a comparison
     share a scale, otherwise its field (or float) offsets.  ``index.get(v)``
     is the position of offset v (see :meth:`Tolerance.point_set`) and
-    ``row(v)`` the sorted |v - w|^2 over the offsets w plus |v|^2: the
-    squared distances from the point at v to every cluster point.
+    ``row(v)`` its :func:`_row`.
     """
 
     def __init__(self, vecs, tol):
@@ -178,23 +163,8 @@ class _Offsets:
     def row(self, v):
         r = self.rows.get(v)
         if r is None:
-            r = self.rows[v] = tuple(sorted([p_dot(v, v)] + [_sq(v, w) for w in self.vectors]))
+            r = self.rows[v] = _row(v, self.vectors)
         return r
-
-
-def _gram_ok(frame, images, v, t, tol):
-    if tol.exact:
-        if p_dot(v, v) != p_dot(t, t):
-            return False
-        return all(p_dot(v, f) == p_dot(t, g) for f, g in zip(frame, images))
-    eps = 8 * tol.eps_abs
-
-    def close(a, b):
-        return abs(a - b) <= eps * (1.0 + abs(a) + abs(b))
-
-    if not close(p_dot(v, v), p_dot(t, t)):
-        return False
-    return all(close(p_dot(v, f), p_dot(t, g)) for f, g in zip(frame, images))
 
 
 def _solve_map(frame_rows, image_rows, tol):
@@ -328,16 +298,17 @@ def _witness_linear_parts(c1, c2, tol, want_all):
     for v in frame:
         n1, row1 = p_dot(v, v), offs1.row(v)
         candidates.append([t for t, n in zip(vecs2, norms2)
-                           if same(n, n1) and _rows_match(offs2.row(t), row1, tol)])
+                           if same(n, n1) and all(map(same, offs2.row(t), row1))])
 
     def assignments(i, images):
         if i == s:
             yield list(images)
             return
+        v = frame[i]
         for t in candidates[i]:
-            if t in images:
-                continue
-            if _gram_ok(frame[:i], images, frame[i], t, tol):
+            # the Gram test: t's norm matched v's among the candidates
+            if t not in images and all(same(p_dot(v, f), p_dot(t, g))
+                                       for f, g in zip(frame, images)):
                 yield from assignments(i + 1, images + [t])
 
     for images in assignments(0, []):
@@ -362,8 +333,9 @@ def clusters_equivalent(c1, c2, tol=None):
     Radii must agree.  The witness may reverse orientation (det -1); for
     rank-deficient clusters one canonical completion is returned out of the
     continuum of valid witnesses.  Synthesis alone decides, in both modes.
+    With no tolerance given, the points decide (:meth:`Tolerance.of`).
     """
-    tol = tol or Tolerance.exact_mode()
+    tol = tol or Tolerance.of(c1.points + c2.points)
     if not tol.is_zero(c1.radius - c2.radius):
         raise ValueError("clusters have different radii")
     if c1.size != c2.size:
@@ -416,9 +388,10 @@ def cluster_group_of(c, tol=None):
     cluster to itself.  Each is fixed by its permutation of the offsets
     (with the normal-line slots of a cluster one dimension short), and
     elements compose as their permutations do, so closure is checked on the
-    permutations (:func:`_check_closure`) in both numeric modes.
+    permutations (:func:`_check_closure`) in both numeric modes.  With no
+    tolerance given, the points decide (:meth:`Tolerance.of`).
     """
-    tol = tol or Tolerance.exact_mode()
+    tol = tol or Tolerance.of(c.points)
     elements, perms = [], []
     for o, perm in _witness_linear_parts(c, c, tol, want_all=True):
         shift = p_sub(c.center, tuple(sum(o[i][j] * c.center[j] for j in range(c.dim))

@@ -130,8 +130,7 @@ def cmd_generate(args):
         if args.rotation != 1:
             gens.append(_rotation_generator(args.rotation, exact))
         if args.mirror:
-            one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
-            gens.append(Isometry(((one, zero), (zero, -one)), (zero, zero)))
+            gens.append(Isometry(((1, 0), (0, -1)), (0, 0)))
         spec = CrystalSpec(lattice=Lattice(_parse_rows(args.basis, exact)),
                            generators=tuple(gens),
                            motif=_parse_rows(args.motif, exact))

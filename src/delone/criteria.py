@@ -21,8 +21,7 @@ import math
 
 from .classify import InfiniteGroupError, classify, cluster_group_of
 from .geometry import (Lattice, Record, Tolerance, dist_sq,
-                       lattice_from_generators, p_add, p_neg, p_scale, p_sub,
-                       point_is_exact, rank)
+                       lattice_from_generators, p_add, p_neg, p_scale, p_sub, rank)
 from .scalars import format_point, sfloor
 from .params import _neighbours
 from .sets import (WindowTooSmallError, _inset, _on_grid, _reach, _sq, as_radius, cluster,
@@ -352,12 +351,11 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
     ``max_points`` points (by default a packing bound from the seed's
     closest pair) raise ReconstructionError.
     """
-    tol = tol or (Tolerance.exact_mode() if point_is_exact(seed.center)
-                  else Tolerance.floating())
+    tol = tol or Tolerance.of(seed.points)
     bad = _antipode_violation(seed, tol)
     if bad is not None:
         raise NotAntipodalError(
-            f"seed cluster is not antipodal: offset {format_point(bad, tol.exact)} "
+            f"seed cluster is not antipodal: offset {format_point(bad)} "
             "has no antipode")
     radius_max = as_radius(rho_max, tol)
     pair_radius = as_radius(seed.radius, tol)
@@ -481,7 +479,7 @@ def antipodal_lattice_decomposition(handle):
     if not report.all_antipodal:
         x, v = report.first_violation
         raise NotAntipodalError(
-            f"set is not locally antipodal at {format_point(x, handle.tol.exact)}")
+            f"set is not locally antipodal at {format_point(x)}")
     if handle.mode == "periodic":
         lam, reps = _max_lattice_periodic(handle)
         window_limited = False

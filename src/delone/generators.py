@@ -88,8 +88,7 @@ def _crop(handle, extent):
 def gen_lattice(basis, extent=None, tol=None):
     """The lattice itself as a Delone set (motif = origin)."""
     lattice = basis if isinstance(basis, Lattice) else Lattice(basis)
-    origin = tuple(Fraction(0) if lattice.exact else 0.0 for _ in range(lattice.dim))
-    return _crop(build_periodic(lattice, [origin], tol=tol), extent)
+    return _crop(build_periodic(lattice, [(0,) * lattice.dim], tol=tol), extent)
 
 
 def gen_coset_union(lattice, half_vectors, extent=None, tol=None):
@@ -99,7 +98,7 @@ def gen_coset_union(lattice, half_vectors, extent=None, tol=None):
     2*Lambda, and fewer than 2^d of them (2^d would force a finer lattice).
     """
     lattice = lattice if isinstance(lattice, Lattice) else Lattice(lattice)
-    tol = tol or (Tolerance.exact_mode() if lattice.exact else Tolerance.floating())
+    check = tol or Tolerance.of(lattice.basis)
     vecs = [tuple(v) for v in half_vectors]
     if not vecs:
         raise ValueError("need at least one half-vector")
@@ -109,12 +108,12 @@ def gen_coset_union(lattice, half_vectors, extent=None, tol=None):
             f"{len(vecs)} cosets in dimension {d}: at most {2**d - 1} are possible "
             "(a full 2^d family is itself a finer lattice)")
     for v in vecs:
-        if not lattice.contains(v, tol):
+        if not lattice.contains(v, check):
             raise ValueError(f"half-vector {v} is not a lattice vector")
     two_lam = lattice.scaled(2)
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
-            if two_lam.contains(p_sub(vecs[i], vecs[j]), tol):
+            if two_lam.contains(p_sub(vecs[i], vecs[j]), check):
                 raise ValueError(
                     f"half-vectors {vecs[i]} and {vecs[j]} coincide modulo 2*Lambda")
     motif = [p_scale(v, Fraction(1, 2)) for v in vecs]
@@ -125,10 +124,10 @@ def gen_crystal(spec, extent=None, tol=None):
     """Periodic handle whose motif is the orbit of spec.motif under the
     point-group generators, reduced modulo the lattice."""
     lat = spec.lattice
-    tol = tol or (Tolerance.exact_mode() if lat.exact else Tolerance.floating())
+    check = tol or Tolerance.of(lat.basis)
     for g in spec.generators:
         for b in lat.basis:
-            if not lat.contains(mat_vec(g.linear, b), tol):
+            if not lat.contains(mat_vec(g.linear, b), check):
                 raise ValueError(
                     "generator does not normalize the lattice (not crystallographic)")
     orbit = []
@@ -136,7 +135,7 @@ def gen_crystal(spec, extent=None, tol=None):
     queue = [lat.reduce_point(tuple(m)) for m in spec.motif]
     while queue:
         p = queue.pop()
-        key = p if tol.exact else tuple(round(c, 9) for c in p)
+        key = p if check.exact else tuple(round(c, 9) for c in p)
         if key in seen:
             continue
         seen.add(key)

@@ -116,6 +116,11 @@ class Tolerance(Record):
     Every predicate whose exact and float forms differ is a method here, so
     callers state what they decide once.  Exact mode compares exactly;
     float mode allows ``eps_abs`` on the side each method names.
+
+    With no tolerance given, the values decide (:meth:`of`): exact scalars
+    run exact, floats run in float mode.  A float handle built that way
+    gets eps_abs = 1e-9 times its packing radius; a bare cluster or seed
+    keeps eps_abs = 1e-9.
     """
 
     mode: str = "exact"          # "exact" | "float"
@@ -138,6 +143,12 @@ class Tolerance(Record):
     @staticmethod
     def floating(eps_abs=1e-9):
         return Tolerance("float", eps_abs)
+
+    @staticmethod
+    def of(points):
+        """The default for these points: exact when every coordinate is an
+        exact scalar, otherwise floating with eps_abs = 1e-9."""
+        return Tolerance("exact" if all(map(point_is_exact, points)) else "float")
 
     def le(self, a, b):
         """a <= b; float mode tests a <= b + eps_abs."""

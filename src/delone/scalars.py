@@ -266,10 +266,10 @@ def format_scalar(x, exact):
     raise ValueError(f"cannot serialize scalar {x!r} exactly")
 
 
-def format_point(p, exact):
-    """A point for messages, its coordinates as :func:`format_scalar`
-    writes them, e.g. ``(1/2, 1/6*sqrt(3))``."""
-    return f"({', '.join(format_scalar(c, exact and is_exact_scalar(c)) for c in p)})"
+def format_point(p):
+    """A point for messages, each coordinate as :func:`format_scalar`
+    writes a value of its type, e.g. ``(1/2, 1/6*sqrt(3))``."""
+    return f"({', '.join(format_scalar(c, is_exact_scalar(c)) for c in p)})"
 
 
 def ssign(x):

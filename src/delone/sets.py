@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import chain, product
 
 from .geometry import (ConvergenceError, Lattice, Record, Tolerance, _float_index,
-                       _float_point, dist_sq, fdiv, p_sub, point_is_exact)
+                       _float_point, dist_sq, fdiv, p_sub)
 from .scalars import Radical, format_point, is_exact_scalar, ssign
 
 __all__ = [
@@ -227,12 +227,18 @@ class Cluster(Record, compare=("center", "radius", "points")):
 
 
 class DistanceSpectrum(Record):
-    """Sorted distinct distances from a center to other set points."""
+    """Sorted distinct distances from a center to other set points, kept as
+    their squares; the roots are built when :attr:`distances` is read."""
 
     center: tuple
     cutoff: object
-    distances: tuple          # increasing Radicals (exact) or floats
-    dist_sqs: tuple = ()      # the squared distances the roots come from
+    dist_sqs: tuple           # increasing field scalars (exact) or floats
+
+    @cached_property
+    def distances(self):
+        """The roots of dist_sqs: Radicals for exact values, else floats."""
+        return tuple(Radical.sqrt(d2) if is_exact_scalar(d2) else math.sqrt(d2)
+                     for d2 in self.dist_sqs)
 
 
 class Chain(Record):
@@ -466,9 +472,11 @@ class PointSetHandle:
 
     def hosts_ball(self, p, radius):
         """Whether the closed radius-ball about p lies in the trusted region
-        (boundary_distance(p) >= radius).  A rational distance is compared
-        with an exact radius through the radius's square band, in ints when
-        p lies on the window's grid."""
+        (boundary_distance(p) >= radius), which for a periodic set is all of
+        space.  A rational distance is compared with an exact radius through
+        the radius's square band, in ints when p lies on the window's grid."""
+        if self.mode == "periodic":
+            return True
         grid = self._grid() if isinstance(radius, Radical) else None
         ip = None if grid is None else _on_grid(p, grid[0])
         if ip is None:
@@ -522,7 +530,10 @@ def _in_box(p, lo, hi, tol):
 # constructors
 
 def _autoscale_eps(handle):
-    """Default floating eps_abs is 1e-9 times the estimated packing radius."""
+    """A handle built with no tolerance: a float one gets eps_abs = 1e-9
+    times its estimated packing radius, an exact one stays as it is."""
+    if handle.tol.exact:
+        return handle
     try:
         r = math.sqrt(min_dist_sq(handle)) / 2
     except ValueError:
@@ -538,13 +549,13 @@ def build_periodic(basis, motif, tol=None):
 
     ``basis`` is a Lattice or a sequence of d basis vectors; motif points
     are reduced into the fundamental cell and must be distinct mod Lambda.
-    In floating mode with no explicit tolerance, eps_abs defaults to
-    1e-9 times the packing radius (a scale-invariant band).
+    With no tolerance given, the basis decides (:meth:`Tolerance.of`), and
+    a float eps_abs is 1e-9 times the packing radius (a scale-invariant
+    band).
     """
     lattice = basis if isinstance(basis, Lattice) else Lattice(basis)
-    autoscale = tol is None and not lattice.exact
-    if tol is None:
-        tol = Tolerance.exact_mode() if lattice.exact else Tolerance.floating()
+    autoscale = tol is None
+    tol = tol or Tolerance.of(lattice.basis)
     if tol.exact and not lattice.exact:
         raise ValueError("exact mode requires an exact lattice basis")
     motif = list(motif)
@@ -568,8 +579,9 @@ def build_window(points, bounds, margin=0, tol=None):
 
     ``bounds`` is (lo, hi); all listed points must lie inside.  ``margin``
     insets the trusted region: statistics at radius rho use only points at
-    distance >= rho + margin from the bounds.  Floating-point input with no
-    explicit tolerance gets eps_abs = 1e-9 times the packing radius.
+    distance >= rho + margin from the bounds.  With no tolerance given, the
+    points decide (:meth:`Tolerance.of`), and a float eps_abs is 1e-9 times
+    the packing radius.
     """
     points = [tuple(p) for p in points]
     if not points:
@@ -578,11 +590,8 @@ def build_window(points, bounds, margin=0, tol=None):
     lo, hi = tuple(bounds[0]), tuple(bounds[1])
     if len(lo) != dim or len(hi) != dim:
         raise ValueError("bounds dimension mismatch")
-    autoscale = False
-    if tol is None:
-        exact_pts = all(point_is_exact(p) for p in points)
-        tol = Tolerance.exact_mode() if exact_pts else Tolerance.floating()
-        autoscale = not exact_pts
+    autoscale = tol is None
+    tol = tol or Tolerance.of(points)
     if any(h < l for l, h in zip(lo, hi)):
         raise ValueError("bounds are inverted")
     if margin < 0:
@@ -640,15 +649,13 @@ def min_dist_sq(handle):
 
 def _require_member(handle, x):
     if not handle.contains(x):
-        raise ValueError(f"point {format_point(x, handle.tol.exact)} is not in the set")
+        raise ValueError(f"point {format_point(x)} is not in the set")
 
 
 def _require_interior(handle, x, radius):
-    if handle.mode != "window":
-        return
     if not handle.hosts_ball(x, radius):
         raise TruncationError(
-            f"point {format_point(x, handle.tol.exact)} is within {float(radius):g} "
+            f"point {format_point(x)} is within {float(radius):g} "
             "of the window boundary")
 
 
@@ -676,8 +683,7 @@ def distance_spectrum(handle, x, cutoff):
     _require_interior(handle, x, radius)
     pairs = handle.neighborhood(x, radius)
     d2s = tol.distinct_sq(d2 for d2, p in pairs if not tol.same_point(p, x))
-    return DistanceSpectrum(center=x, cutoff=radius,
-                            distances=tuple(map(tol.sqrt, d2s)), dist_sqs=tuple(d2s))
+    return DistanceSpectrum(center=x, cutoff=radius, dist_sqs=tuple(d2s))
 
 
 def two_r_chain(handle, x, y):

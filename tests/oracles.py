@@ -108,6 +108,18 @@ def is_permutation_group(perms):
     return all(tuple(p[i] for i in q) in members for p in perms for q in perms)
 
 
+def distance_table_fingerprint(c):
+    """The cluster fingerprint from the full n^2 table of squared distances
+    between cluster points: per point (d2 to the center, sorted row of d2 to
+    every cluster point), sorted; ints in units of 1/scale**2 on a grid,
+    otherwise field scalars or floats."""
+    center, points = c.grid or (c.center, c.points)
+    n = len(points)
+    table = [[dist_sq(points[i], points[j]) for j in range(n)] for i in range(n)]
+    return tuple(sorted((dist_sq(p, center), tuple(sorted(row)))
+                        for p, row in zip(points, table)))
+
+
 def window_isometries(handle, x, y):
     """Candidate isometries g with g(x)=y built from max-radius clusters."""
     bd_x = handle.boundary_distance(x)

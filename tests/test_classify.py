@@ -10,7 +10,7 @@ from delone.geometry import Isometry, Tolerance, apply, compose
 from delone.scalars import Radical
 from delone.sets import Cluster, build_periodic, build_window, cluster
 
-from oracles import brute_force_group_order, check_matrix_closure
+from oracles import brute_force_group_order, check_matrix_closure, distance_table_fingerprint
 from test_classify_translation import _p4
 
 TOL = Tolerance.exact_mode()
@@ -195,6 +195,26 @@ def test_fingerprint_isometry_invariant(z2):
     c1 = cluster(z2, (F(0), F(0)), 2)
     c2 = cluster(z2, (F(7), F(-3)), 2)
     assert fingerprint(c1) == fingerprint(c2)
+
+
+def test_fingerprint_equals_the_distance_table(z2, tri):
+    # grid clusters (ints over scale**2) and Q(sqrt 3) clusters compare exactly
+    exact = [cluster(z2, (F(0), F(0)), r) for r in (0, 1, Radical.sqrt(5), 3)]
+    exact += [cluster(tri, tri.motif[0], r) for r in (1, Radical.sqrt(3), 2)]
+    window = build_window([(F(i, 2), F(j, 3)) for i in range(-6, 7) for j in range(-6, 7)],
+                          ((F(-3), F(-2)), (F(3), F(2))))
+    exact.append(cluster(window, (F(1, 2), F(0)), 1))
+    for c in exact:
+        assert fingerprint(c).data == distance_table_fingerprint(c)
+    # float clusters agree up to rounding, entry by entry
+    pts = [(i * 0.7 + 1e-12 * j, j * 1.1 - 1e-12 * i) for i in range(-5, 6) for j in range(-5, 6)]
+    floats = build_window(pts, ((-3.5, -5.5), (3.5, 5.5)))
+    c = cluster(floats, pts[60], 2.5)
+    new, old = fingerprint(c).data, distance_table_fingerprint(c)
+    assert len(new) == len(old) == c.size
+    for (n1, row1), (n2, row2) in zip(new, old):
+        assert abs(n1 - n2) <= 1e-12 and len(row1) == len(row2)
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(row1, row2))
 
 
 def test_randomized_equivalence_roundtrip():

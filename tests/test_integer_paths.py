@@ -490,8 +490,8 @@ def test_window_decompose_on_integer_grid(t, margin):
 
 
 def test_format_point_writes_file_scalars():
-    assert format_point((F(1, 2), quadext(0, F(1, 6), 3)), True) == "(1/2, 1/6*sqrt(3))"
-    assert format_point((F(0), 1), True) == "(0, 1)"
-    assert format_point((0.5, 0.0), False) == "(0.5, 0.0)"
+    assert format_point((F(1, 2), quadext(0, F(1, 6), 3))) == "(1/2, 1/6*sqrt(3))"
+    assert format_point((F(0), 1)) == "(0, 1)"
+    assert format_point((0.5, 0.0)) == "(0.5, 0.0)"
     # a float in an exact point is written as a float, not refused
-    assert format_point((F(1, 3), 0.25), True) == "(1/3, 0.25)"
+    assert format_point((F(1, 3), 0.25)) == "(1/3, 0.25)"

@@ -41,7 +41,7 @@ def samples():
         (Isometry, (((F(0), F(-1)), (F(1), F(0))), (F(1, 2), F(0))), 2),
         (DeloneParams, (F(1, 2), Radical.sqrt(F(1, 2)), "exact", "exact"), 4),
         (Cluster, (O, F(1), PTS, 2, ((0, 0), ((0, 0), (2, 0)))), 3),
-        (DistanceSpectrum, (O, F(2), (Radical.of(F(1)),), (F(1),)), 3),
+        (DistanceSpectrum, (O, F(2), (F(1),)), 3),
         (Chain, ((O, (F(1), F(0))),), 1),
         (Fingerprint, (((1, (0, 1)),), 2), 1),
         (ClusterGroup, (O, F(1), (ROT90,), EXACT), 4),

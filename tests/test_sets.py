@@ -5,7 +5,8 @@ import pytest
 
 from delone.geometry import Tolerance
 from delone.scalars import Radical, ssign
-from delone.sets import (TruncationError, as_radius, build_periodic,
+from delone.generators import square_lattice, triangular_lattice
+from delone.sets import (DistanceSpectrum, TruncationError, as_radius, build_periodic,
                          build_window, cluster, covering_radius,
                          crop_to_window, delone_params, distance_spectrum,
                          packing_radius, two_r_chain)
@@ -102,6 +103,28 @@ def test_distance_spectrum_examples(z2, fix3):
     assert sp0.distances == (Radical.of(F(1, 2)),)
     sp1 = distance_spectrum(fix3, (F(1, 2), F(0)), F(4, 5))
     assert sp1.distances == (Radical.of(F(1, 2)), Radical.sqrt(F(1, 2)))
+
+
+def test_distance_spectrum_builds_roots_only_when_read(monkeypatch):
+    calls = []
+    sqrt = Radical.sqrt
+    monkeypatch.setattr(Radical, "sqrt", staticmethod(lambda m: calls.append(m) or sqrt(m)))
+    z2 = square_lattice()  # a fresh handle: no cached neighbourhoods or parameters
+    spec = distance_spectrum(z2, (F(0), F(0)), 2)
+    assert calls == [] and spec.dist_sqs == (1, 2, 4)
+    assert spec.distances == (Radical.of(1), sqrt(F(2)), Radical.of(2))
+    assert calls == [1, 2, 4]
+    assert spec.distances is spec.distances and len(calls) == 3
+    floats = DistanceSpectrum((0.0, 0.0), 2.0, (1.0, 2.0))
+    assert floats.distances == (1.0, math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("lattice", [square_lattice, triangular_lattice])
+def test_a_periodic_set_hosts_every_ball(lattice):
+    handle = lattice()
+    for radius in (Radical.of(1), Radical.sqrt(F(7)), Radical.of(F(10) ** 9)):
+        assert handle.hosts_ball(handle.motif[0], radius)
+        assert handle.hosts_ball((F(1, 3), F(5)), radius)
 
 
 def test_cluster_growth_only_at_spectrum(z2):
