@@ -52,7 +52,7 @@ import operator
 from functools import cached_property
 from fractions import Fraction
 
-from .geometry import (ORTHO_EPS, Isometry, Record, Tolerance, apply, fdiv,
+from .geometry import (Isometry, Record, Tolerance, _nonzero, apply, fdiv,
                        identity, mat_identity, mat_solve,
                        orthogonal_complement, p_add, p_dot, p_sub, rank)
 from .scalars import Radical, field_sqrt, quadext
@@ -167,14 +167,14 @@ class _Offsets:
         return r
 
 
-def _solve_map(frame_rows, image_rows, tol):
+def _solve_map(frame_rows, image_rows):
     """Row-major orthogonal matrix O with O @ f_i = t_i, or None."""
     cols = mat_solve(tuple(frame_rows),
                      tuple(tuple(r[k] for r in image_rows) for k in range(len(frame_rows[0]))))
     if cols is None:
         return None
     o = tuple(cols)  # column k of O^T is row k of O
-    if not Isometry(o, (0,) * len(o)).is_orthogonal(tol):
+    if not Isometry(o, (0,) * len(o)).is_orthogonal():
         return None
     return o
 
@@ -313,7 +313,7 @@ def _witness_linear_parts(c1, c2, tol, want_all):
 
     for images in assignments(0, []):
         for j, comp_imgs in enumerate(comp_image_choices or [[]]):
-            o = _solve_map(frame + comp1, images + list(comp_imgs), tol)
+            o = _solve_map(frame + comp1, images + list(comp_imgs))
             if o is None:
                 continue
             perm = _permutation(o, vecs1, offs2.index, integer)
@@ -428,8 +428,8 @@ class ClusterGroup(Record):
         if self.tol.exact:
             return lin in self._linear_parts
         for other in self.elements:
-            if all(abs(a - b) <= ORTHO_EPS
-                   for ra, rb in zip(lin, other.linear) for a, b in zip(ra, rb)):
+            if not any(_nonzero(a - b)
+                       for ra, rb in zip(lin, other.linear) for a, b in zip(ra, rb)):
                 return True
         return False
 

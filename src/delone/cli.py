@@ -80,15 +80,13 @@ def _emit(report, out_path):
         sys.stdout.write(report.render())
 
 
-def _tol_from_args(args):
-    if args.numeric_mode == "float":
-        return Tolerance.floating(args.tolerance if args.tolerance else 1e-9)
-    return Tolerance.exact_mode()
+def _eps(args):
+    """--tolerance, which counts only with --numeric-mode float; None if unset."""
+    return args.tolerance if args.numeric_mode == "float" else None
 
 
 def _load(args):
-    eps = args.tolerance if args.numeric_mode == "float" else None
-    return read_point_set(args.input, eps_abs=eps)
+    return read_point_set(args.input, eps_abs=_eps(args))
 
 
 def _start_report(cmd, handle, input_path):
@@ -116,7 +114,8 @@ def cmd_generate(args):
     if args.family == "shifted-rows" and not exact:
         raise ValueError("shifted-rows generation is exact-only; for float rows pass the points "
                          "of gen_shifted_rows to build_window(..., tol=Tolerance.floating())")
-    tol = _tol_from_args(args)
+    eps = _eps(args)
+    tol = Tolerance(args.numeric_mode, 1e-9 if eps is None else eps)
     extent = parse_scalar(args.extent, exact) if args.extent else None
     if args.family == "lattice":
         handle = gen_lattice(Lattice(_parse_rows(args.basis, exact)),

@@ -5,8 +5,11 @@ Fractions (or QuadExt elements of one quadratic field); in floating mode
 they are Python floats and all predicates compare against an absolute
 tolerance ``eps_abs``.
 
-Matrix routines take no mode: :func:`_nonzero` decides zero by the scalar's
-type, exactly for field scalars and against ``FLOAT_ZERO`` for floats.
+Matrix routines and the isometry tests take no mode: only :func:`_nonzero`
+decides zero, by the scalar's type, exactly for field scalars and against
+``FLOAT_ZERO`` for floats.  One Gauss-Jordan pass (:func:`_eliminate`)
+gives the solve, inverse, determinant and rank, and one Gram-Schmidt
+(:func:`_gram_schmidt`) serves LLL reduction and orthogonal complements.
 
 Hash grids over float copies of points live here too: the float point set
 and offset map of the tolerance, and the uniform cell table that indexes a
@@ -37,12 +40,9 @@ __all__ = [
     "dist_sq",
     "p_add",
     "p_sub",
-    "ORTHO_EPS",
 ]
 
-# a posteriori orthogonality bound for synthesized linear parts (float mode)
-ORTHO_EPS = 1e-9
-# a float pivot, residual or determinant at most this large counts as zero
+# a float pivot, residual or matrix entry at most this large counts as zero
 FLOAT_ZERO = 1e-9
 
 
@@ -392,130 +392,101 @@ def fdiv(a, b):
     return a / b
 
 
+def _eliminate(rows, ncols):
+    """Gauss-Jordan elimination in place on the first ncols columns of rows
+    (lists); later columns ride along.  Each pivot is the entry of largest
+    float magnitude that :func:`_nonzero` accepts among the rows not yet
+    pivoted; a column with none is skipped.  Returns (pivot count, sign of
+    the row permutation)."""
+    r, sign = 0, 1
+    for col in range(ncols):
+        piv, best = None, -1.0
+        for i in range(r, len(rows)):
+            v = rows[i][col]
+            if _nonzero(v) and abs(float(v)) > best:
+                piv, best = i, abs(float(v))
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        prow = rows[r]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i == r or f == 0:
+                continue
+            fi = fdiv(f, prow[col])
+            for j in range(col, len(row)):
+                row[j] = row[j] - fi * prow[j]
+        r += 1
+    return r, sign
+
+
 def mat_solve(a, rhs_cols):
     """Solve ``a @ X = rhs`` for the matrix X; rhs given as columns.
 
     Returns the solution as a tuple of columns, or None if ``a`` is
-    singular (no pivot passes :func:`_nonzero`).
+    singular (a column has no pivot that passes :func:`_nonzero`).
     """
     n = len(a)
     aug = [list(a[i]) + [col[i] for col in rhs_cols] for i in range(n)]
-    for col in range(n):
-        piv = None
-        best = 0.0
-        for r in range(col, n):
-            v = aug[r][col]
-            if _nonzero(v) and abs(float(v)) > best:
-                piv, best = r, abs(float(v))
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        prow = aug[col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = aug[r][col]
-            if f == 0:
-                continue
-            fi = fdiv(f, prow[col])
-            row = aug[r]
-            for j in range(col, len(row)):
-                row[j] = row[j] - fi * prow[j]
-    xs = []
-    for k in range(len(rhs_cols)):
-        xs.append(tuple(fdiv(aug[i][n + k], aug[i][i]) for i in range(n)))
-    return tuple(xs)
+    if _eliminate(aug, n)[0] < n:
+        return None
+    return tuple(tuple(fdiv(aug[i][n + k], aug[i][i]) for i in range(n))
+                 for k in range(len(rhs_cols)))
 
 
 def mat_inv(m):
-    d = len(m)
-    eye = [tuple(Fraction(int(i == j)) for i in range(d)) for j in range(d)]
-    cols = mat_solve(m, eye)
-    if cols is None:
-        return None
-    return mat_t(cols)
+    cols = mat_solve(m, mat_identity(len(m)))  # the identity is its own transpose
+    return None if cols is None else mat_t(cols)
 
 
 def mat_det(m):
-    n = len(m)
     a = [list(r) for r in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if _nonzero(a[r][col]):
-                piv = r
-                break
-        if piv is None:
-            return det * 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = det * a[col][col]
-        for r in range(col + 1, n):
-            f = fdiv(a[r][col], a[col][col])
-            if f == 0:
-                continue
-            for j in range(col, n):
-                a[r][j] = a[r][j] - f * a[col][j]
-    return det
+    pivots, sign = _eliminate(a, len(a))
+    if pivots < len(a):
+        return Fraction(0)
+    return math.prod((r[i] for i, r in enumerate(a)), start=Fraction(sign))
 
 
 def rank(vectors):
     """Rank of a list of d-vectors over the field."""
     if not vectors:
         return 0
-    rows = [list(v) for v in vectors]
-    d = len(rows[0])
-    r = 0
-    for col in range(d):
-        piv = None
-        for i in range(r, len(rows)):
-            if _nonzero(rows[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i == r:
+    return _eliminate([list(v) for v in vectors], len(vectors[0]))[0]
+
+
+def _gram_schmidt(vectors):
+    """Classical Gram-Schmidt: (star, mu) with star_i = b_i - sum over j < i
+    of mu_ij star_j and mu_ij = <b_i, star_j> / <star_j, star_j>.  A star
+    vector that :func:`_nonzero` calls zero projects nothing (mu_ij = 0)."""
+    star, mu, norms = [], [], []
+    for b in vectors:
+        v, row = list(b), []
+        for s, n2 in zip(star, norms):
+            if n2 is None:
+                row.append(0)
                 continue
-            f = fdiv(rows[i][col], rows[r][col])
-            if f == 0:
-                continue
-            for j in range(d):
-                rows[i][j] = rows[i][j] - f * rows[r][j]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+            m = fdiv(sum(b[t] * s[t] for t in range(len(v))), n2)
+            row.append(m)
+            for t in range(len(v)):
+                v[t] = v[t] - m * s[t]
+        star.append(v)
+        mu.append(row)
+        norms.append(sum(x * x for x in v) if any(map(_nonzero, v)) else None)
+    return star, mu
 
 
 def orthogonal_complement(vectors, d):
     """Exact basis of the orthogonal complement of span(vectors) in R^d.
 
-    Gram-Schmidt against the span, applied to the standard basis; returned
-    vectors are pairwise orthogonal and orthogonal to every input vector,
-    with field-scalar entries (no normalization).
+    Gram-Schmidt on the vectors followed by the standard basis; the star
+    vectors of the standard basis that are not zero are pairwise orthogonal
+    and orthogonal to every input vector, with field-scalar entries (no
+    normalization).
     """
-    basis = []
-
-    def project_out(v, onto):
-        for u in onto:
-            v = p_sub(v, p_scale(u, fdiv(p_dot(v, u), p_dot(u, u))))
-        return v
-
-    span = []
-    for v in vectors:
-        w = project_out(v, span)
-        if any(map(_nonzero, w)):
-            span.append(w)
-    for i in range(d):
-        e = tuple(Fraction(int(j == i)) for j in range(d))
-        w = project_out(e, span + basis)
-        if any(map(_nonzero, w)):
-            basis.append(w)
-    return basis
+    star, _ = _gram_schmidt([*vectors, *mat_identity(d)])
+    return [tuple(w) for w in star[len(vectors):] if any(map(_nonzero, w))]
 
 
 # ---------------------------------------------------------------------------
@@ -545,23 +516,16 @@ class Isometry(Record):
     def det(self):
         return mat_det(self.linear)
 
-    def is_orthogonal(self, tol):
-        q = mat_mul(mat_t(self.linear), self.linear)
-        d = self.dim
-        if tol.exact:
-            return all(q[i][j] == (1 if i == j else 0) for i in range(d) for j in range(d))
-        return all(abs(float(q[i][j]) - (1.0 if i == j else 0.0)) <= ORTHO_EPS
-                   for i in range(d) for j in range(d))
+    def is_orthogonal(self):
+        return _is_eye(mat_mul(mat_t(self.linear), self.linear))
 
-    def is_identity(self, tol):
-        d = self.dim
-        if tol.exact:
-            return (all(self.linear[i][j] == (1 if i == j else 0)
-                        for i in range(d) for j in range(d))
-                    and all(s == 0 for s in self.shift))
-        return (all(abs(float(self.linear[i][j]) - (1.0 if i == j else 0.0)) <= ORTHO_EPS
-                    for i in range(d) for j in range(d))
-                and all(abs(s) <= tol.eps_abs for s in self.shift))
+    def is_identity(self):
+        return _is_eye(self.linear) and not any(map(_nonzero, self.shift))
+
+
+def _is_eye(m):
+    """Whether :func:`_nonzero` calls every entry of m minus the identity zero."""
+    return not any(_nonzero(x - 1 if i == j else x) for i, r in enumerate(m) for j, x in enumerate(r))
 
 
 def identity(d):
@@ -607,22 +571,7 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
     """Lenstra-Lenstra-Lovasz reduction of a full-rank basis (rows)."""
     b = [list(v) for v in basis]
     n = len(b)
-
-    def gso():
-        star = []
-        mu = [[0] * n for _ in range(n)]
-        for i in range(n):
-            v = list(b[i])
-            for j in range(i):
-                num = sum(b[i][t] * star[j][t] for t in range(len(v)))
-                den = sum(star[j][t] * star[j][t] for t in range(len(v)))
-                mu[i][j] = fdiv(num, den)
-                for t in range(len(v)):
-                    v[t] = v[t] - mu[i][j] * star[j][t]
-            star.append(v)
-        return star, mu
-
-    star, mu = gso()
+    star, mu = _gram_schmidt(b)
     k = 1
     guard = 0
     while k < n:
@@ -634,14 +583,14 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
             if q != 0:
                 for t in range(len(b[k])):
                     b[k][t] = b[k][t] - q * b[j][t]
-                star, mu = gso()
+                star, mu = _gram_schmidt(b)
         lhs = sum(x * x for x in star[k])
         rhs = (delta - mu[k][k - 1] * mu[k][k - 1]) * sum(x * x for x in star[k - 1])
         if lhs >= rhs:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            star, mu = gso()
+            star, mu = _gram_schmidt(b)
             k = max(k - 1, 1)
     return tuple(tuple(v) for v in b)
 
@@ -661,7 +610,9 @@ class Lattice:
             raise ValueError("lattice basis must be square (d vectors of length d)")
         self.exact = all(point_is_exact(v) for v in basis)
         det = mat_det(basis)
-        if not _nonzero(det):
+        # a float det is zero relative to Hadamard's bound |det| <= prod |b_i|
+        if det == 0 or (isinstance(det, float)
+                        and abs(det) <= FLOAT_ZERO * math.prod(math.hypot(*v) for v in basis)):
             raise ValueError("degenerate lattice basis")
         self.basis = basis
         self.dim = d

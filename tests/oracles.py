@@ -4,15 +4,50 @@ These deliberately avoid the production code paths (fingerprints, profile
 filters, greedy frames, complement completion): matchings are enumerated
 from raw point tuples with only norm/Gram pruning, window transitivity
 is verified by mapping every window point, and Voronoi cells are found by
-trying every intersection of d facets rather than by clipping.
+trying every intersection of d facets rather than by clipping.  Their
+linear algebra is cofactor expansion, Cramer's rule and Gram determinants,
+not the elimination in ``delone.geometry`` that they check.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from delone.geometry import Isometry, dist_sq, mat_mul, mat_solve, p_dot, p_sub, rank
+from delone.geometry import Isometry, dist_sq, mat_mul, p_dot, p_sub
 from delone.scalars import ssign
+
+
+def cofactor_det(m):
+    """Determinant by cofactor (Laplace) expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * x * cofactor_det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j, x in enumerate(m[0]) if x != 0)
+
+
+def cramer_solve(a, rhs):
+    """The x with a @ x = rhs by Cramer's rule, or None when det a = 0."""
+    det = cofactor_det([list(r) for r in a])
+    if det == 0:
+        return None
+    det = Fraction(det) if isinstance(det, int) else det
+    return tuple(cofactor_det([list(r[:k]) + [b] + list(r[k + 1:]) for r, b in zip(a, rhs)]) / det
+                 for k in range(len(a)))
+
+
+def minor_rank(vectors):
+    """Size of the largest square minor with a nonzero determinant."""
+    for k in range(min(len(vectors), len(vectors[0]) if vectors else 0), 0, -1):
+        for rows in combinations(vectors, k):
+            for cols in combinations(range(len(rows[0])), k):
+                if cofactor_det([[r[c] for c in cols] for r in rows]) != 0:
+                    return k
+    return 0
+
+
+def gram_independent(vectors):
+    """Linear independence: the Gram matrix has a nonzero determinant."""
+    return cofactor_det([[p_dot(u, v) for v in vectors] for u in vectors]) != 0
 
 
 def _first_frame(offsets):
@@ -20,7 +55,7 @@ def _first_frame(offsets):
     d = len(offsets[0])
     frame = []
     for v in offsets:
-        if rank(frame + [v]) > len(frame):
+        if gram_independent(frame + [v]):
             frame.append(v)
             if len(frame) == d:
                 return frame
@@ -47,11 +82,8 @@ def brute_force_linear_maps(offs_a, offs_b):
 
     def recurse(i, images):
         if i == d:
-            cols = mat_solve(tuple(frame),
-                             tuple(tuple(r[k] for r in images) for k in range(d)))
-            if cols is None:
-                return
-            o = tuple(cols)
+            # row k of o solves frame @ x = (k-th coordinates of the images)
+            o = tuple(cramer_solve(frame, [t[k] for t in images]) for k in range(d))
             q = tuple(tuple(sum(o[r][i2] * o[r][j2] for r in range(d))
                             for j2 in range(d)) for i2 in range(d))
             if any(q[i2][j2] != (1 if i2 == j2 else 0)

@@ -136,7 +136,7 @@ def test_group_closure_verified(z2):
     g = cluster_group(z2, (F(0), F(0)), 2)
     check_matrix_closure(g)  # raises on failure
     for el in g.elements:
-        assert el.is_orthogonal(TOL)
+        assert el.is_orthogonal()
         assert apply(el, (F(0), F(0))) == (F(0), F(0))
 
 

@@ -450,6 +450,18 @@ def test_numeric_mode_follows_the_file(tmp_path, z2_file, capsys):
     assert "r = 1/2" in out
 
 
+def test_zero_tolerance_exits_2_in_every_command(tmp_path, capsys):
+    # --tolerance counts only with --numeric-mode float, and there 0 is no eps
+    gen = ("generate", "lattice", "--basis", "1,0;0,1", "--extent", "2", "--out", "z2f.ps")
+    assert run(tmp_path, "--numeric-mode", "float", *gen) == 0
+    capsys.readouterr()
+    for argv in (gen, ("analyze", "z2f.ps")):
+        assert run(tmp_path, "--numeric-mode", "float", "--tolerance", "0", *argv) == 2
+        assert capsys.readouterr().err == ("error: eps_abs must be positive and finite"
+                                           " in floating mode\n")
+    assert run(tmp_path, "--numeric-mode", "exact", "--tolerance", "0", *gen) == 0
+
+
 def test_lll_non_termination_exit4(tmp_path, z2_file, monkeypatch, capsys):
     # LLL with delta > 1 swaps the basis vectors forever; loading the
     # lattice hits the iteration bound

@@ -4,11 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from delone.generators import gen_lattice
 from delone.geometry import (Isometry, Lattice, Tolerance, apply, compose,
                              dist_sq, identity, lattice_from_generators,
-                             mat_det, orthogonal_complement, p_dot,
-                             point_inversion, points_equal, translation)
+                             mat_det, mat_inv, mat_solve, orthogonal_complement,
+                             p_dot, point_inversion, points_equal, rank,
+                             translation)
+from delone.sets import delone_params
 from delone.scalars import quadext
+from oracles import cofactor_det, cramer_solve, minor_rank
 
 TOL = Tolerance.exact_mode()
 ROT90 = Isometry(((F(0), F(-1)), (F(1), F(0))), (F(0), F(0)))
@@ -32,7 +36,7 @@ def test_compose_inversions_is_translation():
 
 def test_compose_inverse_law():
     g = compose(ROT90, translation((F(5), F(-2))))
-    assert compose(g, g.inverse()).is_identity(TOL)
+    assert compose(g, g.inverse()).is_identity()
 
 
 def test_two_perpendicular_reflections_give_inversion():
@@ -96,11 +100,11 @@ def test_compose_associativity():
 
 
 def test_orthogonality_and_det():
-    assert ROT90.is_orthogonal(TOL) and ROT90.det() == 1
+    assert ROT90.is_orthogonal() and ROT90.det() == 1
     mirror = Isometry(((F(-1), F(0)), (F(0), F(1))), (F(0), F(0)))
     assert mirror.det() == -1
     shear = Isometry(((F(1), F(1)), (F(0), F(1))), (F(0), F(0)))
-    assert not shear.is_orthogonal(TOL)
+    assert not shear.is_orthogonal()
 
 
 def test_lattice_membership_and_reduction():
@@ -116,6 +120,17 @@ def test_lattice_membership_and_reduction():
 def test_lattice_degenerate_rejected():
     with pytest.raises(ValueError):
         Lattice(((F(1), F(2)), (F(2), F(4))))
+    with pytest.raises(ValueError):
+        Lattice(((1.0, 2.0), (2.0, 4.0 + 1e-12)))
+    assert Lattice(((F(1, 10**6), F(0)), (F(0), F(1, 10**6)))).det == F(1, 10**12)
+
+
+@pytest.mark.parametrize("scale", [3e-5, 1e-5, 1e-7])
+def test_a_small_float_lattice_is_not_degenerate(scale):
+    # a float det counts as zero only relative to the lengths of the rows
+    params = delone_params(gen_lattice(Lattice(((scale, 0.0), (0.0, scale)))))
+    assert params.r / scale == 0.5
+    assert abs(params.R / scale - math.sqrt(0.5)) <= 1e-9
 
 
 def test_quadratic_field_lattice():
@@ -140,3 +155,84 @@ def test_orthogonal_complement():
     assert len(comp) == 2
     assert all(p_dot(v, (F(1), F(2), F(0))) == 0 for v in comp)
     assert p_dot(comp[0], comp[1]) == 0
+
+
+# ---------------------------------------------------------------------------
+# the elimination and Gram-Schmidt kernels against cofactor expansion
+
+def _entry(rng, kind):
+    a = rng.randint(-3, 3)
+    if kind == "int":
+        return a
+    if kind == "fraction":
+        return F(a, rng.randint(1, 4))
+    return quadext(F(a, rng.randint(1, 3)), F(rng.randint(-2, 2), rng.randint(1, 3)), 3)
+
+
+def _vector_sets(seed, square):
+    """Seeded random k x d matrices over ints, Fractions and Q(sqrt 3), each
+    followed by singular variants: a repeated row, a zero column and a row
+    that is the sum of two others."""
+    rng = random.Random(seed)
+    for kind in ("int", "fraction", "sqrt3"):
+        for d in range(1, 5):
+            for _ in range(6):
+                k = d if square else rng.randint(1, 5)
+                m = [[_entry(rng, kind) for _ in range(d)] for _ in range(k)]
+                yield m
+                if k >= 2:
+                    yield [m[1]] + m[1:]
+                zero = rng.randrange(d)
+                yield [[0 if j == zero else x for j, x in enumerate(r)] for r in m]
+                if k >= 3:
+                    yield m[:-1] + [[a + b for a, b in zip(m[0], m[1])]]
+
+
+def _times(a, x):
+    return [sum(r[j] * x[j] for j in range(len(x))) for r in a]
+
+
+def test_mat_det_is_the_cofactor_expansion():
+    for m in _vector_sets(11, square=True):
+        assert mat_det(m) == cofactor_det(m), m
+
+
+def test_rank_is_the_largest_nonsingular_minor():
+    for vectors in _vector_sets(12, square=False):
+        assert rank(vectors) == minor_rank(vectors), vectors
+    assert rank([(1e-12, 0.0), (0.0, 1.0)]) == 1  # no pivot that _nonzero rejects
+
+
+def test_mat_solve_solves_exactly_or_reports_singular():
+    rng = random.Random(13)
+    for a in _vector_sets(13, square=True):
+        rhs = [tuple(_entry(rng, "fraction") for _ in a) for _ in range(2)]
+        cols = mat_solve(a, rhs)
+        if cofactor_det(a) == 0:
+            assert cols is None, a
+            continue
+        assert len(cols) == 2
+        for x, b in zip(cols, rhs):
+            assert _times(a, x) == list(b)
+            assert x == cramer_solve(a, b)
+
+
+def test_mat_inv_times_m_is_the_identity():
+    for m in _vector_sets(14, square=True):
+        inv = mat_inv(m)
+        if cofactor_det(m) == 0:
+            assert inv is None
+            continue
+        d = len(m)
+        assert [_times(inv, col) for col in zip(*m)] == [
+            [int(i == j) for i in range(d)] for j in range(d)]
+
+
+def test_orthogonal_complement_against_the_rank():
+    for vectors in _vector_sets(15, square=False):
+        d = len(vectors[0])
+        comp = orthogonal_complement(vectors, d)
+        assert len(comp) == d - minor_rank(vectors), vectors
+        assert all(any(w) for w in comp)
+        assert all(p_dot(w, v) == 0 for w in comp for v in vectors)
+        assert all(p_dot(u, w) == 0 for i, u in enumerate(comp) for w in comp[:i])
