@@ -18,6 +18,7 @@ Window-mode verdicts never claim the global theorems: reports carry a
 from fractions import Fraction
 import heapq
 import math
+from operator import add, mul, sub
 
 from .classify import InfiniteGroupError, classify, cluster_group_of
 from .geometry import (Lattice, Record, Tolerance, dist_sq,
@@ -529,7 +530,7 @@ def _max_lattice_periodic(handle):
             if _set_plus_t_equal_periodic(handle, t):
                 extra.append(t)
     lam = _extend_lattice(lat, extra)
-    reps = _coset_reps(motif, lam, tol)
+    reps = _coset_reps(handle, motif, lam)
     return lam, reps
 
 
@@ -557,12 +558,35 @@ def _extend_lattice(lat, extra):
     return Lattice(new_basis)
 
 
-def _coset_reps(points, lam, tol):
-    reps = []
+def _coset_reps(handle, points, lam):
+    """The first of ``points``, in sorted order, in each coset of lam.
+
+    On an exact handle with an integer grid, each point gets one residue
+    key: its int vector k times the int matrix A = D B^-1 / scale, mod D.
+    Two points share a coset exactly when their keys are equal, so keeping
+    the first point per key, in sorted order, gives what the pairwise
+    ``lam.contains`` test against every kept point gives, in the same
+    order.  Other handles keep the pairwise test: float and Q(sqrt 3) ones
+    get here only with a periodic motif, which is small, and a float
+    residue wraps at +-1/2, where a motif point such as e1/2 lands.
+    """
+    tol = handle.tol
+    grid = handle._grid() if tol.exact else None
+    if grid is None:
+        reps = []
+        for p in sorted(points):
+            if not any(lam.contains(p_sub(p, q), tol) for q in reps):
+                reps.append(p)
+        return reps
+    scale, d = grid[0], handle.dim
+    rows = [lam.coords(tuple(Fraction(int(i == j), scale) for j in range(d))) for i in range(d)]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    cols = list(zip(*([int(x * den) for x in row] for row in rows)))
+    first = {}
     for p in sorted(points):
-        if not any(lam.contains(p_sub(p, q), tol) for q in reps):
-            reps.append(p)
-    return reps
+        k = _on_grid(p, scale)
+        first.setdefault(tuple(sum(map(mul, k, col)) % den for col in cols), p)
+    return list(first.values())
 
 
 def _max_lattice_window(handle):
@@ -590,7 +614,7 @@ def _max_lattice_window(handle):
             "window decomposition requires rational invariant translations")
     lam = lattice_from_generators(passing)
     interior = handle.interior_points(as_radius(0, tol))
-    reps = _coset_reps(interior, lam, tol)
+    reps = _coset_reps(handle, interior, lam)
     return lam, reps
 
 
@@ -613,12 +637,21 @@ def _window_translations(handle, ts):
 def _translation_fits_window(points, members, box, t, tol):
     """Whether each of p + t, p - t that lies in the trusted region of
     ``box`` = (lo, hi, margin) is in ``members``, for some such point at
-    all (both directions of X + t = X)."""
+    all (both directions of X + t = X).
+
+    Each shifted point is looked up in ``members`` first; its distance to
+    the region's boundary is computed only when it is not a member (it
+    fails the test if it lies in the region) or while no member in the
+    region has been seen.  A member's place in the region matters for
+    nothing else, so the test fails at the same shifted point, and counts
+    the same members as seen, as testing the region first would.
+    """
     checked = False
     for p in points:
-        for q in (tuple(a + b for a, b in zip(p, t)), tuple(a - b for a, b in zip(p, t))):
-            if tol.ge(_inset(q, *box), 0):
-                if q not in members:
-                    return False
-                checked = True
+        for q in (tuple(map(add, p, t)), tuple(map(sub, p, t))):
+            if q in members:
+                if not checked:
+                    checked = tol.ge(_inset(q, *box), 0)
+            elif tol.ge(_inset(q, *box), 0):
+                return False
     return checked

@@ -517,15 +517,9 @@ class Isometry(Record):
         return mat_det(self.linear)
 
     def is_orthogonal(self):
-        return _is_eye(mat_mul(mat_t(self.linear), self.linear))
-
-    def is_identity(self):
-        return _is_eye(self.linear) and not any(map(_nonzero, self.shift))
-
-
-def _is_eye(m):
-    """Whether :func:`_nonzero` calls every entry of m minus the identity zero."""
-    return not any(_nonzero(x - 1 if i == j else x) for i, r in enumerate(m) for j, x in enumerate(r))
+        """Whether :func:`_nonzero` calls every entry of L^T L - I zero."""
+        m = mat_mul(mat_t(self.linear), self.linear)
+        return not any(_nonzero(x - 1 if i == j else x) for i, r in enumerate(m) for j, x in enumerate(r))
 
 
 def identity(d):

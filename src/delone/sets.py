@@ -430,11 +430,20 @@ class PointSetHandle:
         float root is within eps_abs of it, by one bisect.
         """
         key = ("nbhd", center)
-        rho_f = float(radius)
         hit = self._cache.get(key)
-        if hit is None or hit[0] < rho_f:
-            grow = max(rho_f * 1.25, rho_f + 0.01)
-            scale2, hits = self._ball(center, self.tol.radius_at_least(grow))
+        if hit is None or hit[0] < radius:
+            # Grow by 5/4, never by an absolute length, so that a ball holds
+            # the same points in any unit.  Centres share one grown radius
+            # per radius, so an entry holds no radius of its own.  A zero
+            # radius has no length to grow: it grows to the packing radius,
+            # the handle's own length, once that is known.
+            if radius > 0:
+                grown = self._cache.setdefault("grown", {})
+                grow = grown.get(radius) or grown.setdefault(radius, radius * Fraction(5, 4))
+            else:
+                params = self._cache.get("params")
+                grow = radius if params is None else params.r
+            scale2, hits = self._ball(center, grow)
             keyed = sorted((h[0] / scale2 if isinstance(h[0], int) else float(h[0]), h[1], h)
                            for h in hits)
             hit = (grow, scale2, [t[2] for t in keyed], [t[0] for t in keyed],

@@ -323,3 +323,13 @@ def brute_force_min_dist_sq(handle):
                 if best is None or d2 < best:
                     best = d2
     return best
+
+
+def pairwise_coset_reps(points, lam, tol):
+    """The first of the sorted points in each coset of lam: each point is
+    tested against every point kept so far."""
+    reps = []
+    for p in sorted(points):
+        if not any(lam.contains(p_sub(p, q), tol) for q in reps):
+            reps.append(p)
+    return reps

@@ -2,8 +2,9 @@
 
 Reconstruction runs its inversion closure on a seed's integer vectors in
 a table of neighbour cells, exact radius tests on ints compare with one
-integer threshold per radius, and the window translation test of the
-coset decomposition runs on a window's integer points, bounds and margin.
+integer threshold per radius, the window translation test of the coset
+decomposition runs on a window's integer points, bounds and margin, and
+its coset representatives come from one integer residue key per point.
 Each answer must equal a computation kept here that works on the points
 themselves (Fractions, Q(sqrt 3) or floats) and decides every radius
 exactly from its square.  Rational sets under a float tolerance, and the
@@ -23,10 +24,12 @@ from delone.criteria import (ReconstructionError, _window_translations,
                              antipodal_lattice_decomposition,
                              reconstruct_from_2R_cluster)
 from delone.generators import three_coset_fixture, triangular_lattice
-from delone.geometry import Tolerance, dist_sq
+from delone.geometry import Lattice, Tolerance, dist_sq
 from delone.scalars import Radical, format_point, quadext, ssign
 from delone.sets import (_on_grid, _radius_sign, as_radius, build_periodic, build_window,
                          cluster, delone_params, radius_covers)
+
+from oracles import pairwise_coset_reps
 
 
 def covers_exactly(radius):
@@ -451,7 +454,7 @@ def fixture_window(t, margin, extent=3):
     pts = [tuple(a + b for a, b in zip(p, t)) for p in base.points]
     kept = [p for p in pts if all(l + margin <= a <= h - margin
                                   for a, l, h in zip(p, lo, hi))]
-    assert len(kept) < len(pts)
+    assert len(kept) < len(pts) or not margin
     return build_window(kept, (lo, hi), margin=margin)
 
 
@@ -460,11 +463,13 @@ WINDOWS = [((F(3, 10), F(7, 10)), F(1, 3)),   # scale 30
            ((F(0), F(0)), F(1, 3))]           # scale 6
 
 
-@pytest.mark.parametrize("t, margin", WINDOWS)
+@pytest.mark.parametrize("t, margin", WINDOWS + [((F(1, 4), F(-1, 6)), F(0))])
 def test_window_translations_equal_reference(t, margin):
     handle = fixture_window(t, margin)
     scale, _, box = handle._grid()
-    assert scale > 1 and box[2] * 2 % scale  # the margin is off the half grid
+    # the margin is off the half grid; with margin 0 every point is kept, and
+    # a shifted edge point outside the bounds is not a member
+    assert scale > 1 and (box[2] * 2 % scale or not margin)
     x0 = handle.points[len(handle.points) // 2]
     ts = [tuple(a - b for a, b in zip(p, x0)) for p in handle.points
           if p != x0 and dist_sq(p, x0) <= 5]
@@ -487,6 +492,54 @@ def test_window_decompose_on_integer_grid(t, margin):
     assert len(classes) == 3 and (0, 0) in classes
     for p in handle.interior_points(Radical.of(0)):
         assert tuple(2 * (a - b) % 2 for a, b in zip(p, dec.base_point)) in classes
+
+
+def full_fixture_window(extent):
+    base = three_coset_fixture(extent=F(extent))
+    return build_window(base.points, base.bounds, margin=0)
+
+
+def periodic_fixture(basis):
+    return build_periodic(basis, _fixture_motif(basis, tuple(0 * c for c in basis[0])))
+
+
+def coset_points(handle):
+    """A window's points, or a motif with two lattice translates of each
+    point, so that each coset has several points."""
+    if handle.mode == "window":
+        return handle.points
+    b1, b2 = handle.lattice.reduced
+    return [tuple(a + i * x + j * y for a, x, y in zip(m, b1, b2))
+            for m in handle.motif for i, j in ((0, 0), (1, -1), (-2, 1))]
+
+
+TRI = ((F(1), F(0)), (F(1, 2), quadext(0, F(1, 2), 3)))
+COSET_CASES = {  # name: (handle, whether the residue keys run)
+    **{f"window-{i}": (lambda w=w: fixture_window(*w), True) for i, w in enumerate(WINDOWS)},
+    "full-window-4": (lambda: full_fixture_window(4), True),
+    "full-window-8": (lambda: full_fixture_window(8), True),
+    "periodic-unit": (lambda: periodic_fixture(UNIT), True),
+    "periodic-skew": (lambda: periodic_fixture(SKEW), True),
+    "periodic-sqrt3": (lambda: periodic_fixture(TRI), False),
+    "periodic-float": (lambda: periodic_fixture(((1.0, 0.0), (0.5, 0.75))), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COSET_CASES))
+def test_coset_reps_equal_pairwise_reference(name):
+    # residue keys on an exact integer grid, the pairwise test elsewhere: the
+    # same representatives in the same order, for the set's maximal lattice
+    # and for sublattices of index 4 and 3 (more cosets, skewed residues)
+    build, keyed = COSET_CASES[name]
+    handle = build()
+    points = coset_points(handle)
+    assert (handle._grid() is not None and handle.tol.exact) == keyed
+    lam = antipodal_lattice_decomposition(handle).lattice
+    (b1, b2) = lam.reduced
+    skew = Lattice((tuple(x + y for x, y in zip(b1, b2)), tuple(3 * y for y in b2)))
+    for sub in (lam, lam.scaled(2), skew):
+        assert criteria._coset_reps(handle, points, sub) == pairwise_coset_reps(
+            points, sub, handle.tol)
 
 
 def test_format_point_writes_file_scalars():

@@ -18,11 +18,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from delone.criteria import certify_auto
 from delone.generators import square_lattice
-from delone.geometry import Tolerance, dist_sq
+from delone.geometry import Lattice, Tolerance, dist_sq
 from delone.scalars import Radical, quadext
 from delone.params import _min_dist_sq
-from delone.sets import build_periodic, build_window, radius_covers
+from delone.sets import PointSetHandle, build_periodic, build_window, radius_covers
 
 coords = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 small = st.fractions(min_value=0, max_value=3, max_denominator=9)
@@ -221,6 +222,42 @@ def test_prefix_scan_reads_past_a_miss_inside_the_band():
                                                             (F(1), b)]
     got = [p for _, p in win.neighborhood(center, Radical.of(1))]
     assert got == [center, b]
+
+
+def nearby_keys_built(handle, monkeypatch):
+    """Regular certify of handle: the lattice keys that the periodic ball
+    queries under the neighbourhood cache build (hits and misses)."""
+    built, depth = [0], [0]
+    nearby, offsets = PointSetHandle._nearby, Lattice.offsets_in_ball
+
+    def counted_nearby(self, center, radius):
+        depth[0] += 1
+        try:
+            return nearby(self, center, radius)
+        finally:
+            depth[0] -= 1
+
+    def counted_offsets(self, v, rho):
+        for k in offsets(self, v, rho):
+            built[0] += depth[0] > 0
+            yield k
+
+    monkeypatch.setattr(PointSetHandle, "_nearby", counted_nearby)
+    monkeypatch.setattr(Lattice, "offsets_in_ball", counted_offsets)
+    assert certify_auto(handle, "regular").verdict == "satisfied"
+    monkeypatch.undo()
+    return built[0]
+
+
+@pytest.mark.parametrize("spacing", [F(1, 100000), 1e-5])
+def test_neighbourhood_cache_grows_by_a_factor(spacing, monkeypatch):
+    # Z^2 with spacing s, exact and float: the cache's balls hold about as
+    # many points at s = 1e-5 as at s = 1, where an absolute pad p would
+    # hold about p / s spacings
+    def z2(s):
+        return build_periodic(((s, 0 * s), (0 * s, s)), [(0 * s, 0 * s)])
+    unit = nearby_keys_built(z2(type(spacing)(1)), monkeypatch)
+    assert 0 < nearby_keys_built(z2(spacing), monkeypatch) <= 2 * unit
 
 
 @st.composite
