@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_voronoi_vertices
 from scipy.spatial import Delaunay, QhullError
 
-from delone import (build_periodic, build_window, honeycomb, square_lattice,
+from delone import (build_periodic, build_window, honeycomb, params, sets, square_lattice,
                     three_coset_fixture, triangular_lattice)
 from delone.geometry import Tolerance, mat_solve
 from delone.scalars import Radical, quadext, ssign
@@ -90,6 +90,38 @@ def test_float_periodic_z4():
     assert params.R_exactness == "exact"
 
 
+def covering_hits(handle, monkeypatch):
+    """R of handle and the hits of the range queries its covering makes."""
+    sets.min_dist_sq(handle)
+    hits, ball = [0], sets.PointSetHandle._ball
+
+    def counted(self, center, radius):
+        out = ball(self, center, radius)
+        hits[0] += len(out[1])
+        return out
+
+    monkeypatch.setattr(sets.PointSetHandle, "_ball", counted)
+    big_r = params._covering(handle)[0]
+    monkeypatch.undo()
+    return big_r, hits[0]
+
+
+@pytest.mark.parametrize("spacing", [F(1, 100000), 1e-5])
+def test_periodic_covering_work_does_not_depend_on_the_unit(spacing, monkeypatch):
+    # Z^2 with spacing s: the query radius is padded by a factor, so its
+    # balls hold as many points at s = 1e-5 as at s = 1; an absolute pad of
+    # 1/1024 held about 31,000 at s = 1e-5, against 13
+    def z2(s):
+        return build_periodic(((s, 0 * s), (0 * s, s)), [(0 * s, 0 * s)])
+    unit_r, unit = covering_hits(z2(type(spacing)(1)), monkeypatch)
+    big_r, hits = covering_hits(z2(spacing), monkeypatch)
+    assert 0 < hits <= 2 * unit
+    if isinstance(spacing, F):
+        assert big_r == Radical.sqrt(spacing * spacing / 2) and unit_r == Radical.sqrt(F(1, 2))
+    else:
+        assert math.isclose(big_r, spacing * unit_r, rel_tol=1e-9)
+
+
 def test_one_dimensional_periodic():
     # 3Z + {0, 1}: gaps 1 and 2, so R is half of 2
     params = delone_params(build_periodic(((F(3),),), [(F(0),), (F(1),)]))
@@ -118,7 +150,7 @@ FLOAT = Tolerance.floating(1e-9)
 
 
 def check_exact_cell(box, offsets):
-    top, verts, clear = _voronoi_cell(box, offsets, EXACT)
+    top, verts, faces = _voronoi_cell(box, offsets, EXACT)
     want = brute_force_voronoi_vertices(box, offsets)
     got = {c: on_box for _, c, on_box in verts}
     assert len(got) == len(verts)  # no vertex twice
@@ -126,7 +158,10 @@ def check_exact_cell(box, offsets):
     assert all(r2 == sum(a * a for a in c) for r2, c, _ in verts)
     assert [r2 for r2, _, _ in verts] == sorted((r2 for r2, _, _ in verts), reverse=True)
     assert top == max(sum(a * a for a in c) for c in want)
-    assert clear == (not any(want.values()))
+    # face 2i is hi[i], face 2i + 1 is lo[i]: the faces some vertex lies on
+    lo, hi = box
+    assert faces == {2 * i + (c[i] == lo[i]) for c in want for i in range(len(lo))
+                     if c[i] in (lo[i], hi[i])}
 
 
 @st.composite
@@ -175,7 +210,7 @@ def test_float_cells_match_vertex_enumeration(case):
     box, offsets = case
     want = brute_force_voronoi_vertices(*(tuple(tuple(F(a, 3) for a in p) for p in ps)
                                           for ps in (box, offsets)))
-    top, verts, clear = _voronoi_cell(*(tuple(tuple(a / 3 for a in p) for p in ps)
+    top, verts, faces = _voronoi_cell(*(tuple(tuple(a / 3 for a in p) for p in ps)
                                         for ps in (box, offsets)), FLOAT)
 
     def near(c, pts):
@@ -185,7 +220,7 @@ def test_float_cells_match_vertex_enumeration(case):
         assert {want[q] for q in near(c, want)} == {on_box}
     assert all(near(tuple(map(float, q)), [c for _, c, _ in verts]) for q in want)
     assert math.isclose(top, max(float(sum(a * a for a in q)) for q in want), abs_tol=1e-9)
-    assert clear == (not any(on for _, _, on in verts))
+    assert bool(faces) == any(on for _, _, on in verts)
 
 
 # -- scipy cross-check ---------------------------------------------------------
@@ -261,6 +296,27 @@ def test_periodic_against_scipy(d, trials):
         assert delone_params(handle).R == Radical.sqrt(want), (basis, handle.motif)
 
 
+def check_window_against_scipy(pts, hi, margin):
+    d = len(hi)
+    handle = build_window(pts, ((F(0),) * d, hi), margin=margin)
+
+    def fits(cc, r2):
+        return handle.hosts_ball(cc, Radical.sqrt(r2))
+
+    def empty(cc, r2):
+        return all(ssign(sum((a - b) ** 2 for a, b in zip(p, cc)) - r2) >= 0
+                   for p in handle.points)
+
+    want = _delaunay_r2(handle.points, fits, empty)
+    if want is None:
+        with pytest.raises(WindowTooSmallError):
+            delone_params(handle)
+        return
+    params = delone_params(handle)
+    assert params.R == Radical.sqrt(want), (sorted(pts), margin)
+    assert params.R_exactness == "lower-bound-estimate"
+
+
 @pytest.mark.parametrize("d, trials", [(2, 8), (3, 2), (4, 1)])
 def test_windows_against_scipy(d, trials):
     rng = random.Random(1018 + d)
@@ -268,24 +324,17 @@ def test_windows_against_scipy(d, trials):
         n = {2: 45, 3: 60, 4: 120}[d]
         pts = list({tuple(_random_rational(rng, 0, 4, 3) for _ in range(d))
                     for _ in range(n)})
-        margin = F(rng.randint(0, 2), 2)
-        handle = build_window(pts, ((F(0),) * d, (F(4),) * d), margin=margin)
+        check_window_against_scipy(pts, (F(4),) * d, F(rng.randint(0, 2), 2))
 
-        def fits(cc, r2):
-            return handle.hosts_ball(cc, Radical.sqrt(r2))
 
-        def empty(cc, r2):
-            return all(ssign(sum((a - b) ** 2 for a, b in zip(p, cc)) - r2) >= 0
-                       for p in handle.points)
-
-        want = _delaunay_r2(handle.points, fits, empty)
-        if want is None:
-            with pytest.raises(WindowTooSmallError):
-                delone_params(handle)
-            continue
-        params = delone_params(handle)
-        assert params.R == Radical.sqrt(want), (sorted(pts), margin)
-        assert params.R_exactness == "lower-bound-estimate"
+@pytest.mark.parametrize("margin", [0, F(1, 6)])
+def test_thin_spatial_window_against_scipy(margin):
+    # a slab 4 x 4 x 5/3 in thirds: nearly every cell touches the box, and
+    # sites share box-touching cells
+    rng = random.Random(1027)
+    pts = list({(_random_rational(rng, 0, 4, 3), _random_rational(rng, 0, 4, 3),
+                 _random_rational(rng, 0, 1, 3) * F(5, 3)) for _ in range(70)})
+    check_window_against_scipy(pts, (F(4), F(4), F(5, 3)), margin)
 
 
 # -- no scipy at run time ---------------------------------------------------------
