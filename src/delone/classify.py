@@ -14,12 +14,18 @@ n points thus costs O(k n) distances for k candidate images, not n^2.
 
 Clusters cut from a rational set share its grid scale, so synthesis runs
 on their int ``keys`` (grid point minus grid center): scaling leaves the
-linear part of an isometry unchanged.  The bijection check writes a
-candidate as M / q with integer M and q and looks each image M v / q up in
-a dict from offset to index, rejecting the candidate at the first image
-that q does not divide or that is not an offset; it returns the
-permutation of offset indices.  Q(sqrt 3) clusters, clusters of different
-scales and float clusters run the same lookup on field offsets.  A cluster
+linear part of an isometry unchanged.  Clusters cut from a periodic set
+with a lattice frame (``frames.Frame``) run on their int frame keys, with
+lengths and dot products taken through the frame's int form W, and each
+map is turned back into its Cartesian matrix when it is yielded.  On either
+kind of int keys a frame of d vectors whose Gram matrix equals its images'
+makes the solved map orthogonal, so no orthogonality test runs.  The
+bijection check writes a candidate as M / q with integer M and q and looks
+each image M v / q up in a dict from offset to index, rejecting the
+candidate at the first image that q does not divide or that is not an
+offset; it returns the permutation of offset indices.  Other Q(sqrt 3)
+clusters, frame clusters spanning fewer than d dimensions, clusters of
+different scales and float clusters run the same lookup on field offsets.  A cluster
 group is a permutation group in both numeric modes: each element is fixed
 by its permutation of the offsets, with two more slots for n and -n when
 the cluster is one dimension short, so closure is checked on permutations
@@ -31,14 +37,15 @@ contributes a +-1 choice on the normal line; a deficit of two or more
 makes the center-fixing group infinite and ``cluster_group`` raises.
 
 ``classify`` decides each cluster in this order:
-1. its ``keys`` as a translation key, through the tolerance's
-   ``offset_map``: a cluster whose keys were seen before (exactly, or
-   vector by vector within eps_abs in float mode) is a translate of that
-   earlier cluster, so it joins the same class with the translation
-   composed onto the earlier witness;
+1. its ``keys`` (frame keys on a lattice frame) as a translation key,
+   through the tolerance's ``offset_map``: a cluster whose keys were seen
+   before (exactly, or vector by vector within eps_abs in float mode) is a
+   translate of that earlier cluster, so it joins the same class with the
+   translation composed onto the earlier witness;
 2. its radial key, the sorted squared lengths of its keys (ints on the
-   grid, or field scalars): a dict key that picks the representatives it
-   can be equivalent to (exact mode; float clusters share one bucket);
+   grid or frame, or field scalars): a dict key that picks the
+   representatives it can be equivalent to (exact mode; float clusters
+   share one bucket);
 3. witness synthesis against those representatives, which alone decides,
    so clusters with equal radial keys that are not equivalent are told
    apart here.
@@ -102,10 +109,11 @@ class Fingerprint(Record):
         return len(self.data)
 
 
-def _row(v, vecs):
+def _row(v, vecs, dot=p_dot, sq=_sq):
     """The sorted squared distances from the point at offset v to every
-    cluster point: |v|^2 to the center and |v - w|^2 to each offset w."""
-    return tuple(sorted([p_dot(v, v)] + [_sq(v, w) for w in vecs]))
+    cluster point: |v|^2 to the center and |v - w|^2 to each offset w, with
+    the length and distance ``dot`` and ``sq`` of the vectors' units."""
+    return tuple(sorted([dot(v, v)] + [sq(v, w) for w in vecs]))
 
 
 def fingerprint(c):
@@ -150,31 +158,41 @@ class _Offsets:
     coordinates, with their distance data built on first use.
 
     The vectors are a cluster's ``keys`` when both clusters of a comparison
-    share a scale, otherwise its field (or float) offsets.  ``index.get(v)``
-    is the position of offset v (see :meth:`Tolerance.point_set`) and
-    ``row(v)`` its :func:`_row`.
+    share a scale, its frame keys when they share a lattice frame ``form``,
+    otherwise its field (or float) offsets.  Frame keys sort by the
+    Cartesian offsets ``cart`` they stand for, as field offsets would.
+    ``index.get(v)`` is the position of offset v (see
+    :meth:`Tolerance.point_set`) and ``row(v)`` its :func:`_row`.
     """
 
-    def __init__(self, vecs, tol):
-        self.vectors = sorted(vecs, key=lambda v: (float(p_dot(v, v)), tuple(map(float, v))))
+    def __init__(self, vecs, tol, form=None, cart=None):
+        self.dot, self.sq = (p_dot, _sq) if form is None else (form.dot, form.dist2)
+        if form is None:
+            self.vectors = sorted(vecs, key=lambda v: (float(p_dot(v, v)), tuple(map(float, v))))
+        else:  # dot / scale2 rounds as the float of the Fraction |x|^2 does
+            order = sorted(range(len(vecs)), key=lambda i: (
+                form.dot(vecs[i], vecs[i]) / form.scale2, tuple(map(float, cart[i]))))
+            self.vectors = [vecs[i] for i in order]
         self.index = tol.point_set(self.vectors)
         self.rows = {}
 
     def row(self, v):
         r = self.rows.get(v)
         if r is None:
-            r = self.rows[v] = _row(v, self.vectors)
+            r = self.rows[v] = _row(v, self.vectors, self.dot, self.sq)
         return r
 
 
-def _solve_map(frame_rows, image_rows):
-    """Row-major orthogonal matrix O with O @ f_i = t_i, or None."""
+def _solve_map(frame_rows, image_rows, gram):
+    """Row-major orthogonal matrix O with O @ f_i = t_i, or None.  ``gram``
+    says that the frame spans R^d in int keys and that its Gram matrix
+    equals its images' exactly: then O is orthogonal, and it is not tested."""
     cols = mat_solve(tuple(frame_rows),
                      tuple(tuple(r[k] for r in image_rows) for k in range(len(frame_rows[0]))))
     if cols is None:
         return None
     o = tuple(cols)  # column k of O^T is row k of O
-    if not Isometry(o, (0,) * len(o)).is_orthogonal():
+    if not gram and not Isometry(o, (0,) * len(o)).is_orthogonal():
         return None
     return o
 
@@ -247,20 +265,27 @@ def _witness_linear_parts(c1, c2, tol, want_all):
     with two more slots, for n and -n on the normal line, when the cluster
     is one dimension short, and the slots of +1 and -1 for a lone center in
     1-d.  For c2 is c1, perm thus fixes o.  Clusters of one scale are
-    matched on their ``keys`` (ints on a grid), others on field offsets.
-    Every candidate o is solved from a frame (distinct frame images, or
-    normal choices, give distinct maps), is checked orthogonal, and must
+    matched on their ``keys`` (ints on a grid), clusters of one lattice
+    frame on their frame keys, others on field offsets.  Every candidate o
+    is solved from a frame (distinct frame images, or normal choices, give
+    distinct maps), is orthogonal (by the Gram test, or checked), and must
     biject the offsets (:func:`_permutation`).
     """
     if c1.size != c2.size:
         return
     d = c1.dim
-    # one scale: int keys; rows in different units compare only in the field
-    shared = c1.scale == c2.scale
-    integer = shared and c1.scale is not None
-    offs1 = _Offsets(c1.keys if shared else c1.offsets(), tol)
-    offs2 = offs1 if c2 is c1 else _Offsets(c2.keys if shared else c2.offsets(), tol)
+    form = c1.frame[0] if c1.frame and c2.frame and c1.frame[0] is c2.frame[0] else None
+    if form is not None:
+        offs1 = _Offsets(c1.frame[1], tol, form, c1.keys)
+        offs2 = offs1 if c2 is c1 else _Offsets(c2.frame[1], tol, form, c2.keys)
+        integer = True
+    else:  # one scale: int keys; rows in different units compare only in the field
+        shared = c1.scale == c2.scale
+        integer = shared and c1.scale is not None
+        offs1 = _Offsets(c1.keys if shared else c1.offsets(), tol)
+        offs2 = offs1 if c2 is c1 else _Offsets(c2.keys if shared else c2.offsets(), tol)
     vecs1, vecs2 = offs1.vectors, offs2.vectors
+    dot = offs1.dot
     if not vecs1:
         if want_all and d > 1:
             raise InfiniteGroupError(
@@ -271,6 +296,11 @@ def _witness_linear_parts(c1, c2, tol, want_all):
         return
     frame = _greedy_frame(vecs1)
     s = len(frame)
+    if form is not None and s < d:  # a short frame is completed in the field
+        b1 = Cluster(c1.center, c1.radius, c1.points)
+        b2 = b1 if c2 is c1 else Cluster(c2.center, c2.radius, c2.points)
+        yield from _witness_linear_parts(b1, b2, tol, want_all)
+        return
     comp1 = orthogonal_complement(frame, d) if s < d else []
     spans_parallel = s == d or rank(frame + vecs2) == s
     comp_image_choices = None
@@ -293,10 +323,10 @@ def _witness_linear_parts(c1, c2, tol, want_all):
     # center, then with its row (built only for those); computed here, so
     # the recursive closure below holds no row tables
     same = _matcher(tol)
-    norms2 = [p_dot(t, t) for t in vecs2]
+    norms2 = [dot(t, t) for t in vecs2]
     candidates = []
     for v in frame:
-        n1, row1 = p_dot(v, v), offs1.row(v)
+        n1, row1 = dot(v, v), offs1.row(v)
         candidates.append([t for t, n in zip(vecs2, norms2)
                            if same(n, n1) and all(map(same, offs2.row(t), row1))])
 
@@ -307,13 +337,14 @@ def _witness_linear_parts(c1, c2, tol, want_all):
         v = frame[i]
         for t in candidates[i]:
             # the Gram test: t's norm matched v's among the candidates
-            if t not in images and all(same(p_dot(v, f), p_dot(t, g))
+            if t not in images and all(same(dot(v, f), dot(t, g))
                                        for f, g in zip(frame, images)):
                 yield from assignments(i + 1, images + [t])
 
     for images in assignments(0, []):
         for j, comp_imgs in enumerate(comp_image_choices or [[]]):
-            o = _solve_map(frame + comp1, images + list(comp_imgs))
+            o = _solve_map(frame + comp1, images + list(comp_imgs),
+                           integer and s == d and tol.exact)
             if o is None:
                 continue
             perm = _permutation(o, vecs1, offs2.index, integer)
@@ -322,7 +353,7 @@ def _witness_linear_parts(c1, c2, tol, want_all):
             if d - s == 1:
                 m = len(vecs1)
                 perm += (m + j, m + 1 - j)  # the slots of n and -n
-            yield o, perm
+            yield o if form is None else form.cartesian(o), perm
             if not want_all:
                 return
 
@@ -466,8 +497,12 @@ class ClusterPartition(Record):
 
 def _radial_key(c):
     """The sorted squared lengths of a cluster's keys: ints over scale**2 on
-    a grid, otherwise field scalars."""
-    return tuple(sorted(p_dot(v, v) for v in c.keys))
+    a grid or over the frame's scale2 on a lattice frame, otherwise field
+    scalars."""
+    if c.frame is None:
+        return tuple(sorted(p_dot(v, v) for v in c.keys))
+    form, keys = c.frame
+    return tuple(sorted(form.dot(v, v) for v in keys))
 
 
 def classify(handle, rho, points=None):
@@ -487,7 +522,8 @@ def classify(handle, rho, points=None):
     buckets = {}      # radial key -> classes (exact); one bucket (float misses)
     for x in population:
         cx = cluster(handle, x, radius)
-        hit = translates.get(cx.keys)
+        keys = cx.keys if cx.frame is None else cx.frame[1]
+        hit = translates.get(keys)
         if hit is not None:
             cls, c0, w0 = hit
             # compose(translation(x - c0), w0), without the identity product
@@ -503,7 +539,7 @@ def classify(handle, rho, points=None):
                 cls = [cx, [], []]
                 classes.append(cls)
                 bucket.append(cls)
-            translates[cx.keys] = (cls, x, witness)
+            translates[keys] = (cls, x, witness)
         cls[1].append(x)
         cls[2].append(witness)
     return ClusterPartition(

@@ -50,9 +50,11 @@ _RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
 
 def _rational(text, token):
-    """Fraction(text); a zero denominator is a format error in ``token``."""
+    """Fraction(text) of a signed integer or integer ratio, built from the
+    two ints; a zero denominator is a format error in ``token``."""
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den or 1))
     except ZeroDivisionError as exc:
         raise PointSetFormatError(f"zero denominator in {token!r}") from exc
 
@@ -64,6 +66,13 @@ def parse_scalar(token, exact):
             return float(token)
         except ValueError as exc:
             raise PointSetFormatError(f"bad float token {token!r}") from exc
+    if _RAT_RE.match(token):  # one rational term, as most tokens are
+        return _rational(token, token)
+    return _parse_terms(token)
+
+
+def _parse_terms(token):
+    """An exact scalar written as a sum of rational and r/s*sqrt(D) terms."""
     rat = Fraction(0)
     quad = None
     for t in _split_terms(token):

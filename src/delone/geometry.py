@@ -247,7 +247,10 @@ class _FloatOffsetMap:
     """Dict-like map from tuples of float vectors in floating mode.
 
     A tuple is keyed by its vectors rounded to cells of side
-    :func:`_cell_side` and sorted.  A key hit counts only if, with both
+    :func:`_cell_side` and sorted.  A caller that looks up prefixes of one
+    list passes one list ``keys`` with each, which the map fills with the
+    rounded vectors of that list as far as a prefix has reached, so that
+    each vector is rounded once.  A key hit counts only if, with both
     tuples sorted by key, every vector is within eps of its partner; a tuple
     straddling a cell edge misses, which costs the caller only the work it
     does without a map."""
@@ -257,19 +260,30 @@ class _FloatOffsetMap:
         self.side = _cell_side(eps)
         self.map = {}
 
-    def _sorted(self, vectors):
-        keyed = sorted((tuple(round(c / self.side) for c in v), v) for v in vectors)
+    def _sorted(self, vectors, keys):
+        keys, side = [] if keys is None else keys, self.side
+        keys += [tuple(round(c / side) for c in v) for v in vectors[len(keys):]]
+        keyed = sorted(zip(keys, vectors))
         return tuple(k for k, _ in keyed), [v for _, v in keyed]
 
-    def get(self, vectors):
-        key, vs = self._sorted(vectors)
+    def get(self, vectors, keys=None):
+        key, vs = self._sorted(vectors, keys)
         for stored, value in self.map.get(key, ()):
             if all(abs(a - b) <= self.eps for u, w in zip(vs, stored) for a, b in zip(u, w)):
                 return value
         return None
 
+    def setdefault(self, vectors, default, keys=None):
+        """get(vectors), storing and returning ``default`` on a miss."""
+        value = self.get(vectors, keys)
+        if value is None:
+            key, vs = self._sorted(vectors, keys)
+            self.map.setdefault(key, []).append((vs, default))
+            value = default
+        return value
+
     def __setitem__(self, vectors, value):
-        key, vs = self._sorted(vectors)
+        key, vs = self._sorted(vectors, None)
         self.map.setdefault(key, []).append((vs, value))
 
 

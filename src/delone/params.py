@@ -146,7 +146,7 @@ def _covering(handle):
     costs less than sweeping every site again to the widest need.
     """
     tol, d = handle.tol, handle.dim
-    grid = handle._grid()
+    grid, frame = handle._grid(), handle._frame()
     scale = grid[0] if grid else 1
     ints = grid is not None and tol.exact and handle.mode == "window"
     if handle.mode == "periodic":
@@ -178,7 +178,9 @@ def _covering(handle):
         if near is not None:  # the offsets of the site's swept neighbours
             d2s, js = near[i]
             swept = d2s, [tuple(map(sub, keys[j], base)) for j in js]
-        cell = None if near is None else _known_cell(cells, *swept, (reach * scale) ** 2, box)
+            rounded = None if tol.exact else []  # them rounded to float cells, as needed
+        cell = (None if near is None else
+                _known_cell(cells, *swept, (reach * scale) ** 2, box, rounded))
         while cell is None:  # widen the query until no site beyond it can cut the cell
             if not tol.exact:
                 radius = rho_f
@@ -186,20 +188,23 @@ def _covering(handle):
                 radius = Fraction(rho_f) * Fraction(1025, 1024)
                 radius = radius if ints else Radical.of(radius)
             if near is not None and float(radius) + eps <= reach:
-                d2s, offs = swept
+                (d2s, offs), keyed = swept, rounded
                 m = (bisect_right(d2s, radius.numerator ** 2 * scale * scale
                                   // radius.denominator ** 2) if ints else
                      bisect_right(d2s, radius + eps, key=math.sqrt))
             else:
-                hits = sorted(handle._ball(x, radius)[1], key=lambda t: float(t[0]))
+                scale2, hits = handle._ball(x, radius)
+                if frame is not None:  # the cell is clipped on field offsets
+                    hits = [(d2 / scale2, p, p) for d2, _, p in hits]
+                hits = sorted(hits, key=lambda t: float(t[0]))
                 hits = [(float(t[0]), o) for t, o in
                         ((t, tuple(map(sub, t[1], base))) for t in hits) if any(o)]
                 d2s, offs = [t[0] for t in hits], [t[1] for t in hits]
-                m = len(offs)
+                m, keyed = len(offs), None if tol.exact else []
             d2s, offsets = d2s[:m], tuple(offs[:m])
             # the query's offsets are all this cell is clipped from
-            cell = (_known_cell(cells, d2s, offsets, math.inf, box)
-                    or _new_cell(cells, d2s, offsets, box, tol, eps, scale))
+            cell = (_known_cell(cells, d2s, offsets, math.inf, box, keyed)
+                    or _new_cell(cells, d2s, offsets, box, tol, eps, scale, keyed))
             if cell[3] > rho_f * 1.0000004:  # past jitter; the need has 1e-6 of slack
                 rho_f = min(cell[3], 2 * rho_f)  # a cell cut only by its box reaches far
                 cell = None
@@ -227,19 +232,23 @@ def _covering(handle):
     return tol.sqrt(fdiv(best, scale * scale) if grid else best), flag
 
 
-def _known_cell(cells, d2s, offs, known, box):
+def _known_cell(cells, d2s, offs, known, box, rounded=None):
     """A stored cell that is this site's, or None (see :func:`_covering`).
 
     ``cells`` maps each stored need, as a squared length tau in grid units,
     to an ``offset_map`` from a cell's offsets within tau to [(fence,
     cell)].  d2s and offs list the site's neighbours in order, all of those
-    with d2 <= known.  A fence holds, for each box face (axis, hi?), the closed
-    interval the face must lie in (a touched face) or the bound it must lie
-    strictly beyond (the vertices' extreme on that axis)."""
+    with d2 <= known; under a float tolerance ``rounded`` is the list of
+    offs rounded to the float map's cells, which the map fills once per
+    site.  A fence holds, for each box face (axis, hi?), the closed interval
+    the face must lie in (a touched face) or the bound it must lie strictly
+    beyond (the vertices' extreme on that axis)."""
     for tau, stored in cells.items():
         if tau > known:
             continue
-        for fence, cell in stored.get(tuple(offs[:bisect_right(d2s, tau)])) or ():
+        n = bisect_right(d2s, tau)
+        found = stored.get(tuple(offs[:n])) if rounded is None else stored.get(offs[:n], rounded)
+        for fence, cell in found or ():
             for k, side, bound, touched in fence:
                 b = box[side][k]
                 if not (bound[0] <= b <= bound[1] if touched else
@@ -250,10 +259,11 @@ def _known_cell(cells, d2s, offs, known, box):
     return None
 
 
-def _new_cell(cells, d2s, offsets, box, tol, eps, scale):
+def _new_cell(cells, d2s, offsets, box, tol, eps, scale, rounded=None):
     """The cell of these offsets and box as (max |c|^2, vertices, touched
     faces, need in the set's units), stored for :func:`_known_cell`; eps is
-    the float zero of the fences, 0 on an exact tolerance."""
+    the float zero of the fences, 0 on an exact tolerance, and ``rounded``
+    as in :func:`_known_cell`."""
     top, verts, faces = _voronoi_cell(box, offsets, tol)
     need = 2.000001 * math.sqrt(float(top))  # slack for rounding
     fence = []
@@ -268,10 +278,9 @@ def _new_cell(cells, d2s, offsets, box, tol, eps, scale):
     tau = need * need
     tau = next((t for t in cells if abs(t - tau) <= 1e-7 * tau), tau)
     stored = cells.setdefault(tau, tol.offset_map())
-    key = offsets[:bisect_right(d2s, tau)]
-    entries = stored.get(key)
-    if entries is None:
-        entries = stored[key] = []
+    n = bisect_right(d2s, tau)
+    entries = (stored.setdefault(offsets[:n], []) if rounded is None else
+               stored.setdefault(offsets[:n], [], rounded))
     entries.append((fence, cell))
     return cell
 

@@ -9,12 +9,17 @@ validity margin), because a truncated set is not Delone near its edge.
 The Delone parameters r and R are computed in :mod:`delone.params`; this
 module keeps them cached on the handle (:func:`delone_params`).
 
-When every coordinate is rational, a handle has a ``scale``: the least
-common denominator of its coordinates, which turns each point into an
-integer vector.  A window stores its points once in that form, and a
-periodic handle its motif and reduced basis, so exact squared distances
-between set points are ints over ``scale**2``, range queries decide them
-as ints, and clusters carry the integer vectors for classification.
+Exact squared distances between set points are ints over an int unit
+``scale2`` whenever the handle has integer coordinates, from one of two
+sources.  When every coordinate is rational, a handle has a ``scale``: the
+least common denominator of its coordinates, which turns each point into
+an integer vector (its grid, ``scale2 = scale**2``).  A window stores its
+points once in that form, and a periodic handle its motif and reduced
+basis.  An exact periodic handle with no scale (the triangular lattice,
+the honeycomb, hexagonal crystals) may have a lattice frame instead
+(:mod:`delone.frames`), which keys each point by its int lattice
+coordinates.  Range queries decide d2 as ints either way, and clusters
+carry the int keys for classification.
 """
 
 import math
@@ -23,6 +28,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
+from operator import sub
 
 from .geometry import (ConvergenceError, Lattice, Record, Tolerance, _float_index,
                        _float_point, dist_sq, fdiv, p_sub)
@@ -194,6 +200,9 @@ class Cluster(Record, compare=("center", "radius", "points")):
     one handle share its scale, so their integer data compare directly.
     ``keys`` are the offsets from the center in the cluster's own units:
     int vectors on a grid, the field (or float) offsets otherwise.
+    Clusters cut from a handle with a lattice frame carry it in ``frame``,
+    with the frame keys of their offsets, in ``keys`` order; classification
+    reads those in place of ``keys``.
     """
 
     center: tuple
@@ -201,6 +210,7 @@ class Cluster(Record, compare=("center", "radius", "points")):
     points: tuple  # lexicographically sorted, includes the center
     scale: int = None
     grid: tuple = None  # (center, points)
+    frame: tuple = None  # (lattice frame, offset keys)
 
     @property
     def dim(self):
@@ -320,6 +330,17 @@ class PointSetHandle:
             self._cache["grid"] = grid
         return self._cache["grid"]
 
+    def _frame(self):
+        """The lattice frame of an exact periodic handle with no scale
+        (:func:`delone.frames.lattice_frame`), or None."""
+        if "frame" not in self._cache:
+            frame = None
+            if self.mode == "periodic" and self.tol.exact and self._scale() is None:
+                from .frames import lattice_frame  # only sets off the grid compile it
+                frame = lattice_frame(self.lattice, self.motif)
+            self._cache["frame"] = frame
+        return self._cache["frame"]
+
     def _lift(self, d2, scale2):
         """A squared distance in ints over scale2 as a field scalar."""
         if scale2 == 1 and not isinstance(d2, int):
@@ -341,37 +362,45 @@ class PointSetHandle:
         """points_in_ball as (scale2, [(d2 * scale2, key, p)]).
 
         The one walk over a handle's points near a place; box queries and
-        the periodic closest pair filter its hits.  On a handle with a
-        scale, and a center on its grid, d2 * scale2 is an int and key the
-        point's integer vector; otherwise scale2 = 1 and key is p.  Keys
-        order like the points.  A periodic hit is built as its key, and only
-        a hit is lifted to Fractions.  An exact query about a grid center,
-        periodic or window, compares each int d2 with one threshold
-        T = floor(radius**2 * scale2), so the radius may also be a rational;
-        other queries test each d2 by ``radius_covers``.
+        the periodic closest pair filter its hits.  About a center with an
+        int key, on the handle's grid or lattice frame, d2 * scale2 is an
+        int and key the point's int vector; otherwise scale2 = 1 and key is
+        p.  Grid keys order like the points.  A periodic hit is built as its
+        key, and only a hit is lifted to its point.  An exact query about a
+        keyed center, periodic or window, compares each int d2 with one
+        threshold T = floor(radius**2 * scale2), so the radius may also be a
+        rational; other queries test each d2 by ``radius_covers``.
         """
-        tol = self.tol
-        grid = self._grid()
-        ic = None if grid is None else _on_grid(center, grid[0])
-        scale, c = (None, center) if ic is None else (grid[0], ic)
-        scale2 = 1 if scale is None else scale * scale
+        tol, grid, frame = self.tol, self._grid(), self._frame()
+        ic, scale2, sq = None, 1, _sq
+        if grid is not None:
+            ic = _on_grid(center, grid[0])
+        elif frame is not None:
+            ic = frame.key(center)
+        if ic is not None:
+            scale2, sq = (grid[0] ** 2, _sq) if grid else (frame.scale2, frame.dist2)
+        c = center if ic is None else ic
         t = None
         if ic is not None and tol.exact:
             t = (radius.numerator ** 2 * scale2 // radius.denominator ** 2
                  if isinstance(radius, Fraction) else radius.square_floor(scale2))
         out = []
         if self.mode == "periodic":
-            motif, basis = (self.motif, self.lattice.reduced) if ic is None else grid[1:]
+            motif, steps = ((self.motif, self.lattice.reduced) if ic is None else
+                            grid[1:] if grid else (frame.motif, frame.steps))
+            # no pad on rho_f: offsets_in_ball widens its box by more than half
+            # a lattice step a side (a pad in lattice units, free of the unit of
+            # length), which covers the rounding of rho_f and a float eps_abs
             rho_f = float(radius)
-            pad = 1e-9 * (1.0 + abs(rho_f))
             for m, km in zip(self.motif, motif):
-                for k in self.lattice.offsets_in_ball(p_sub(center, m), rho_f + pad):
-                    key = tuple(a + sum(ki * b[j] for ki, b in zip(k, basis))
+                for k in self.lattice.offsets_in_ball(p_sub(center, m), rho_f):
+                    key = tuple(a + sum(ki * b[j] for ki, b in zip(k, steps))
                                 for j, a in enumerate(km))
-                    d2 = _sq(key, c)
+                    d2 = sq(key, c)
                     if d2 <= t if t is not None else radius_covers(radius, d2, tol, scale2):
-                        out.append((d2, key, key if scale is None else
-                                    tuple(Fraction(a, scale) for a in key)))
+                        out.append((d2, key, key if ic is None else
+                                    tuple(Fraction(a, grid[0]) for a in key) if grid else
+                                    frame.point(key)))
             return scale2, out
         keys = self.points if ic is None else grid[1]
         for i in self._window_candidates(center, radius):
@@ -674,9 +703,14 @@ def cluster(handle, x, rho):
     radius = as_radius(rho, handle.tol)
     _require_member(handle, x)
     _require_interior(handle, x, radius)
-    hits = sorted(handle._nearby(x, radius)[1], key=lambda t: t[1])
+    frame = handle._frame()  # frame keys do not order like the points
+    hits = sorted(handle._nearby(x, radius)[1], key=lambda t: t[1] if frame is None else t[2])
     pts = tuple(p for _, _, p in hits)
     scale = handle._scale()
+    if frame is not None:
+        kx = next(k for d2, k, _ in hits if not d2)
+        return Cluster(center=x, radius=radius, points=pts,
+                       frame=(frame, tuple(tuple(map(sub, k, kx)) for _, k, _ in hits if k != kx)))
     if scale is None:
         return Cluster(center=x, radius=radius, points=pts)
     return Cluster(center=x, radius=radius, points=pts, scale=scale,

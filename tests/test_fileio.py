@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from delone import fileio
 from delone.fileio import (PointSetFormatError, Report,
                            format_scalar, parse_radius, parse_scalar,
                            read_point_set, write_point_set)
@@ -42,6 +43,38 @@ def test_parse_errors():
             parse_radius(token, True)
     with pytest.raises(PointSetFormatError):
         parse_radius("-0.5", False)
+
+
+_TERMS = st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.tuples(st.integers(-10**12, 10**12), st.integers(0, 10**12)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.tuples(st.sampled_from(["", "-"]), st.from_regex(r"\A0{1,3}\d{0,4}\Z"),
+              st.from_regex(r"\A(/\d{1,4})?\Z")).map("".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TERMS)
+def test_rational_fast_path_equals_the_term_sum(token):
+    # parse_scalar sends a lone rational term straight to _rational; the
+    # general path sums the terms from Fraction(0): same value, same error
+    assert fileio._RAT_RE.match(token)
+    try:
+        want = fileio._parse_terms(token)
+    except PointSetFormatError as exc:
+        with pytest.raises(PointSetFormatError) as fast:
+            parse_scalar(token, True)
+        assert str(fast.value) == str(exc) == f"zero denominator in {token!r}"
+        return
+    got = parse_scalar(token, True)
+    assert type(got) is type(want) is F and got == want == F(token)
+
+
+def test_rational_fast_path_errors():
+    for token in ("1/0", "-7/0", "0/0", "-0/00"):
+        for parse in (lambda t: parse_scalar(t, True), fileio._parse_terms):
+            with pytest.raises(PointSetFormatError, match="zero denominator") as info:
+                parse(token)
+            assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 @settings(max_examples=300, deadline=None)
