@@ -12,20 +12,20 @@ distances to every cluster point, built on demand: only for the frame and
 for the offsets at a frame vector's distance from the center.  A cluster of
 n points thus costs O(k n) distances for k candidate images, not n^2.
 
-Clusters cut from a rational set share its grid scale, so synthesis runs
-on their int ``keys`` (grid point minus grid center): scaling leaves the
-linear part of an isometry unchanged.  Clusters cut from a periodic set
-with a lattice frame (``frames.Frame``) run on their int frame keys, with
-lengths and dot products taken through the frame's int form W, and each
-map is turned back into its Cartesian matrix when it is yielded.  On either
-kind of int keys a frame of d vectors whose Gram matrix equals its images'
-makes the solved map orthogonal, so no orthogonality test runs.  The
-bijection check writes a candidate as M / q with integer M and q and looks
-each image M v / q up in a dict from offset to index, rejecting the
-candidate at the first image that q does not divide or that is not an
-offset; it returns the permutation of offset indices.  Other Q(sqrt 3)
-clusters, frame clusters spanning fewer than d dimensions, clusters of
-different scales and float clusters run the same lookup on field offsets.  A cluster
+Clusters of a handle with int point keys share its key frame
+(``sets.Frame``), so synthesis runs on one int key path, the grid being
+W = I: on their int ``keys``, with lengths and dot products taken through
+the frame's int form W, and each map turned into its Cartesian matrix
+when it is yielded (on the grid, scaling leaves it unchanged).  On int
+keys a frame of d vectors whose Gram matrix equals its images' makes the
+solved map orthogonal, so no orthogonality test runs.  The bijection
+check writes a candidate as M / q with integer M and q and looks each
+image M v / q up in a dict from offset to index, rejecting the candidate
+at the first image that q does not divide or that is not an offset; it
+returns the permutation of offset indices.  Other Q(sqrt 3) clusters,
+lattice-frame clusters spanning fewer than d dimensions, clusters whose
+frames key offsets differently and float clusters run the same lookup on
+field offsets.  A cluster
 group is a permutation group in both numeric modes: each element is fixed
 by its permutation of the offsets, with two more slots for n and -n when
 the cluster is one dimension short, so closure is checked on permutations
@@ -37,13 +37,13 @@ contributes a +-1 choice on the normal line; a deficit of two or more
 makes the center-fixing group infinite and ``cluster_group`` raises.
 
 ``classify`` decides each cluster in this order:
-1. its ``keys`` (frame keys on a lattice frame) as a translation key,
+1. its ``keys`` as a translation key,
    through the tolerance's ``offset_map``: a cluster whose keys were seen
    before (exactly, or vector by vector within eps_abs in float mode) is a
    translate of that earlier cluster, so it joins the same class with the
    translation composed onto the earlier witness;
-2. its radial key, the sorted squared lengths of its keys (ints on the
-   grid or frame, or field scalars): a dict key that picks the
+2. its radial key, the sorted squared lengths of its keys (ints on a key
+   frame, or field scalars): a dict key that picks the
    representatives it can be equivalent to (exact mode; float clusters
    share one bucket);
 3. witness synthesis against those representatives, which alone decides,
@@ -92,14 +92,14 @@ class Fingerprint(Record):
     One entry per cluster point: squared distance from the center plus the
     sorted row of squared distances to every cluster point; the entries are
     sorted.  Exact entries are ints in units of ``1/scale**2`` for a
-    cluster cut from a handle with a scale (all clusters of one handle
-    share it), or field scalars when ``scale`` is None; either way they
-    hash and compare exactly within one scale.  Float entries carry
-    rounding, so they do not compare exactly.  The rows are those witness
-    synthesis compares (:func:`_row`).  :func:`classify` compares no
-    fingerprints: it buckets exact clusters by the radial key (the first
-    component of every entry, sorted), and witness synthesis builds only
-    the rows it compares.
+    cluster whose keys are on a Cartesian grid of that scale (all clusters
+    of one handle share it), or field scalars when ``scale`` is None;
+    either way they hash and compare exactly within one scale.  Float
+    entries carry rounding, so they do not compare exactly.  The rows are
+    those witness synthesis compares (:func:`_row`).  :func:`classify`
+    compares no fingerprints: it buckets exact clusters by the radial key
+    (the first component of every entry, sorted), and witness synthesis
+    builds only the rows it compares.
     """
 
     data: tuple
@@ -119,11 +119,12 @@ def _row(v, vecs, dot=p_dot, sq=_sq):
 def fingerprint(c):
     """Per cluster point, sorted: (its squared distance from the center,
     its :func:`_row`); the center's row is 0 and the offsets' norms."""
-    keys = c.keys
+    frame = c.frame[0] if c.frame and c.frame[0].cartesian_keys else None
+    keys = c.offsets() if frame is None else c.keys
     norms = [p_dot(v, v) for v in keys]
     data = [(n, _row(v, keys)) for n, v in zip(norms, keys)]
     data.append((0, tuple(sorted([0] + norms))))
-    return Fingerprint(data=tuple(sorted(data)), scale=c.scale)
+    return Fingerprint(data=tuple(sorted(data)), scale=None if frame is None else frame.s)
 
 
 def _matcher(tol):
@@ -154,24 +155,26 @@ def _greedy_frame(offsets):
 
 
 class _Offsets:
-    """A cluster's offsets from its center, sorted by length then by
-    coordinates, with their distance data built on first use.
+    """A cluster's offsets from its center, sorted by length then in points
+    order, with their distance data built on first use.
 
-    The vectors are a cluster's ``keys`` when both clusters of a comparison
-    share a scale, its frame keys when they share a lattice frame ``form``,
-    otherwise its field (or float) offsets.  Frame keys sort by the
-    Cartesian offsets ``cart`` they stand for, as field offsets would.
-    ``index.get(v)`` is the position of offset v (see
-    :meth:`Tolerance.point_set`) and ``row(v)`` its :func:`_row`.
+    The vectors are a cluster's int ``keys`` when both clusters of a
+    comparison share a key ``keyframe``, otherwise its field (or float)
+    offsets.  Keys sort as the offsets they stand for: by dot / scale2,
+    which rounds as the float of the Fraction |x|^2 does, then in points
+    order, the offsets' lexicographic order.  ``index.get(v)`` is the
+    position of offset v (see :meth:`Tolerance.point_set`) and ``row(v)``
+    its :func:`_row`.
     """
 
-    def __init__(self, vecs, tol, form=None, cart=None):
-        self.dot, self.sq = (p_dot, _sq) if form is None else (form.dot, form.dist2)
-        if form is None:
+    def __init__(self, vecs, tol, keyframe=None):
+        if keyframe is None:
+            self.dot, self.sq = p_dot, _sq
             self.vectors = sorted(vecs, key=lambda v: (float(p_dot(v, v)), tuple(map(float, v))))
-        else:  # dot / scale2 rounds as the float of the Fraction |x|^2 does
+        else:
+            self.dot, self.sq = keyframe.dot, keyframe.dist2
             order = sorted(range(len(vecs)), key=lambda i: (
-                form.dot(vecs[i], vecs[i]) / form.scale2, tuple(map(float, cart[i]))))
+                keyframe.dot(vecs[i], vecs[i]) / keyframe.scale2, i))
             self.vectors = [vecs[i] for i in order]
         self.index = tol.point_set(self.vectors)
         self.rows = {}
@@ -264,9 +267,9 @@ def _witness_linear_parts(c1, c2, tol, want_all):
     matrix and perm the permutation of offset positions that o induces,
     with two more slots, for n and -n on the normal line, when the cluster
     is one dimension short, and the slots of +1 and -1 for a lone center in
-    1-d.  For c2 is c1, perm thus fixes o.  Clusters of one scale are
-    matched on their ``keys`` (ints on a grid), clusters of one lattice
-    frame on their frame keys, others on field offsets.  Every candidate o
+    1-d.  For c2 is c1, perm thus fixes o.  Clusters whose frames key
+    offsets alike (:meth:`sets.Frame.same_keys`) are matched on their int
+    ``keys``, others on field offsets.  Every candidate o
     is solved from a frame (distinct frame images, or normal choices, give
     distinct maps), is orthogonal (by the Gram test, or checked), and must
     biject the offsets (:func:`_permutation`).
@@ -274,16 +277,11 @@ def _witness_linear_parts(c1, c2, tol, want_all):
     if c1.size != c2.size:
         return
     d = c1.dim
-    form = c1.frame[0] if c1.frame and c2.frame and c1.frame[0] is c2.frame[0] else None
-    if form is not None:
-        offs1 = _Offsets(c1.frame[1], tol, form, c1.keys)
-        offs2 = offs1 if c2 is c1 else _Offsets(c2.frame[1], tol, form, c2.keys)
-        integer = True
-    else:  # one scale: int keys; rows in different units compare only in the field
-        shared = c1.scale == c2.scale
-        integer = shared and c1.scale is not None
-        offs1 = _Offsets(c1.keys if shared else c1.offsets(), tol)
-        offs2 = offs1 if c2 is c1 else _Offsets(c2.keys if shared else c2.offsets(), tol)
+    # keys in different units compare only in the field
+    kf = c1.frame[0] if c1.frame and c2.frame and c1.frame[0].same_keys(c2.frame[0]) else None
+    integer = kf is not None
+    offs1 = _Offsets(c1.keys if kf else c1.offsets(), tol, kf)
+    offs2 = offs1 if c2 is c1 else _Offsets(c2.keys if kf else c2.offsets(), tol, kf)
     vecs1, vecs2 = offs1.vectors, offs2.vectors
     dot = offs1.dot
     if not vecs1:
@@ -296,7 +294,7 @@ def _witness_linear_parts(c1, c2, tol, want_all):
         return
     frame = _greedy_frame(vecs1)
     s = len(frame)
-    if form is not None and s < d:  # a short frame is completed in the field
+    if integer and s < d and not kf.cartesian_keys:  # completed in the field
         b1 = Cluster(c1.center, c1.radius, c1.points)
         b2 = b1 if c2 is c1 else Cluster(c2.center, c2.radius, c2.points)
         yield from _witness_linear_parts(b1, b2, tol, want_all)
@@ -353,7 +351,7 @@ def _witness_linear_parts(c1, c2, tol, want_all):
             if d - s == 1:
                 m = len(vecs1)
                 perm += (m + j, m + 1 - j)  # the slots of n and -n
-            yield o if form is None else form.cartesian(o), perm
+            yield o if kf is None else kf.cartesian(o), perm
             if not want_all:
                 return
 
@@ -496,13 +494,10 @@ class ClusterPartition(Record):
 
 
 def _radial_key(c):
-    """The sorted squared lengths of a cluster's keys: ints over scale**2 on
-    a grid or over the frame's scale2 on a lattice frame, otherwise field
-    scalars."""
-    if c.frame is None:
-        return tuple(sorted(p_dot(v, v) for v in c.keys))
-    form, keys = c.frame
-    return tuple(sorted(form.dot(v, v) for v in keys))
+    """The sorted squared lengths of a cluster's keys: ints over the key
+    frame's scale2, otherwise field scalars."""
+    dot = p_dot if c.frame is None else c.frame[0].dot
+    return tuple(sorted(dot(v, v) for v in c.keys))
 
 
 def classify(handle, rho, points=None):
@@ -522,7 +517,7 @@ def classify(handle, rho, points=None):
     buckets = {}      # radial key -> classes (exact); one bucket (float misses)
     for x in population:
         cx = cluster(handle, x, radius)
-        keys = cx.keys if cx.frame is None else cx.frame[1]
+        keys = cx.keys
         hit = translates.get(keys)
         if hit is not None:
             cls, c0, w0 = hit

@@ -25,7 +25,7 @@ from .geometry import (Lattice, Record, Tolerance, dist_sq,
                        lattice_from_generators, p_add, p_neg, p_scale, p_sub, rank)
 from .scalars import format_point, sfloor
 from .params import _neighbours
-from .sets import (WindowTooSmallError, _inset, _on_grid, _reach, _sq, as_radius, cluster,
+from .sets import (WindowTooSmallError, _inset, _reach, _sq, as_radius, cluster,
                    delone_params, distance_spectrum, radius_covers)
 
 __all__ = [
@@ -292,12 +292,12 @@ def is_locally_antipodal(handle):
 
 def _antipode_violation(c, tol):
     """The first offset of cluster c whose antipode -v is not one of its
-    offsets, or None.  The test runs on the cluster's keys (int vectors on
-    a grid); only the offset reported is lifted."""
+    offsets, or None.  The test runs on the cluster's keys (linear in the
+    offsets); only the offset reported is lifted."""
     members = tol.point_set(c.keys)
-    for v in c.keys:
+    for i, v in enumerate(c.keys):
         if p_neg(v) not in members:
-            return v if c.scale is None else tuple(Fraction(a, c.scale) for a in v)
+            return c.offsets()[i]
     return None
 
 
@@ -339,12 +339,13 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
     closure complete.  The known points sit in a table of cells wider than
     the seed radius (fixed-radius near neighbours: Bentley, Stanat and
     Williams, IPL 1977), so a popped y is paired only with the known points
-    of its 3^d neighbouring cells, not with all of them.  A seed with
-    integer coordinates (``grid``) runs the closure on them: 2y - z stays an
-    integer vector, squared distances are ints over scale**2 compared with
-    each radius's integer threshold by ``radius_covers``, cells are exact
-    floor divisions by an int side above the seed radius times the scale,
-    and the points are lifted to Fractions once at the end.  Other seeds run the
+    of its 3^d neighbouring cells, not with all of them.  A seed keyed on
+    the Cartesian grid (``cartesian_keys``) runs the closure on its keys:
+    2y - z stays an int key, squared distances are ints over scale2
+    compared with each radius's integer threshold by ``radius_covers``,
+    cells are exact floor divisions by an int side above the seed radius
+    times the scale, and keys are lifted to points once at the end.  Other
+    seeds run the
     same loop on their field or float points (see :func:`_closure_side`); a
     float candidate is known when a known point of its neighbouring cells is
     the same point within eps_abs, since 2y - z rounds.
@@ -365,11 +366,12 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
             "the packing bound; the seed is not a valid 2R-cluster")
     else:
         cap, why = max_points, f"its cap of {max_points} points"
-    if seed.grid is None:
-        center, points, scale = seed.center, seed.points, None
+    frame = seed.frame[0] if seed.frame and seed.frame[0].cartesian_keys else None
+    if frame is None:
+        center, points, scale, scale2 = seed.center, seed.points, None, 1
     else:
-        (center, points), scale = seed.grid, seed.scale
-    scale2 = 1 if scale is None else scale * scale
+        center, scale, scale2 = frame.key(seed.center), frame.s, frame.scale2
+        points = [frame.key(p) for p in seed.points]
     side = _closure_side(pair_radius, radius_max, center, scale, tol)
     fuzzy = scale is None and not tol.exact  # float 2y - z rounds: match within eps_abs
 
@@ -408,9 +410,9 @@ def reconstruct_from_2R_cluster(seed, rho_max, tol=None, max_points=None):
                     grew = True
         if grew and len(known) > cap:
             raise ReconstructionError(f"reconstruction exceeded {why}")
-    if scale is None:
+    if frame is None:
         return tuple(sorted(known))
-    return tuple(tuple(Fraction(a, scale) for a in p) for p in sorted(known))
+    return tuple(map(frame.point, sorted(known)))
 
 
 def _closure_side(pair_radius, radius_max, center, scale, tol):
@@ -561,8 +563,8 @@ def _extend_lattice(lat, extra):
 def _coset_reps(handle, points, lam):
     """The first of ``points``, in sorted order, in each coset of lam.
 
-    On an exact handle with an integer grid, each point gets one residue
-    key: its int vector k times the int matrix A = D B^-1 / scale, mod D.
+    On an exact handle keyed on the Cartesian grid, each point gets one
+    residue key: its int key k times the int matrix A = D B^-1 / scale, mod D.
     Two points share a coset exactly when their keys are equal, so keeping
     the first point per key, in sorted order, gives what the pairwise
     ``lam.contains`` test against every kept point gives, in the same
@@ -570,21 +572,20 @@ def _coset_reps(handle, points, lam):
     get here only with a periodic motif, which is small, and a float
     residue wraps at +-1/2, where a motif point such as e1/2 lands.
     """
-    tol = handle.tol
-    grid = handle._grid() if tol.exact else None
-    if grid is None:
+    tol, frame = handle.tol, handle._frame()
+    if frame is None or not tol.exact or not frame.cartesian_keys:
         reps = []
         for p in sorted(points):
             if not any(lam.contains(p_sub(p, q), tol) for q in reps):
                 reps.append(p)
         return reps
-    scale, d = grid[0], handle.dim
+    scale, d = frame.s, handle.dim
     rows = [lam.coords(tuple(Fraction(int(i == j), scale) for j in range(d))) for i in range(d)]
     den = math.lcm(*(x.denominator for row in rows for x in row))
     cols = list(zip(*([int(x * den) for x in row] for row in rows)))
     first = {}
     for p in sorted(points):
-        k = _on_grid(p, scale)
+        k = frame.key(p)
         first.setdefault(tuple(sum(map(mul, k, col)) % den for col in cols), p)
     return list(first.values())
 
@@ -621,17 +622,16 @@ def _max_lattice_window(handle):
 def _window_translations(handle, ts):
     """The differences t of window points in ts with X + t = X as far as
     the window can tell: on a window with a scale, the test runs on its
-    integer points, bounds and margin with t times the scale."""
-    grid = handle._grid()
-    if grid is None:
-        frame = (handle.points, handle._member_set(), (*handle.bounds, handle.margin))
+    integer keys, bounds and margin with t times the scale."""
+    frame = handle._frame()
+    if frame is None:
+        window = (handle.points, handle._member_set(), (*handle.bounds, handle.margin))
         steps = ts
     else:
-        scale, keys, box = grid
-        frame = (keys, frozenset(keys), box)
-        steps = [_on_grid(t, scale) for t in ts]
+        window = (frame.keys, frozenset(frame.keys), frame.box)
+        steps = [frame.key(t) for t in ts]
     return [t for t, k in zip(ts, steps)
-            if _translation_fits_window(*frame, k, handle.tol)]
+            if _translation_fits_window(*window, k, handle.tol)]
 
 
 def _translation_fits_window(points, members, box, t, tol):

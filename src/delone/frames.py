@@ -1,7 +1,9 @@
-"""Lattice frames: integer coordinates for periodic sets off the grid.
+"""Lattice frames: int keys for periodic sets off the Cartesian grid.
 
-An exact periodic set whose coordinates are not all rational (the
-triangular lattice, the honeycomb, hexagonal crystals) has no grid.  It has
+A handle's int point keys take one path, the key frame (``sets.Frame``),
+the grid being W = I.  An exact periodic set whose coordinates are not all
+rational (the triangular lattice, the honeycomb, hexagonal crystals) has
+no grid.  It has
 a lattice frame when its LLL-reduced basis B has a rational Gram matrix G
 and its motif points rational lattice coordinates: a point m0 + u B, for
 the first motif point m0, has the int key s u, with s the least common
@@ -9,10 +11,10 @@ denominator of the motif's lattice coordinates, and the squared distance
 of two points is d2 = D^T W D / scale2 for their key difference D, with the
 int form W = den G and scale2 = den s**2, den the least common denominator
 of G (Conway and Sloane, *Sphere Packings, Lattices and Groups*, ch. 1).
-The Cartesian grid is the case W = I.  An isometry acts on keys as a
-rational matrix M, which preserves W, and its Cartesian matrix is
-B^T M B^-T (Plesken and Souvignier, "Computing isometries of lattices",
-J. Symbolic Comput. 24, 1997, compute isometries on such forms).
+An isometry acts on keys as a rational matrix M, which preserves W, and
+its Cartesian matrix is B^T M B^-T (Plesken and Souvignier, "Computing
+isometries of lattices", J. Symbolic Comput. 24, 1997, compute isometries
+on such forms).
 
 ``PointSetHandle._frame`` imports this module only for an exact periodic
 handle with no scale, so the sets on a grid never compile it.
@@ -25,27 +27,24 @@ from operator import mul, sub
 
 from .geometry import mat_t, p_dot, p_sub
 from .scalars import QuadExt, _make
-from .sets import _common_denominator, _on_grid
+from .sets import Frame, _common_denominator, _on_grid
 
 
-class Frame:
-    """The lattice frame of a lattice and motif (module docstring).
+class LatticeFrame(Frame):
+    """The lattice frame of a lattice and motif (module docstring).  The
+    keys of the reduced basis vectors (``steps``) are s times the unit
+    vectors, so a point m + k B has the key of m plus k @ steps, as on the
+    grid.  :meth:`point` and :meth:`cartesian` work in int arithmetic
+    (:func:`_int_parts`)."""
 
-    ``motif`` holds the motif's keys and ``steps`` the keys of the reduced
-    basis vectors (s times the unit vectors), so that a point m + k B has
-    the key of m plus k @ steps, as on the grid.  :meth:`dist2` is d2 *
-    ``scale2`` of two keys, :meth:`point` lifts a key to its point, and
-    :meth:`cartesian` turns a linear map of keys into the Cartesian matrix
-    it stands for, both in int arithmetic (:func:`_int_parts`).
-    """
+    cartesian_keys = False
 
     def __init__(self, lattice, origin, s, den, gram, coords):
         d = lattice.dim
-        self.lattice, self.origin, self.s, self._points = lattice, origin, s, {}
+        super().__init__(s, motif=tuple(_on_grid(u, s) for u in coords),
+                         steps=tuple(tuple(s * (i == j) for j in range(d)) for i in range(d)))
+        self.lattice, self.origin, self.scale2, self._points = lattice, origin, den * s * s, {}
         self.form = tuple(tuple(int(g * den) for g in gram[i * d:(i + 1) * d]) for i in range(d))
-        self.scale2 = den * s * s
-        self.motif = tuple(_on_grid(u, s) for u in coords)
-        self.steps = tuple(tuple(s * (i == j) for j in range(d)) for i in range(d))
         bt, it = mat_t(lattice.reduced), mat_t(lattice._inv)  # B^T and B^-T
         # coordinate j of a point is (key @ column j of B + s origin_j) / s
         self._columns = [_int_parts(col + (s * o,)) for col, o in zip(bt, origin)]
@@ -100,7 +99,7 @@ def _int_sum(n, parts, scale):
 
 
 def lattice_frame(lattice, motif):
-    """The :class:`Frame` of a lattice and motif with origin the first
+    """The :class:`LatticeFrame` of a lattice and motif with origin the first
     motif point, or None when the reduced basis has an irrational Gram
     matrix or a motif point irrational lattice coordinates."""
     basis = lattice.reduced
@@ -109,4 +108,4 @@ def lattice_frame(lattice, motif):
     den, s = _common_denominator(gram), _common_denominator(chain.from_iterable(coords))
     if den is None or s is None:
         return None
-    return Frame(lattice, motif[0], s, den, gram, coords)
+    return LatticeFrame(lattice, motif[0], s, den, gram, coords)

@@ -8,10 +8,11 @@ the pairs whose float distance is within rounding of the least seen.
 R is the largest distance from a site to a vertex of its Voronoi cell
 (Conway and Sloane, *Sphere Packings, Lattices and Groups*, ch. 2).  The
 cells are exact in any dimension, clipped one bisector at a time, with no
-external geometry library: on ints for a handle with a scale, and in the
-handle's field (or floats) otherwise.  Periodic sets get R exactly from
-their motif's cells; a window's R is a lower-bound estimate from the
-vertices whose empty balls fit in its trusted region.
+external geometry library: on the int keys of a handle whose key frame is
+the Cartesian grid, and in the handle's field (or floats) otherwise.
+Periodic sets get R exactly from their motif's cells; a window's R is a
+lower-bound estimate from the vertices whose empty balls fit in its
+trusted region.
 
 This module imports its helpers from ``sets``; the cached entry points
 there (``delone_params``, ``min_dist_sq``) import it inside the function,
@@ -43,7 +44,7 @@ def _min_dist_sq(handle):
     with no table) every pair is scanned exactly.
     """
     tol = handle.tol
-    grid = handle._grid()
+    frame = handle._frame()
     if handle.mode == "periodic":
         radius = tol.sqrt(min(p_dot(b, b) for b in handle.lattice.reduced))
         best = None
@@ -55,7 +56,7 @@ def _min_dist_sq(handle):
         return handle._lift(best, scale2)
     if len(handle.points) < 2:
         raise ValueError("packing radius needs at least two points")
-    pts = handle.points if grid is None else grid[1]
+    pts, sq = (handle.points, _sq) if frame is None else (frame.keys, frame.dist2)
     index, best = handle._index(), None
     if index is not None:
         mag, origin, side, dims, fpts, table = index
@@ -64,14 +65,14 @@ def _min_dist_sq(handle):
             f = math.dist(fpts[i], fpts[j])
             if f <= near + 2 * pad:
                 near = min(near, f)
-                d2 = _sq(pts[i], pts[j])
+                d2 = sq(pts[i], pts[j])
                 if best is None or d2 < best:
                     best = d2
         if near + 2 * pad >= side:
             best = None  # a closer pair may straddle non-neighbouring cells
     if best is None:
-        best = min(_sq(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
-    return best if grid is None else handle._lift(best, grid[0] ** 2)
+        best = min(sq(p, q) for i, p in enumerate(pts) for q in pts[i + 1:])
+    return best if frame is None else handle._lift(best, frame.scale2)
 
 
 def _near_pairs(table, steps):
@@ -146,19 +147,20 @@ def _covering(handle):
     costs less than sweeping every site again to the widest need.
     """
     tol, d = handle.tol, handle.dim
-    grid, frame = handle._grid(), handle._frame()
-    scale = grid[0] if grid else 1
-    ints = grid is not None and tol.exact and handle.mode == "window"
+    frame = handle._frame()
+    cart = frame is not None and frame.cartesian_keys  # cells are clipped on Cartesian keys
+    scale = frame.s if cart else 1
+    ints = cart and tol.exact and handle.mode == "window"
     if handle.mode == "periodic":
         h = Fraction(math.ceil(sum(math.sqrt(float(p_dot(b, b)))
                                    for b in handle.lattice.reduced)) + 1, 2) * scale
         h = h if tol.exact else float(h)
         lo, hi, margin = (-h,) * d, (h,) * d, 0
-        sites = [(None, x, _on_grid(x, scale) if grid else x) for x in handle.motif]
+        sites = [(None, x, frame.key(x) if cart else x) for x in handle.motif]
         sweep = False
     else:
-        lo, hi, margin = grid[2] if grid else (*handle.bounds, handle.margin)
-        keys = grid[1] if grid else handle.points
+        lo, hi, margin = frame.box if cart else (*handle.bounds, handle.margin)
+        keys = frame.keys if cart else handle.points
         if ints:
             inside = [i for i, k in enumerate(keys) if _inset(k, lo, hi, margin) >= 0]
         else:
@@ -166,7 +168,7 @@ def _covering(handle):
             inside = [i for i, p in enumerate(handle.points) if handle.hosts_ball(p, zero)]
         sites = [(i, handle.points[i], keys[i]) for i in inside]
         # the sweep keys points as _ball does: grid ints (exact) or floats
-        sweep = (ints or grid is None and not tol.exact) and handle._index() is not None
+        sweep = (ints or not cart and not tol.exact) and handle._index() is not None
     lo = tuple(a + margin for a in lo)
     hi = tuple(a - margin for a in hi)
     eps = 0 if tol.exact else tol.eps_abs
@@ -194,7 +196,7 @@ def _covering(handle):
                      bisect_right(d2s, radius + eps, key=math.sqrt))
             else:
                 scale2, hits = handle._ball(x, radius)
-                if frame is not None:  # the cell is clipped on field offsets
+                if frame is not None and not cart:  # a lattice frame clips on field offsets
                     hits = [(d2 / scale2, p, p) for d2, _, p in hits]
                 hits = sorted(hits, key=lambda t: float(t[0]))
                 hits = [(float(t[0]), o) for t, o in
@@ -229,7 +231,7 @@ def _covering(handle):
     if best is None:
         raise WindowTooSmallError("no Voronoi vertex fits inside the trusted window")
     flag = "exact" if handle.mode == "periodic" else "lower-bound-estimate"
-    return tol.sqrt(fdiv(best, scale * scale) if grid else best), flag
+    return tol.sqrt(fdiv(best, scale * scale) if cart else best), flag
 
 
 def _known_cell(cells, d2s, offs, known, box, rounded=None):

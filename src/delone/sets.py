@@ -10,16 +10,16 @@ The Delone parameters r and R are computed in :mod:`delone.params`; this
 module keeps them cached on the handle (:func:`delone_params`).
 
 Exact squared distances between set points are ints over an int unit
-``scale2`` whenever the handle has integer coordinates, from one of two
-sources.  When every coordinate is rational, a handle has a ``scale``: the
-least common denominator of its coordinates, which turns each point into
-an integer vector (its grid, ``scale2 = scale**2``).  A window stores its
-points once in that form, and a periodic handle its motif and reduced
-basis.  An exact periodic handle with no scale (the triangular lattice,
-the honeycomb, hexagonal crystals) may have a lattice frame instead
-(:mod:`delone.frames`), which keys each point by its int lattice
-coordinates.  Range queries decide d2 as ints either way, and clusters
-carry the int keys for classification.
+``scale2`` whenever the handle's points have int keys, on one int key path:
+a key :class:`Frame`, the grid being W = I.  When every coordinate is
+rational, the frame is the grid: a point's key is the point times ``s``,
+the least common denominator of the coordinates, and ``scale2 = s**2``.  A
+window's frame holds its point keys and its box in key units, a periodic
+frame its motif and reduced basis.  An exact periodic handle off the grid
+(the triangular lattice, the honeycomb, hexagonal crystals) may have a
+lattice frame instead (:mod:`delone.frames`), which keys each point by its
+int lattice coordinates through an int form W.  Range queries decide d2 as
+ints on either, and clusters carry the int keys for classification.
 """
 
 import math
@@ -28,10 +28,10 @@ from collections import deque
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
-from operator import sub
+from operator import itemgetter, sub
 
 from .geometry import (ConvergenceError, Lattice, Record, Tolerance, _float_index,
-                       _float_point, dist_sq, fdiv, p_sub)
+                       _float_point, dist_sq, fdiv, p_dot, p_sub)
 from .scalars import Radical, format_point, is_exact_scalar, ssign
 
 __all__ = [
@@ -179,6 +179,35 @@ def _sq(p, q):
     return s
 
 
+class Frame:
+    """Int keys of a handle's points, here the Cartesian grid (W = I): p has
+    the key p * s, and two points the squared distance ``dist2`` of their
+    keys over ``scale2`` = s**2.  A periodic frame holds the keys of the
+    motif and reduced basis (``motif``, ``steps``), a window's those of its
+    points and box (lo, hi, margin).  ``cartesian_keys`` is False for a
+    lattice frame (:class:`delone.frames.LatticeFrame`)."""
+
+    cartesian_keys = True
+    dot, dist2 = staticmethod(p_dot), staticmethod(_sq)
+
+    def __init__(self, s, motif=None, steps=None, keys=None, box=None):
+        self.s, self.scale2 = s, s * s
+        self.motif, self.steps, self.keys, self.box = motif, steps, keys, box
+
+    def key(self, p):
+        return _on_grid(p, self.s)
+
+    def point(self, key):
+        return tuple(Fraction(a, self.s) for a in key)
+
+    def cartesian(self, m):
+        return m
+
+    def same_keys(self, other):
+        """Whether keys of self and other stand for offsets alike."""
+        return other is self or self.cartesian_keys and other.cartesian_keys and other.s == self.s
+
+
 class DeloneParams(Record):
     """Packing radius r and covering radius R with exactness flags."""
 
@@ -195,22 +224,19 @@ class DeloneParams(Record):
 class Cluster(Record, compare=("center", "radius", "points")):
     """A center point together with all set points within a closed radius.
 
-    Clusters cut from a handle with a scale carry it, with the points and
-    the center times the scale as int tuples (``grid``).  All clusters of
-    one handle share its scale, so their integer data compare directly.
-    ``keys`` are the offsets from the center in the cluster's own units:
-    int vectors on a grid, the field (or float) offsets otherwise.
-    Clusters cut from a handle with a lattice frame carry it in ``frame``,
-    with the frame keys of their offsets, in ``keys`` order; classification
-    reads those in place of ``keys``.
+    Clusters cut from a handle whose points have int keys carry its key
+    frame in ``frame``, as (frame, offset keys): the key of each point less
+    the center's, in points order, center excluded.  All clusters of one
+    handle share its frame, and grids of one scale key alike
+    (:meth:`Frame.same_keys`), so their keys compare directly.  ``keys``
+    are those int offsets, or the field (or float) :meth:`offsets` of a
+    cluster with no frame.
     """
 
     center: tuple
     radius: object
     points: tuple  # lexicographically sorted, includes the center
-    scale: int = None
-    grid: tuple = None  # (center, points)
-    frame: tuple = None  # (lattice frame, offset keys)
+    frame: tuple = None  # (key frame, offset keys)
 
     @property
     def dim(self):
@@ -222,18 +248,17 @@ class Cluster(Record, compare=("center", "radius", "points")):
 
     @cached_property
     def keys(self):
-        """Offsets from the center in points order, center excluded: int
-        vectors (grid point minus grid center) on a grid, otherwise
-        :meth:`offsets`."""
-        center, points = self.grid or (self.center, self.points)
-        return tuple(tuple(a - b for a, b in zip(p, center)) for p in points if p != center)
+        """Offsets from the center in points order, center excluded: the int
+        offset keys on a frame, otherwise the points less the center."""
+        if self.frame:
+            return self.frame[1]
+        c = self.center
+        return tuple(tuple(a - b for a, b in zip(p, c)) for p in self.points if p != c)
 
     def offsets(self):
-        """Points relative to the center (center excluded): the keys, lifted
-        to Fractions on a grid."""
-        if self.scale is None:
-            return self.keys
-        return tuple(tuple(Fraction(a, self.scale) for a in v) for v in self.keys)
+        """Points relative to the center (center excluded), in points order:
+        the keys of the cluster with no frame."""
+        return Cluster(self.center, self.radius, self.points).keys if self.frame else self.keys
 
 
 class DistanceSpectrum(Record):
@@ -297,47 +322,30 @@ class PointSetHandle:
 
     # -- integer coordinates -----------------------------------------------
 
-    def _scale(self):
-        """Least common denominator of the set's coordinates (every point
-        times it is an integer vector), or None when some coordinate is a
-        float or irrational."""
-        if "scale" not in self._cache:
-            if self.mode == "window":
-                lo, hi = self.bounds
-                coords = chain(chain.from_iterable(self.points), lo, hi, (self.margin,))
-            else:
-                coords = chain(chain.from_iterable(self.motif),
-                               chain.from_iterable(self.lattice.reduced))
-            self._cache["scale"] = _common_denominator(coords)
-        return self._cache["scale"]
-
-    def _grid(self):
-        """(scale, points, (lo, hi, margin)) of a window or (scale, motif,
-        reduced basis) of a periodic set, all times scale as ints; None
-        without a scale."""
-        if "grid" not in self._cache:
-            scale = self._scale()
-            if scale is None:
-                grid = None
-            elif self.mode == "window":
-                lo, hi = self.bounds
-                grid = (scale, tuple(_on_grid(p, scale) for p in self.points),
-                        (_on_grid(lo, scale), _on_grid(hi, scale),
-                         _on_grid((self.margin,), scale)[0]))
-            else:
-                grid = (scale, tuple(_on_grid(m, scale) for m in self.motif),
-                        tuple(_on_grid(b, scale) for b in self.lattice.reduced))
-            self._cache["grid"] = grid
-        return self._cache["grid"]
-
     def _frame(self):
-        """The lattice frame of an exact periodic handle with no scale
-        (:func:`delone.frames.lattice_frame`), or None."""
+        """The key :class:`Frame` of the handle's points: the grid of s, the
+        least common denominator of the coordinates, when they are all
+        rational; else for an exact periodic handle its lattice frame
+        (:func:`delone.frames.lattice_frame`) if it has one; or None."""
         if "frame" not in self._cache:
             frame = None
-            if self.mode == "periodic" and self.tol.exact and self._scale() is None:
-                from .frames import lattice_frame  # only sets off the grid compile it
-                frame = lattice_frame(self.lattice, self.motif)
+            if self.mode == "window":
+                lo, hi = self.bounds
+                s = _common_denominator(chain(chain.from_iterable(self.points), lo, hi,
+                                              (self.margin,)))
+                if s is not None:
+                    frame = Frame(s, keys=tuple(_on_grid(p, s) for p in self.points),
+                                  box=(_on_grid(lo, s), _on_grid(hi, s),
+                                       _on_grid((self.margin,), s)[0]))
+            else:
+                s = _common_denominator(chain(chain.from_iterable(self.motif),
+                                              chain.from_iterable(self.lattice.reduced)))
+                if s is not None:
+                    frame = Frame(s, motif=tuple(_on_grid(m, s) for m in self.motif),
+                                  steps=tuple(_on_grid(b, s) for b in self.lattice.reduced))
+                elif self.tol.exact:
+                    from .frames import lattice_frame  # only sets off the grid compile it
+                    frame = lattice_frame(self.lattice, self.motif)
             self._cache["frame"] = frame
         return self._cache["frame"]
 
@@ -363,23 +371,17 @@ class PointSetHandle:
 
         The one walk over a handle's points near a place; box queries and
         the periodic closest pair filter its hits.  About a center with an
-        int key, on the handle's grid or lattice frame, d2 * scale2 is an
-        int and key the point's int vector; otherwise scale2 = 1 and key is
-        p.  Grid keys order like the points.  A periodic hit is built as its
-        key, and only a hit is lifted to its point.  An exact query about a
-        keyed center, periodic or window, compares each int d2 with one
-        threshold T = floor(radius**2 * scale2), so the radius may also be a
-        rational; other queries test each d2 by ``radius_covers``.
+        int key on the handle's :class:`Frame`, d2 * scale2 is an int and
+        key the point's int key; otherwise scale2 = 1 and key is p.  A
+        periodic hit is built as its key, and only a hit is lifted to its
+        point.  An exact query about a keyed center, periodic or window,
+        compares each int d2 with one threshold T = floor(radius**2 *
+        scale2), so the radius may also be a rational; other queries test
+        each d2 by ``radius_covers``.
         """
-        tol, grid, frame = self.tol, self._grid(), self._frame()
-        ic, scale2, sq = None, 1, _sq
-        if grid is not None:
-            ic = _on_grid(center, grid[0])
-        elif frame is not None:
-            ic = frame.key(center)
-        if ic is not None:
-            scale2, sq = (grid[0] ** 2, _sq) if grid else (frame.scale2, frame.dist2)
-        c = center if ic is None else ic
+        tol, frame = self.tol, self._frame()
+        ic = None if frame is None else frame.key(center)
+        scale2, sq, c = (1, _sq, center) if ic is None else (frame.scale2, frame.dist2, ic)
         t = None
         if ic is not None and tol.exact:
             t = (radius.numerator ** 2 * scale2 // radius.denominator ** 2
@@ -387,7 +389,7 @@ class PointSetHandle:
         out = []
         if self.mode == "periodic":
             motif, steps = ((self.motif, self.lattice.reduced) if ic is None else
-                            grid[1:] if grid else (frame.motif, frame.steps))
+                            (frame.motif, frame.steps))
             # no pad on rho_f: offsets_in_ball widens its box by more than half
             # a lattice step a side (a pad in lattice units, free of the unit of
             # length), which covers the rounding of rho_f and a float eps_abs
@@ -398,13 +400,11 @@ class PointSetHandle:
                                 for j, a in enumerate(km))
                     d2 = sq(key, c)
                     if d2 <= t if t is not None else radius_covers(radius, d2, tol, scale2):
-                        out.append((d2, key, key if ic is None else
-                                    tuple(Fraction(a, grid[0]) for a in key) if grid else
-                                    frame.point(key)))
+                        out.append((d2, key, key if ic is None else frame.point(key)))
             return scale2, out
-        keys = self.points if ic is None else grid[1]
+        keys = self.points if ic is None else frame.keys
         for i in self._window_candidates(center, radius):
-            d2 = _sq(keys[i], c)
+            d2 = sq(keys[i], c)
             if d2 <= t if t is not None else radius_covers(radius, d2, tol, scale2):
                 out.append((d2, keys[i], self.points[i]))
         return scale2, out
@@ -490,15 +490,17 @@ class PointSetHandle:
     def points_in_box(self, lo, hi):
         """All set points inside the closed axis-aligned box [lo, hi], in
         :meth:`_ball` order: the hits of one ball about the box's center
-        that pass ``_in_box``.  The ball's radius is half the box's diagonal
-        plus a pad of 0.01, with each face moved out by eps_abs (as far as
-        float mode's ``_in_box`` reaches), so it covers every point
-        ``_in_box`` accepts."""
-        eps = self.tol.eps_abs
-        half = math.sqrt(sum((float(b) - float(a) + 2 * eps) ** 2 for a, b in zip(lo, hi))) / 2
+        that pass ``_in_box``.  The ball's radius is half the box's diagonal,
+        with each face moved out by eps_abs (as far as float mode's
+        ``_in_box`` reaches), padded by a factor (exact) or eps_abs (float),
+        never by a length, so it covers every point ``_in_box`` accepts."""
+        tol = self.tol
+        eps = tol.eps_abs
+        half = math.sqrt(sum((float(b - a) + 2 * eps) ** 2 for a, b in zip(lo, hi))) / 2
         center = tuple(fdiv(a + b, 2) for a, b in zip(lo, hi))
-        hits = self._ball(center, self.tol.radius_at_least(half + 0.01))[1]
-        return [p for _, _, p in hits if _in_box(p, lo, hi, self.tol)]
+        radius = Radical.of(Fraction(half) * Fraction(1025, 1024)) if tol.exact else half + eps
+        hits = self._ball(center, radius)[1]
+        return [p for _, _, p in hits if _in_box(p, lo, hi, tol)]
 
     # -- interior bookkeeping ----------------------------------------------
 
@@ -515,12 +517,12 @@ class PointSetHandle:
         the radius's square band, in ints when p lies on the window's grid."""
         if self.mode == "periodic":
             return True
-        grid = self._grid() if isinstance(radius, Radical) else None
-        ip = None if grid is None else _on_grid(p, grid[0])
+        frame = self._frame() if isinstance(radius, Radical) else None
+        ip = None if frame is None else frame.key(p)
         if ip is None:
             bd, scale2 = self.boundary_distance(p), 1
         else:
-            bd, scale2 = _inset(ip, *grid[2]), grid[0] ** 2
+            bd, scale2 = _inset(ip, *frame.box), frame.scale2
         if isinstance(radius, Radical) and isinstance(bd, (int, Fraction)):
             return bd >= 0 and _radius_sign(radius, bd * bd, scale2) <= 0
         return self.tol.ge(bd, radius)
@@ -544,9 +546,9 @@ class PointSetHandle:
         the window has a scale."""
         if self.mode == "periodic":
             return None
-        grid = self._grid()
-        if grid:
-            return Fraction(max(_inset(k, *grid[2]) for k in grid[1]), grid[0])
+        frame = self._frame()
+        if frame is not None:
+            return Fraction(max(_inset(k, *frame.box) for k in frame.keys), frame.s)
         return max(self.boundary_distance(p) for p in self.points)
 
     def __repr__(self):
@@ -703,18 +705,16 @@ def cluster(handle, x, rho):
     radius = as_radius(rho, handle.tol)
     _require_member(handle, x)
     _require_interior(handle, x, radius)
-    frame = handle._frame()  # frame keys do not order like the points
-    hits = sorted(handle._nearby(x, radius)[1], key=lambda t: t[1] if frame is None else t[2])
+    frame = handle._frame()
+    kx = None if frame is None else frame.key(x)  # None for a float centre of a rational set
+    # Cartesian keys (and points, the keys of no frame) sort like the points
+    by = itemgetter(1 if kx is None or frame.cartesian_keys else 2)
+    hits = sorted(handle._nearby(x, radius)[1], key=by)
     pts = tuple(p for _, _, p in hits)
-    scale = handle._scale()
-    if frame is not None:
-        kx = next(k for d2, k, _ in hits if not d2)
-        return Cluster(center=x, radius=radius, points=pts,
-                       frame=(frame, tuple(tuple(map(sub, k, kx)) for _, k, _ in hits if k != kx)))
-    if scale is None:
+    if kx is None:
         return Cluster(center=x, radius=radius, points=pts)
-    return Cluster(center=x, radius=radius, points=pts, scale=scale,
-                   grid=(_on_grid(x, scale), tuple(k for _, k, _ in hits)))
+    return Cluster(center=x, radius=radius, points=pts,
+                   frame=(frame, tuple(tuple(map(sub, k, kx)) for _, k, _ in hits if k != kx)))
 
 
 def distance_spectrum(handle, x, cutoff):
@@ -762,16 +762,18 @@ def two_r_chain(handle, x, y):
 
 
 def _seg_dist_sq_leq(p, a, b, w2_float):
-    """dist(p, segment ab)^2 <= w2, decided in float with a safety pad."""
-    pf = [float(c) for c in p]
-    af = [float(c) for c in a]
-    bf = [float(c) for c in b]
+    """dist(p, segment ab)^2 <= w2, decided in float with a safety pad: the
+    float d2 near w2 is off by a few ulps of sqrt(w2) m <= (w2 + m^2) / 2,
+    m the magnitude of the points' parts (:func:`_float_point`), which the
+    pad 1e-9 (w2 + m^2) covers in any unit of length."""
+    (pf, pm), (af, am), (bf, bm) = _float_point(p), _float_point(a), _float_point(b)
     ab = [u - v for u, v in zip(bf, af)]
     ap = [u - v for u, v in zip(pf, af)]
     denom = sum(u * u for u in ab)
     t = 0.0 if denom == 0 else max(0.0, min(1.0, sum(u * v for u, v in zip(ap, ab)) / denom))
     d2 = sum((pf[i] - (af[i] + t * ab[i])) ** 2 for i in range(len(pf)))
-    return d2 <= w2_float * (1 + 1e-9) + 1e-9
+    m = max(pm, am, bm)
+    return d2 <= w2_float + 1e-9 * (w2_float + m * m)
 
 
 def _bfs_chain(handle, x, y, radius_2r, corridor):

@@ -145,7 +145,9 @@ def distance_table_fingerprint(c):
     between cluster points: per point (d2 to the center, sorted row of d2 to
     every cluster point), sorted; ints in units of 1/scale**2 on a grid,
     otherwise field scalars or floats."""
-    center, points = c.grid or (c.center, c.points)
+    frame = c.frame[0] if c.frame and c.frame[0].cartesian_keys else None
+    center, points = ((c.center, c.points) if frame is None else
+                      (frame.key(c.center), tuple(map(frame.key, c.points))))
     n = len(points)
     table = [[dist_sq(points[i], points[j]) for j in range(n)] for i in range(n)]
     return tuple(sorted((dist_sq(p, center), tuple(sorted(row)))

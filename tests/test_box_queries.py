@@ -130,3 +130,29 @@ def test_periodic_grid_queries_decide_by_the_threshold(monkeypatch):
     monkeypatch.setattr(sets, "radius_covers", None)  # a grid query never calls it
     assert sorted(p for _, p in fixture.points_in_ball(x, F(3, 2))) == want[F(9, 4)]
     assert sorted(p for _, p in fixture.points_in_ball(x, Radical.sqrt(5))) == want[5]
+
+
+@pytest.mark.parametrize("spacing", [F(1, 100000), 1e-5])
+def test_box_work_does_not_depend_on_the_unit(spacing, monkeypatch):
+    # the 7 x 7 box of Z^2 with spacing s: the ball is padded by a factor
+    # (exact) or eps_abs (float), not by a length, so it holds as many points
+    # at s = 1e-5 as at s = 1; a pad of 0.01 made 61 hits 40,809 at s = 1e-4
+    def crop(s):
+        handle = build_periodic(((s, 0 * s), (0 * s, s)), [(0 * s, 0 * s)])
+        lo, hi = (-3 * s, -3 * s), (3 * s, 3 * s)
+        hits, ball = [0], sets.PointSetHandle._ball
+
+        def counted(self, center, radius):
+            out = ball(self, center, radius)
+            hits[0] += len(out[1])
+            return out
+
+        monkeypatch.setattr(sets.PointSetHandle, "_ball", counted)
+        got = handle.points_in_box(lo, hi)
+        monkeypatch.undo()
+        _same_points(got, brute_force_points_in_box(handle, lo, hi), handle.tol)
+        assert len(got) == 49
+        return hits[0]
+
+    unit = crop(type(spacing)(1))
+    assert 0 < crop(spacing) <= 2 * unit

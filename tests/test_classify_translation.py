@@ -167,12 +167,12 @@ def test_integer_data_in_different_units_compare_exactly():
                            ((t - 3, F(-3)), (t + 3, F(3))))
     ca = cluster(z2, (F(0), F(0)), 2)
     cb = cluster(shifted, (t, F(0)), 2)
-    assert (ca.scale, cb.scale) == (1, 3)
+    assert (ca.frame[0].s, cb.frame[0].s) == (1, 3)
     w = clusters_equivalent(ca, cb, exact)
     assert w is not None and {apply(w, p) for p in ca.points} == set(cb.points)
     # the patch with one point moved by half a unit (scale 2) matches neither
     moved = build_window([(F(1), F(1, 2)) if p == (1, 0) else p for p in z2.points],
                          z2.bounds)
     cm = cluster(moved, (F(0), F(0)), 2)
-    assert cm.scale == 2 and cm.size == cb.size
+    assert cm.frame[0].s == 2 and cm.size == cb.size
     assert clusters_equivalent(cm, cb, exact) is None

@@ -2,9 +2,10 @@
 antipodality.
 
 A cluster's keys are its offsets from the center in its own units, in
-points order, center excluded: int vectors on a rational grid, field
-offsets on a Q(sqrt 3) set, floats on a float window.  ``offsets()`` lifts
-the keys by the scale.  ``_antipode_violation`` tests the keys and must
+points order, center excluded: int keys on a key frame (a rational grid,
+or the lattice frame of a Q(sqrt 3) set), floats on a float window; each
+key plus the center's lifts to its point.  ``offsets()`` are the field
+offsets.  ``_antipode_violation`` tests the keys and must
 agree with a brute-force test of 2x - p on the cluster's points, reporting
 the field offset of a point whose inversion is missing.
 """
@@ -58,15 +59,19 @@ def _case(name):
 @pytest.mark.parametrize("name", [c[0] for c in CASES])
 def test_keys_are_the_offsets_in_cluster_units(name):
     handle, c, _ = _case(name)
-    assert (c.scale is not None) == name.startswith("rational")
+    frame = c.frame[0] if c.frame else None
+    assert (frame is not None and frame.cartesian_keys) == name.startswith("rational")
+    assert (frame is None) == name.startswith("float")
     field = tuple(p_sub(p, c.center) for p in c.points if p != c.center)
     assert len(c.keys) == c.size - 1
     assert c.offsets() == field
-    if c.scale is None:
+    if frame is None:
         assert c.keys == field
     else:
         assert all(isinstance(a, int) for v in c.keys for a in v)
-        assert c.offsets() == tuple(tuple(F(a, c.scale) for a in v) for v in c.keys)
+        kc = frame.key(c.center)
+        assert tuple(frame.point(p_add(k, kc)) for k in c.keys) == \
+            tuple(p for p in c.points if p != c.center)
 
 
 @pytest.mark.parametrize("name", [c[0] for c in CASES])

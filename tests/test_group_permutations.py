@@ -41,7 +41,7 @@ LATTICES = (
 
 
 def _on_field_path(c):
-    """The same cluster without scale or grid."""
+    """The same cluster without its key frame."""
     return Cluster(center=c.center, radius=c.radius, points=c.points)
 
 
@@ -84,7 +84,7 @@ def test_grid_and_field_paths_agree(case):
     spectrum = distance_spectrum(handle, centers[0], 2).distances
     rho = spectrum[min(shell, len(spectrum) - 1)]
     grid = [cluster(handle, x, rho) for x in centers]
-    assert all(c.grid is not None for c in grid)
+    assert all(c.frame[0].cartesian_keys for c in grid)
     field = [_on_field_path(c) for c in grid]
     for cg, cf in zip(grid, field):
         if len(cg.points) == 1:
@@ -157,7 +157,7 @@ def test_collinear_cluster_has_normal_line_slots():
     handle = gen_crystal(CrystalSpec(lattice=Lattice(((F(1, 5), F(0)), (F(0), F(1)))),
                                      generators=(), motif=(ORIGIN,)))
     c = cluster(handle, ORIGIN, F(1, 5))
-    assert c.grid is not None and c.size == 3
+    assert c.frame[0].cartesian_keys and c.size == 3
     perms = _perms(c, TOL)
     # two offsets, then the slots of n and -n on the normal line
     assert sorted(perms) == [(0, 1, 2, 3), (0, 1, 3, 2), (1, 0, 2, 3), (1, 0, 3, 2)]

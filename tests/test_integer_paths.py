@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delone import criteria
+from delone.classify import cluster_group_of
 from delone.criteria import (ReconstructionError, _window_translations,
                              antipodal_lattice_decomposition,
                              reconstruct_from_2R_cluster)
@@ -80,9 +81,9 @@ RATIONAL = {
 def test_reconstruct_rational_equals_field_closure(name):
     basis, motif, center = RATIONAL[name]
     handle = build_periodic(basis, motif)
-    assert handle._scale() > 1
+    assert handle._frame().s > 1
     seed = cluster(handle, center, delone_params(handle).R * 2)
-    assert seed.grid is not None
+    assert seed.frame[0].cartesian_keys  # keyed on the grid
     rho_max = F(3)
     got = reconstruct_from_2R_cluster(seed, rho_max, tol=handle.tol)
     ball = Radical.of(rho_max)
@@ -97,10 +98,13 @@ def test_reconstruct_rational_equals_field_closure(name):
 def test_periodic_cluster_grid_is_its_points_times_the_scale(name):
     basis, motif, center = RATIONAL[name]
     handle = build_periodic(basis, motif)
-    scale = handle._scale()
+    scale = math.lcm(*(x.denominator for p in handle.motif + handle.lattice.reduced for x in p))
     c = cluster(handle, center, Radical.of(2))
-    assert c.scale == scale
-    assert c.grid == (_on_grid(center, scale), tuple(_on_grid(p, scale) for p in c.points))
+    frame, keys = c.frame
+    assert frame.cartesian_keys and frame.s == scale and frame.scale2 == scale * scale
+    kc = _on_grid(center, scale)
+    assert keys == tuple(tuple(a - b for a, b in zip(_on_grid(p, scale), kc))
+                         for p in c.points if p != center)
 
 
 def test_rational_sets_under_a_float_tolerance_scale_their_distances():
@@ -110,11 +114,20 @@ def test_rational_sets_under_a_float_tolerance_scale_their_distances():
     win = build_window([(F(i, 2), F(j, 2)) for i in range(-6, 7) for j in range(-6, 7)],
                        ((F(-3), F(-3)), (F(3), F(3))), tol=tol)
     for handle, center, count in ((per, (F(1, 2), F(1, 3)), 9), (win, (F(0), F(0)), 29)):
-        assert handle._scale() > 1
+        assert handle._frame().s > 1
         got = handle.points_in_ball(center, 1.5)
         assert len(got) == count
         assert all(math.sqrt(dist_sq(p, center)) <= 1.5 + tol.eps_abs for _, p in got)
 
+
+def test_a_float_centre_of_a_rational_set_cuts_a_cluster_with_no_keys():
+    # a float centre has no grid key: its cluster keeps field offsets, with
+    # the group of the keyed cluster about the same point
+    per = build_periodic(UNIT, [(F(1, 2), F(0))], tol=Tolerance.floating())
+    keyed, plain = cluster(per, (F(1, 2), F(0)), 1), cluster(per, (0.5, 0.0), 1)
+    assert keyed.frame[0].cartesian_keys and plain.frame is None
+    assert plain.keys == plain.offsets() and len(plain.keys) == len(keyed.keys) == 4
+    assert cluster_group_of(plain).order == cluster_group_of(keyed).order == 8
 
 
 @pytest.mark.parametrize("pts, bounds", [
@@ -133,10 +146,10 @@ def test_rational_windows_under_a_float_tolerance_get_the_exact_covering_radius(
 
 def test_reconstruct_quadratic_field_equals_field_closure():
     handle = triangular_lattice()
-    assert handle._scale() is None
+    assert not handle._frame().cartesian_keys
     origin = (F(0), F(0))
     seed = cluster(handle, origin, delone_params(handle).R * 2)
-    assert seed.grid is None
+    assert not seed.frame[0].cartesian_keys  # a lattice frame: the closure runs in the field
     ball = Radical.of(3)
     got = reconstruct_from_2R_cluster(seed, 3, tol=handle.tol)
     want = closure(seed, 3, covers_exactly(seed.radius), covers_exactly(ball))
@@ -259,7 +272,8 @@ def test_neighbour_cell_closure_equals_generation_wise_closure(kind, data):
     rho_max = data.draw(st.sampled_from((F(1), F(2), F(5, 2), Radical(1, ((1, 2),)))))
     tol = handle.tol
     seed = cluster(handle, center, delone_params(handle).R * 2)
-    assert (seed.grid is not None) == (handle._scale() is not None)
+    assert (seed.frame is not None and seed.frame[0].cartesian_keys) == \
+        (kind in ("rational", "float-tolerance"))
     if not tol.exact:
         rho_max = float(rho_max)
         pair, ball = float_covers(seed.radius, tol), float_covers(rho_max, tol)
@@ -341,7 +355,7 @@ def test_antipodality_on_int_offsets_equals_fraction_test(t, drop):
     if drop is not None:
         pts.remove(middle[drop])
     handle = build_window(pts, (lo, hi))
-    assert handle._scale() is not None
+    assert handle._frame().cartesian_keys
     report = criteria.is_locally_antipodal(handle)
     flags, first = fraction_antipodality(handle)
     assert report.flags == flags
@@ -466,7 +480,8 @@ WINDOWS = [((F(3, 10), F(7, 10)), F(1, 3)),   # scale 30
 @pytest.mark.parametrize("t, margin", WINDOWS + [((F(1, 4), F(-1, 6)), F(0))])
 def test_window_translations_equal_reference(t, margin):
     handle = fixture_window(t, margin)
-    scale, _, box = handle._grid()
+    frame = handle._frame()
+    scale, box = frame.s, frame.box
     # the margin is off the half grid; with margin 0 every point is kept, and
     # a shifted edge point outside the bounds is not a member
     assert scale > 1 and (box[2] * 2 % scale or not margin)
@@ -533,7 +548,8 @@ def test_coset_reps_equal_pairwise_reference(name):
     build, keyed = COSET_CASES[name]
     handle = build()
     points = coset_points(handle)
-    assert (handle._grid() is not None and handle.tol.exact) == keyed
+    frame = handle._frame()
+    assert (frame is not None and frame.cartesian_keys and handle.tol.exact) == keyed
     lam = antipodal_lattice_decomposition(handle).lattice
     (b1, b2) = lam.reduced
     skew = Lattice((tuple(x + y for x, y in zip(b1, b2)), tuple(3 * y for y in b2)))

@@ -348,7 +348,7 @@ def test_periodic_queries_equal_exact_scan(spec, data):
 def test_periodic_queries_with_a_scale(basis, motif, scale, where):
     # a motif point, a centre off the grid, and one on the grid but not in the set
     handle = build_periodic(basis, motif)
-    assert handle._scale() == scale
+    assert handle._frame().s == scale
     shift = {"member": (0, 0), "off-grid": (F(1, 11), F(-3, 13)),
              "on-grid": (F(1, scale), 0)}[where]
     center = tuple(a + b for a, b in zip(handle.motif[0], shift))

@@ -3,8 +3,8 @@
 Every record class is checked for: construction by position, keyword and
 default; TypeError on a missing, unknown or repeated field; AttributeError
 on assignment and ``del``; equal hashes for equal values, and no equality
-with a record of another class.  ``Cluster`` compares without its scale,
-grid and frame, cached properties still cache, every record survives copy,
+with a record of another class.  ``Cluster`` compares without its key
+frame, cached properties still cache, every record survives copy,
 deepcopy and pickle, and the ``__post_init__`` checks
 that no other test reaches still reject bad input (the float eps is
 checked in test_tolerance.py, the empty shift sequence in
@@ -40,7 +40,7 @@ def samples():
         (Tolerance, ("float", 1e-6), 0),
         (Isometry, (((F(0), F(-1)), (F(1), F(0))), (F(1, 2), F(0))), 2),
         (DeloneParams, (F(1, 2), Radical.sqrt(F(1, 2)), "exact", "exact"), 4),
-        (Cluster, (O, F(1), PTS, 2, ((0, 0), ((0, 0), (2, 0))), ("frame", ((2, 0),))), 3),
+        (Cluster, (O, F(1), PTS, ("frame", ((2, 0),))), 3),
         (DistanceSpectrum, (O, F(2), (F(1),)), 3),
         (Chain, ((O, (F(1), F(0))),), 1),
         (Fingerprint, (((1, (0, 1)),), 2), 1),
@@ -121,12 +121,12 @@ def test_equal_values_hash_equally_and_classes_never_compare_equal(cls):
     assert a != tuple(values)
 
 
-def test_cluster_compares_without_scale_and_grid():
+def test_cluster_compares_without_its_frame():
     c = cluster(gen_lattice(Z2), O, F(1))
-    assert c.scale is not None and c.grid is not None
+    assert c.frame is not None
     bare = Cluster(c.center, c.radius, c.points)
     assert bare == c and hash(bare) == hash(c)
-    assert "scale" not in repr(c) and "grid" not in repr(c)
+    assert "frame" not in repr(c)
     assert Cluster(c.center, F(2), c.points) != c
 
 

@@ -166,6 +166,18 @@ def test_two_r_chain_strict_gaps(z2, tri, fix3):
         assert all(ssign(bound2 - g) > 0 for g in ch.gaps_sq())
 
 
+@pytest.mark.parametrize("spacing", [F(1, 100000), 100000])
+def test_two_r_chain_scales_with_the_set(spacing):
+    # the corridor's pad is relative to its width and the coordinates, not a
+    # length, so Z^2 with spacing s has the unit chain times s (an absolute
+    # pad of 1e-9 on the squared width more than doubled it at s = 1e-5)
+    ends = ((F(-3), F(-3)), (F(3), F(3)))
+    unit = two_r_chain(build_periodic(((F(1), F(0)), (F(0), F(1))), [(F(0), F(0))]), *ends)
+    scaled = build_periodic(((spacing, F(0)), (F(0), spacing)), [(F(0), F(0))])
+    got = two_r_chain(scaled, *(tuple(spacing * c for c in p) for p in ends))
+    assert got.vertices == tuple(tuple(spacing * c for c in p) for p in unit.vertices)
+
+
 def test_two_r_chain_window_truncation():
     # two tight clumps; the window's R estimate cannot bridge the gap
     pts = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1)),

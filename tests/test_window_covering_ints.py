@@ -78,7 +78,8 @@ def final_cells(handle):
 
 def check_cells(handle):
     # box = trusted region - site, in grid units, so the site is lo + margin - box lo
-    _, keys, (lo, hi, margin) = handle._grid()
+    frame = handle._frame()
+    keys, (lo, hi, margin) = frame.keys, frame.box
     cells = final_cells(handle)
     assert len(cells) == sum(sets._inset(k, lo, hi, margin) >= 0 for k in keys)
     for box, cell in cells:
@@ -217,13 +218,13 @@ def test_swept_neighbours_cut_at_a_radius_are_the_ball(numeric):
     handle = (gen_shifted_rows(ShiftedRowSpec(sequence=ShiftSequence.parse("RLLRLR"),
                                               extent=F(9, 4)))
               if numeric == "exact" else float_rows("RLLRLR", 4, (F(2, 5), F(1, 10))))
-    grid = handle._grid()
-    keys = grid[1] if numeric == "exact" else handle.points
+    frame = handle._frame()
+    keys = frame.keys if numeric == "exact" else handle.points
     near = params._sweep(handle, keys, 1.2)
     count = 0
     for radius in (F(1, 5), F(2, 5), F(1), F(6, 5)):  # the first three are distances
         if numeric == "exact":
-            radius, t = radius, radius ** 2 * grid[0] ** 2
+            radius, t = radius, radius ** 2 * frame.scale2
             t = t.numerator // t.denominator
         else:
             radius = float(radius)
